@@ -83,9 +83,6 @@ class Chart:
         """omega_{mu...} = d/dx^{mu} ^ ... hooked into the volume form."""
         return hook(vector_basis(self.frame, *names), self.volume_form())
 
-    def with_hamiltonian(self, hamiltonian: Polynomial) -> Chart:
-        return replace(self, hamiltonian=hamiltonian)
-
     def base_coordinate_names(self) -> tuple[str, ...]:
         return tuple(self.frame.names[i] for i in self.frame.base_indices())
 

@@ -60,16 +60,23 @@ from .fieldlab import conservation_experiment, load_experiment_config, write_ser
 PASS, FAIL, NOT_DEFINED = "pass", "fail", "not-defined"
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _point_to_json(point: Sequence[Fraction]) -> list[str]:
     return [str(v) for v in point]
 
 
 def _point_from_json(data: Sequence[str]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in data)
+
+
+def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
+    """A comma-separated rational chart point of the given dimension."""
+    try:
+        point = tuple(Fraction(v) for v in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"point {text!r} has an entry with zero denominator") from None
+    if len(point) != dim:
+        raise ValueError(f"point has length {len(point)}, expected {dim}")
+    return point
 
 
 def load_chart_argument(label: str) -> Chart:
@@ -176,13 +183,14 @@ def cmd_observable(args) -> int:
             raise ValueError(
                 f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}"
             )
+        point = _parse_point(args.point, chart.dim) if args.point else None
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     report = Report(args.seed, chart)
     sampler = RationalSampler(args.seed)
-    if args.point:
-        points = [tuple(Fraction(v) for v in args.point.split(","))]
+    if point is not None:
+        points = [point]
     else:
         points = [sampler.point(chart.dim) for _ in range(args.points)]
 
@@ -323,6 +331,9 @@ def cmd_recheck(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
+    if not (isinstance(data, dict) and isinstance(data.get("checks"), list) and "tool_version" in data):
+        sys.stderr.write(f"input error: {args.report} is not a report (needs a checks list and a tool_version)\n")
+        return 2
     chart = None
     if data.get("chart"):
         try:
@@ -335,7 +346,7 @@ def cmd_recheck(args) -> int:
             return 1
     verified = 0
     failures = 0
-    for check in data.get("checks", []):
+    for check in data["checks"]:
         witness = check.get("witness") or {}
         if check["check_id"] == "nondegenerate" and check["status"] == FAIL:
             from .charts import contraction_matrix

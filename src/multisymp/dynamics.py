@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Sequence
 
 from .algebra import Polynomial, RationalSampler
@@ -31,14 +31,13 @@ from .charts import Chart
 from .exterior import (
     DecomposableNVector,
     PolyForm,
-    PolyMultivector,
     Terms,
     _hook_terms,
     _pair_terms,
     _wedge_terms,
     eval_terms,
 )
-from .linalg import column_space_rref, nullspace
+from .linalg import column_space_rref, nullspace, sparse_minor
 
 
 class NoSolutionInFamily(Exception):
@@ -113,6 +112,11 @@ class OmegaContraction:
     component along the j-th coordinate differential is
 
         sum over Omega terms K containing j of  sign * Omega_K * det(X on K - j).
+
+    The factors become sparse rows once per call.  A minor with a column
+    absent from every factor is zero and is never expanded; the others go
+    through `sparse_minor` with one memo per call, so the n x n minors of
+    the different components share their smaller sub-minors.
     """
 
     def __init__(self, omega_num: Terms):
@@ -126,40 +130,16 @@ class OmegaContraction:
                 plan.setdefault(j, []).append((rest, sign * coeff))
         self.plan = plan
 
-    @staticmethod
-    def _minor(factors: Sequence[Terms], indices: tuple[int, ...]):
-        columns = [[f.get((i,)) for f in factors] for i in indices]
-        if any(all(entry is None for entry in col) for col in columns):
-            return None
-        size = len(indices)
-        total = None
-        for perm in permutations(range(size)):
-            product = Fraction(1)
-            ok = True
-            for row, col in enumerate(perm):
-                entry = columns[col][row]
-                if entry is None:
-                    ok = False
-                    break
-                product *= entry
-            if not ok:
-                continue
-            inversions = sum(1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b])
-            if inversions % 2:
-                product = -product
-            total = product if total is None else total + product
-        return total
-
     def of_factors(self, factors: Sequence[Terms]) -> Terms:
+        rows, present = _factor_rows(factors)
+        memo: dict[tuple[int, ...], Fraction] = {}
         out: Terms = {}
-        minors: dict[tuple[int, ...], Fraction | None] = {}
         for j, entries in self.plan.items():
             acc = None
             for rest, coeff in entries:
-                minor = minors.get(rest, _MISSING)
-                if minor is _MISSING:
-                    minor = self._minor(factors, rest)
-                    minors[rest] = minor
+                if not present.issuperset(rest):
+                    continue
+                minor = sparse_minor(rows, rest, memo)
                 if minor:
                     term = coeff * minor
                     acc = term if acc is None else acc + term
@@ -168,7 +148,11 @@ class OmegaContraction:
         return out
 
 
-_MISSING = object()
+def _factor_rows(factors: Sequence[Terms]) -> tuple[list[dict[int, Fraction]], set[int]]:
+    """The factors of a decomposable n-vector as sparse rows, and the
+    columns that occur in at least one of them."""
+    rows = [{key[0]: v for key, v in f.items() if v} for f in factors]
+    return rows, set().union(*rows)
 
 
 _FAMILY_CACHE: dict[tuple, tuple[Chart, Terms, list[tuple[Fraction, ...]]]] = {}
@@ -243,15 +227,6 @@ class HamiltonianSolution:
 
     def expand(self, kernel_coeffs: Sequence[Fraction] = ()) -> Terms:
         return self.family.expand(self.assignment(kernel_coeffs))
-
-    def base_nvector(self) -> DecomposableNVector:
-        frame = self.chart.frame
-        factors = []
-        for terms in self.factors():
-            factors.append(
-                PolyMultivector(frame, 1, {k: frame.poly_const(v) for k, v in terms.items()})
-            )
-        return DecomposableNVector(tuple(factors))
 
     def verify(self) -> bool:
         """Exactness of the base solution and of base + each kernel move."""
@@ -468,9 +443,13 @@ class OFVerdict:
 
 def decomposable_pairing(factors: Sequence[Terms], form_num: Terms) -> Fraction:
     """<X_1 ^ ... ^ X_n, a> from the factors by minors."""
+    rows, present = _factor_rows(factors)
+    memo: dict[tuple[int, ...], Fraction] = {}
     acc = Fraction(0)
     for key, coeff in form_num.items():
-        minor = OmegaContraction._minor(factors, key)
+        if not present.issuperset(key):
+            continue
+        minor = sparse_minor(rows, key, memo)
         if minor:
             acc += coeff * minor
     return acc
@@ -524,11 +503,11 @@ def of_sampling_test(
                 mix = [Fraction(0)] * nparams
                 for vec in kernel:
                     c = sampler.rational()
-                    mix = [m + c * v for m, v in zip(mix, vec)]
+                    mix = [m + c * v if v else m for m, v in zip(mix, vec)]
                 directions.append(tuple(mix))
             for direction in directions:
                 scale = sampler.nonzero()
-                perturbed = tuple(b + scale * d for b, d in zip(base_params, direction))
+                perturbed = tuple(b + scale * d if d else b for b, d in zip(base_params, direction))
                 factors_perturbed = family.factors(perturbed)
                 samples_used += 1
                 if omega.of_factors(factors_perturbed) != contraction:
@@ -578,18 +557,6 @@ class PluckerVerdict:
     failures: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    total = Fraction(0)
-    size = len(matrix)
-    for perm in permutations(range(size)):
-        inversions = sum(1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j])
-        term = Fraction(1) if inversions % 2 == 0 else Fraction(-1)
-        for row, col in enumerate(perm):
-            term *= matrix[row][col]
-        total += term
-    return total
-
-
 def plucker_check(chart: Chart, x: DecomposableNVector, p: int) -> PluckerVerdict:
     """On a first-order (x, y, e, p) chart, check the decomposability
     identity  vol(X)^{p-1} * w^{i1..ip}_{m1..mp}(X) = det(w^{ib}_{ma}(X))
@@ -621,8 +588,8 @@ def plucker_check(chart: Chart, x: DecomposableNVector, p: int) -> PluckerVerdic
     for i_tuple in combinations(range(1, k + 1), p):
         for mu_tuple in combinations(range(1, n + 1), p):
             lhs = vol_value ** (p - 1) * w_value(i_tuple, mu_tuple)
-            matrix = [[w_value((i_b,), (mu_a,)) for i_b in i_tuple] for mu_a in mu_tuple]
-            if lhs != _det(matrix):
+            rows = [{b: w_value((i_b,), (mu_a,)) for b, i_b in enumerate(i_tuple)} for mu_a in mu_tuple]
+            if lhs != sparse_minor(rows, tuple(range(p)), {}):
                 failures.append((i_tuple, mu_tuple))
     return PluckerVerdict(passed=not failures, skipped_degenerate=False, failures=tuple(failures))
 

@@ -302,9 +302,6 @@ class _AltTensor:
             {k: frame.poly_const(v) for k, v in eval_terms(self.terms, point).items()},
         )
 
-    def numeric_terms(self, point: Sequence[Fraction]) -> Terms:
-        return eval_terms(self.terms, point)
-
     def __repr__(self):
         tag = "Form" if self.is_form else "Multivector"
         names = self.frame.names
@@ -335,12 +332,6 @@ def form_scalar(frame: CoordinateFrame, value: Polynomial | Fraction | int) -> P
     if not isinstance(value, Polynomial):
         value = frame.poly_const(value)
     return PolyForm(frame, 0, {(): value})
-
-
-def vector_scalar(frame: CoordinateFrame, value: Polynomial | Fraction | int) -> PolyMultivector:
-    if not isinstance(value, Polynomial):
-        value = frame.poly_const(value)
-    return PolyMultivector(frame, 0, {(): value})
 
 
 def vector_from_components(frame: CoordinateFrame, components: Mapping[str, Polynomial | Fraction | int]) -> PolyMultivector:

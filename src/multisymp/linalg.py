@@ -5,13 +5,15 @@ needed since arithmetic is exact.  `LinearSolver` factors a rational
 matrix once and then solves `A x = b` for many right-hand sides whose
 entries may be Fractions *or* Polynomials (anything a Fraction can
 multiply), which is how the constant-coefficient contraction systems of
-the charts are solved with symbolic right-hand sides.
+the charts are solved with symbolic right-hand sides.  `sparse_minor`
+is the one determinant routine: exact cofactor expansion over sparse rows
+with memoized sub-minors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 Matrix = list[list[Fraction]]
 
@@ -121,19 +123,6 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis.nullspace()
 
 
-def row_basis_indices(matrix: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Indices of a maximal independent subset of the rows (greedy)."""
-    cols = len(matrix[0]) if matrix else 0
-    basis = RowBasis(cols)
-    out = []
-    for i, row in enumerate(matrix):
-        if basis.add(row, tag=i):
-            out.append(i)
-        if basis.rank == cols:
-            break
-    return out
-
-
 def column_space_rref(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Canonical basis (RREF rows) of the span of the given vectors.
 
@@ -144,6 +133,41 @@ def column_space_rref(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fracti
         return []
     r, _, pivots = rref(vectors)
     return [row for row in r[: len(pivots)]]
+
+
+def sparse_minor(
+    rows: Sequence[Mapping[int, Fraction]],
+    columns: tuple[int, ...],
+    memo: dict[tuple[int, ...], Fraction],
+) -> Fraction:
+    """Determinant of the square submatrix on the first len(columns) rows
+    and the given columns, with rows stored sparsely as column -> value.
+
+    Laplace expansion along the last used row, skipping absent and zero
+    entries.  Sub-minors are memoized by their column tuple, which together
+    with its length names the submatrix, so one memo may be shared by all
+    minors of the same rows.
+    """
+    size = len(columns)
+    if not size:
+        return Fraction(1)
+    hit = memo.get(columns)
+    if hit is not None:
+        return hit
+    row = rows[size - 1]
+    total = Fraction(0)
+    for pos, col in enumerate(columns):
+        entry = row.get(col)
+        if not entry:
+            continue
+        sub = sparse_minor(rows, columns[:pos] + columns[pos + 1 :], memo)
+        if sub:
+            if (size - 1 + pos) % 2:
+                total -= entry * sub
+            else:
+                total += entry * sub
+    memo[columns] = total
+    return total
 
 
 class LinearSolver:
@@ -158,7 +182,7 @@ class LinearSolver:
     def __init__(self, matrix: Sequence[Sequence[Fraction]]):
         self.rows = len(matrix)
         self.cols = len(matrix[0]) if self.rows else 0
-        self.r, self.e, self.pivots = rref(matrix)
+        _, self.e, self.pivots = rref(matrix)
         self.rank = len(self.pivots)
 
     def solve(self, rhs: Sequence) -> list | None:
@@ -180,26 +204,3 @@ class LinearSolver:
         for row_idx, p in enumerate(self.pivots):
             solution[p] = transformed[row_idx]
         return solution
-
-    def residual(self, rhs: Sequence) -> list:
-        """The inconsistent part of rhs: rows of E@rhs below the rank."""
-        zero = 0 * rhs[0] if self.rows else Fraction(0)
-        out = []
-        for i in range(self.rank, self.rows):
-            acc = zero
-            for j, coeff in enumerate(self.e[i]):
-                if coeff:
-                    acc = acc + coeff * rhs[j]
-            out.append(acc)
-        return out
-
-    def kernel_basis(self) -> list[list[Fraction]]:
-        free = [c for c in range(self.cols) if c not in self.pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for row_idx, p in enumerate(self.pivots):
-                vec[p] = -self.r[row_idx][f]
-            basis.append(vec)
-        return basis

@@ -179,3 +179,31 @@ def test_simulate_bad_config_is_input_error(tmp_path):
 
 def test_input_error_unknown_chart():
     assert main(["check-chart", "nope:1,1"]) == 2
+
+
+def test_observable_point_of_wrong_length_is_input_error(capsys):
+    code = main(["observable", "ddw:2,2", "--form", '{"degree": 1}', "--point", "1,2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["input error: point has length 2, expected 9"]
+
+
+def test_observable_non_rational_point_entry_is_input_error(capsys):
+    for entry in ["x", "1/0"]:
+        point = ",".join(["1"] * 8 + [entry])
+        code = main(["observable", "ddw:2,2", "--form", '{"degree": 1}', "--point", point])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("input error:")
+
+
+def test_recheck_rejects_a_file_that_is_not_a_report(capsys, tmp_path):
+    for name, content in [("config.json", (SCRIPTS / "linear_smeared.json").read_text()),
+                          ("list.json", "[1, 2]"),
+                          ("no_version.json", '{"checks": []}')]:
+        path = tmp_path / name
+        path.write_text(content)
+        assert main(["recheck", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")

@@ -12,6 +12,7 @@ from multisymp.charts import (
     scalar_field_chart,
 )
 from multisymp.dynamics import (
+    DegenerateSystem,
     NoSolutionInFamily,
     annihilator_span,
     frame_compatible_hamiltonian,
@@ -25,6 +26,7 @@ from multisymp.dynamics import (
 )
 from multisymp.exterior import (
     DecomposableNVector,
+    PolyForm,
     PolyMultivector,
     eval_terms,
     form_basis,
@@ -161,6 +163,26 @@ def test_momentum_pair_with_horizontal_block_fails():
     bad = form_basis(f, "q1", "p134", "p234")
     verdict = of_sampling_test(chart, bad, point, seed=31)
     assert not verdict.passed
+
+
+def test_omega_with_two_fiber_legs_is_not_affine():
+    """A term dp ^ dp ^ dq makes the contraction quadratic in the family
+    parameters, so a kernel move changes it and the sampler refuses."""
+    from dataclasses import replace
+
+    chart = lepage_dedecker_chart(2, 1)
+    f = chart.frame
+    bent = replace(
+        chart,
+        name="bent",
+        omega=chart.omega + PolyForm.from_named(f, 3, [(["p12", "p13", "q3"], 1)]),
+        theta=None,
+    )
+    point = RationalSampler(37).point(chart.dim)
+    volume = form_basis(f, "q1", "q2")
+    assert of_sampling_test(chart, volume, point, seed=41).passed
+    with pytest.raises(DegenerateSystem, match="contraction is not affine on this family"):
+        of_sampling_test(bent, volume, point, seed=41)
 
 
 # -- decomposability identities ---------------------------------------------------
