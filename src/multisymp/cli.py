@@ -238,6 +238,7 @@ def cmd_bracket(args) -> int:
         chart = load_chart_argument(args.chart)
         f = load_form_argument(chart, args.f)
         g = load_form_argument(chart, args.g)
+        point = _parse_point(args.point, chart.dim) if args.kind == "pseudo" and args.point else None
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
@@ -260,9 +261,8 @@ def cmd_bracket(args) -> int:
         elif kind == "pseudo":
             if chart.hamiltonian is None:
                 raise NotDefined("chart carries no Hamiltonian")
-            sampler = RationalSampler(args.seed)
-            point = sampler.point(chart.dim) if not args.point else tuple(
-                Fraction(v) for v in args.point.split(","))
+            if point is None:
+                point = RationalSampler(args.seed).point(chart.dim)
             sol = hamiltonian_nvector_solve(chart, chart.hamiltonian, point)
             from .observables import algebraic_copolarization
 
@@ -324,6 +324,32 @@ def cmd_simulate(args) -> int:
     return report.exit_code()
 
 
+# witness keys that the replay of each kind of fail record reads; both
+# replays need the report's chart
+_REPLAYED_FAILS = {
+    "nondegenerate": ("kernel_vector",),
+    "of": ("form", "point", "family", "base_params", "kernel_direction", "scale", "value",
+           "value_perturbed"),
+}
+
+
+def _record_error(check, has_chart: bool) -> str | None:
+    """Why a report record cannot be rechecked, or None if its shape is sound."""
+    if not (isinstance(check, dict) and isinstance(check.get("check_id"), str)
+            and isinstance(check.get("status"), str)):
+        return "needs a string check_id and status"
+    witness = check.get("witness") or {}
+    if not isinstance(witness, dict):
+        return "has a witness that is not an object"
+    needed = _REPLAYED_FAILS.get(check["check_id"]) if check["status"] == FAIL else None
+    if needed is None:
+        return None
+    if not has_chart:
+        return f"is a {check['check_id']} fail record in a report without a chart"
+    missing = [key for key in needed if key not in witness]
+    return f"lacks witness {', '.join(missing)}" if missing else None
+
+
 def cmd_recheck(args) -> int:
     try:
         with open(args.report, encoding="utf-8") as fh:
@@ -334,6 +360,14 @@ def cmd_recheck(args) -> int:
     if not (isinstance(data, dict) and isinstance(data.get("checks"), list) and "tool_version" in data):
         sys.stderr.write(f"input error: {args.report} is not a report (needs a checks list and a tool_version)\n")
         return 2
+    if data.get("chart") and not (isinstance(data["chart"], dict) and {"name", "hash"} <= data["chart"].keys()):
+        sys.stderr.write(f"input error: the chart of {args.report} needs a name and a hash\n")
+        return 2
+    for number, check in enumerate(data["checks"], 1):
+        error = _record_error(check, bool(data.get("chart")))
+        if error is not None:
+            sys.stderr.write(f"input error: check {number} of {args.report} {error}\n")
+            return 2
     chart = None
     if data.get("chart"):
         try:

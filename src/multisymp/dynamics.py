@@ -11,12 +11,14 @@ members are X = X_1 ^ ... ^ X_n with
     X_slot = d/dq^{a_slot}  +  sum over free coordinates  t * d/dv.
 
 For observability sampling the free coordinates are the fiber
-(momentum/energy) directions, which makes X -> X . Omega affine in the
-parameters; the kernel of its linear part generates exact pairs with
-equal contraction, which is what the observability property quantifies
-over.  For solving the Hamilton equation the free coordinates are all
-non-selected directions and the polynomial system is reduced by
-substituting one affine equation at a time.
+(momentum/energy) directions.  Whether X -> X . Omega is then affine in
+the parameters is decided exactly from Omega, once per family
+(`OmegaContraction.affine_on`); on an affine family the kernel of the
+linear part generates exact pairs with equal contraction, which is what
+the observability property quantifies over, so the sampler never
+recomputes a contraction.  For solving the Hamilton equation the free
+coordinates are all non-selected directions and the polynomial system is
+reduced by substituting one affine equation at a time.
 """
 
 from __future__ import annotations
@@ -147,6 +149,28 @@ class OmegaContraction:
                 out[(j,)] = acc
         return out
 
+    def affine_on(self, family: VerticalFamily) -> bool:
+        """Whether X -> X . Omega is affine in the parameters of `family`.
+
+        The minor on K - j vanishes identically when K - j has a leg that
+        is neither horizontal nor free.  Otherwise each horizontal leg
+        fixes its own slot, and what remains is, up to sign, the
+        determinant of the parameters t[slot, c] over the other slots and
+        the free legs c of K - j: a polynomial of degree |free legs|.  Its
+        monomials determine K - j, and K - j with j determines K, so
+        distinct terms of one component never cancel.  The map is
+        therefore affine exactly when no term has a leg j whose K - j has
+        two or more free legs and all its other legs horizontal.
+        """
+        horizontal = set(family.horizontal)
+        free = set(family.free)
+        for entries in self.plan.values():
+            for rest, _ in entries:
+                free_legs = sum(c in free for c in rest)
+                if free_legs >= 2 and all(c in free or c in horizontal for c in rest):
+                    return False
+        return True
+
 
 def _factor_rows(factors: Sequence[Terms]) -> tuple[list[dict[int, Fraction]], set[int]]:
     """The factors of a decomposable n-vector as sparse rows, and the
@@ -155,7 +179,19 @@ def _factor_rows(factors: Sequence[Terms]) -> tuple[list[dict[int, Fraction]], s
     return rows, set().union(*rows)
 
 
-_FAMILY_CACHE: dict[tuple, tuple[Chart, Terms, list[tuple[Fraction, ...]]]] = {}
+def _linear_columns(family: VerticalFamily, omega: OmegaContraction) -> list[Terms]:
+    """The linear part of the family's contraction map, one column per
+    parameter (slot, c).  The wedge is linear in each factor, so moving
+    t[slot, c] from 0 to 1 adds exactly the contraction of the horizontal
+    factors with the slot-th one replaced by e_c."""
+    horizontal = [{(h,): Fraction(1)} for h in family.horizontal]
+    return [
+        omega.of_factors(horizontal[:slot] + [{(c,): Fraction(1)}] + horizontal[slot + 1 :])
+        for slot, c in family.params
+    ]
+
+
+_FAMILY_CACHE: dict[tuple, tuple[Chart, list[tuple[Fraction, ...]], bool]] = {}
 
 
 def _family_step_data(
@@ -163,32 +199,22 @@ def _family_step_data(
     family: VerticalFamily,
     point: tuple[Fraction, ...],
     omega: OmegaContraction,
-) -> tuple[Terms, list[tuple[Fraction, ...]]]:
-    """Base contraction and kernel directions of the affine parameter map,
-    cached across candidate forms (they depend on the chart point only).
-    Keyed by chart identity; the cached reference keeps the id alive."""
+) -> tuple[list[tuple[Fraction, ...]], bool]:
+    """Kernel directions of the linear part of the family's contraction
+    map, and the exact certificate that the map is affine
+    (`OmegaContraction.affine_on`), cached across candidate forms (they
+    depend on the chart point only).  Keyed by chart identity; the cached
+    reference keeps the id alive."""
     key = (id(chart), family.horizontal, point)
     hit = _FAMILY_CACHE.get(key)
     if hit is not None:
         return hit[1], hit[2]
-    nparams = len(family.params)
-    zero = [Fraction(0)] * nparams
-    base = omega.of_factors(family.factors(zero))
-    columns = []
-    for j in range(nparams):
-        probe = list(zero)
-        probe[j] = Fraction(1)
-        col = omega.of_factors(family.factors(probe))
-        entries = {}
-        for k in set(col) | set(base):
-            v = col.get(k, Fraction(0)) - base.get(k, Fraction(0))
-            if v:
-                entries[k] = v
-        columns.append(entries)
-    matrix = [[columns[j].get((i,), Fraction(0)) for j in range(nparams)] for i in range(chart.dim)]
+    columns = _linear_columns(family, omega)
+    matrix = [[col.get((i,), Fraction(0)) for col in columns] for i in range(chart.dim)]
     kernel = [tuple(v) for v in nullspace(matrix)]
-    _FAMILY_CACHE[key] = (chart, base, kernel)
-    return base, kernel
+    affine = omega.affine_on(family)
+    _FAMILY_CACHE[key] = (chart, kernel, affine)
+    return kernel, affine
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +491,17 @@ def of_sampling_test(
 ) -> OFVerdict:
     """Sampled observability of an n-form at a point.
 
-    In every vertical-lift family the contraction X -> X . Omega is affine
-    in the parameters; pairs X, X~ differing by a kernel direction of its
-    linear part have exactly equal contraction, so a(X) = a(X~) is the
-    property under test.  A reported counterexample is exact and final; a
-    pass is probabilistic over the seeded sample schedule (affine data on
-    an open set extends to the whole family, which is why sampling near
-    arbitrary base points suffices).  `family_limit` restricts large
+    Affinity of the contraction X -> X . Omega in the parameters is
+    certified exactly once per family (`OmegaContraction.affine_on`, cached
+    with the kernel by `_family_step_data`); a family with a nonempty
+    kernel that is not affine raises `DegenerateSystem` before any sample
+    is drawn.  On an affine family, pairs X, X~ differing by a kernel
+    direction of its linear part have exactly equal contraction, so
+    a(X) = a(X~) is the property under test and no contraction is
+    recomputed per sample.  A reported counterexample is exact and final;
+    a pass is probabilistic over the seeded sample schedule (affine data
+    on an open set extends to the whole family, which is why sampling
+    near arbitrary base points suffices).  `family_limit` restricts large
     charts to a seeded subset of the base-coordinate families.
     """
     if a.degree != chart.n:
@@ -489,15 +519,15 @@ def of_sampling_test(
     for horizontal in families:
         family = observability_family(chart, horizontal)
         nparams = len(family.params)
-        _, kernel = _family_step_data(chart, family, point, omega)
+        kernel, affine = _family_step_data(chart, family, point, omega)
         if not kernel:
             continue
+        if not affine:
+            raise DegenerateSystem("contraction is not affine on this family")
 
         for _ in range(sample_count):
             base_params = tuple(sampler.rational() for _ in range(nparams))
-            factors = family.factors(base_params)
-            contraction = omega.of_factors(factors)
-            value = decomposable_pairing(factors, a_num)
+            value = decomposable_pairing(family.factors(base_params), a_num)
             directions = list(kernel)
             if len(kernel) > 1:
                 mix = [Fraction(0)] * nparams
@@ -508,11 +538,8 @@ def of_sampling_test(
             for direction in directions:
                 scale = sampler.nonzero()
                 perturbed = tuple(b + scale * d if d else b for b, d in zip(base_params, direction))
-                factors_perturbed = family.factors(perturbed)
                 samples_used += 1
-                if omega.of_factors(factors_perturbed) != contraction:
-                    raise DegenerateSystem("contraction is not affine on this family")
-                value_perturbed = decomposable_pairing(factors_perturbed, a_num)
+                value_perturbed = decomposable_pairing(family.factors(perturbed), a_num)
                 if value_perturbed != value:
                     return OFVerdict(
                         passed=False,

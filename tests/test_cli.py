@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from multisymp.cli import main
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -207,3 +209,51 @@ def test_recheck_rejects_a_file_that_is_not_a_report(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("point", ["1,2", "1/0"])
+def test_bracket_pseudo_bad_point_is_input_error(capsys, point):
+    code = main(["bracket", "scalar:2", "--f", "@charge", "--g", "@charge",
+                 "--kind", "pseudo", "--point", point])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")
+
+
+def _failing_observable_report(tmp_path) -> dict:
+    from multisymp.charts import ddw_chart
+    from multisymp.exterior import dump_form, form_basis
+
+    f = ddw_chart(2, 2).frame
+    form_path = tmp_path / "bad_form.json"
+    form_path.write_text(json.dumps(dump_form(form_basis(f, "p1_1").scale(f.poly_var("p2_2")))))
+    report_path = tmp_path / "report.json"
+    assert main(["observable", "ddw:2,2", "--form", str(form_path), "--output", str(report_path)]) == 1
+    return json.loads(report_path.read_text())
+
+
+@pytest.mark.parametrize("case", ["no_check_id", "of_fail_without_chart", "nondegenerate_fail_without_chart",
+                                  "chart_without_hash"])
+def test_recheck_rejects_malformed_records(capsys, tmp_path, case):
+    """A record without check_id, fail records whose replay needs a chart
+    in a report without one, and a chart without its hash are input
+    errors."""
+    report = _failing_observable_report(tmp_path)
+    if case == "chart_without_hash":
+        del report["chart"]["hash"]
+    elif case == "no_check_id":
+        report["checks"] = [{"status": "pass", "witness": {}}]
+    elif case == "of_fail_without_chart":
+        report["chart"] = None
+        report["checks"] = [c for c in report["checks"] if c["check_id"] == "of"]
+    else:
+        report["chart"] = None
+        report["checks"] = [{"check_id": "nondegenerate", "law": "", "status": "fail",
+                             "witness": {"kernel_vector": ["1"] * 9}}]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(report))
+    assert main(["recheck", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")

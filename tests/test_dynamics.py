@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import random_constant_vector
 from multisymp.algebra import Polynomial, RationalSampler
 from multisymp.charts import (
+    builtin_chart,
     ddw_chart,
     lepage_dedecker_chart,
     lepage_dedecker_split_chart,
@@ -14,9 +16,13 @@ from multisymp.charts import (
 from multisymp.dynamics import (
     DegenerateSystem,
     NoSolutionInFamily,
+    OmegaContraction,
+    _linear_columns,
     annihilator_span,
+    contraction_form,
     frame_compatible_hamiltonian,
     hamiltonian_nvector_solve,
+    observability_family,
     of_sampling_test,
     plucker_check,
     pseudofiber_directions,
@@ -183,6 +189,97 @@ def test_omega_with_two_fiber_legs_is_not_affine():
     assert of_sampling_test(chart, volume, point, seed=41).passed
     with pytest.raises(DegenerateSystem, match="contraction is not affine on this family"):
         of_sampling_test(bent, volume, point, seed=41)
+
+
+def _observability_families(chart):
+    return [observability_family(chart, h) for h in combinations(chart.frame.base_indices(), chart.n)]
+
+
+CLI_CORPUS_CHARTS = [
+    "lepage-dedecker:3,3", "maxwell", "lepage-dedecker-split:3,3", "ddw:2,2",
+    "lepage-dedecker:2,3", "lepage-dedecker-split:2,2", "ddw:3,2", "scalar:2",
+    "lepage-dedecker:2,2", "scalar:2,gauged",
+]
+
+
+@pytest.mark.parametrize("label", CLI_CORPUS_CHARTS)
+def test_cli_corpus_families_are_certified_affine(label):
+    chart = builtin_chart(label)
+    point = RationalSampler(53).point(chart.dim)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, point))
+    assert all(omega.affine_on(family) for family in _observability_families(chart))
+
+
+def _second_differences_vanish(family, omega_num, sampler, trials=3):
+    """C(b+u+v) - C(b+u) - C(b+v) + C(b) == 0 at seeded b, u, v, with C
+    the contraction of the expanded family member.  Identically zero
+    exactly when C is affine, so a nonaffine C shows a nonzero value at
+    generic points."""
+    nparams = len(family.params)
+
+    def c(*vectors):
+        return contraction_form(family.expand([sum(vs) for vs in zip(*vectors)]), omega_num)
+
+    def minus(x, y):
+        return {k: x.get(k, 0) - y.get(k, 0) for k in set(x) | set(y)}
+
+    for _ in range(trials):
+        b, u, v = ([sampler.rational() for _ in range(nparams)] for _ in range(3))
+        second = minus(minus(c(b, u, v), c(b, u)), minus(c(b, v), c(b)))
+        if any(second.values()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "label, legs, broken_by",
+    [
+        ("lepage-dedecker:2,1", ["p12", "q1", "q2"], set()),  # one fiber leg
+        ("lepage-dedecker:2,1", ["p12", "p13", "q1"], None),  # K - q1 = dp ^ dp
+        ("lepage-dedecker:2,1", ["p12", "p13", "p23"], None),
+        ("ddw:3,2", ["p1_1", "p2_1", "y1", "y2"], {"y1", "y2"}),
+        ("ddw:3,2", ["p1_1", "p2_1", "e", "x1"], None),  # K - x1 has three fiber legs
+    ],
+)
+def test_affinity_certificate_matches_second_differences(label, legs, broken_by):
+    """The added term breaks every family (`broken_by` None) or exactly
+    those whose horizontal set meets `broken_by`.  With n = 2, K - j has
+    two legs, so a term breaks every family or none; with n = 3 a term
+    with two fiber and two base legs breaks only the families that hold
+    one of its base legs."""
+    from dataclasses import replace
+
+    chart = builtin_chart(label)
+    f = chart.frame
+    bent = replace(
+        chart,
+        name="bent",
+        omega=chart.omega + PolyForm.from_named(f, chart.n + 1, [(legs, 1)]),
+        theta=None,
+    )
+    sampler = RationalSampler(59)
+    omega_num = eval_terms(bent.omega.terms, sampler.point(f.dim))
+    omega = OmegaContraction(omega_num)
+    for family in _observability_families(bent):
+        affine = omega.affine_on(family)
+        assert affine == _second_differences_vanish(family, omega_num, sampler)
+        horizontal = {f.names[i] for i in family.horizontal}
+        assert affine == (broken_by is not None and not broken_by & horizontal)
+
+
+@pytest.mark.parametrize("label", ["maxwell", "ddw:3,2", "lepage-dedecker:2,3"])
+def test_direct_columns_equal_probe_differences(label):
+    """Column (slot, c) of the linear part equals C(e_(slot, c)) - C(0)."""
+    chart = builtin_chart(label)
+    point = RationalSampler(61).point(chart.dim)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, point))
+    for family in _observability_families(chart):
+        nparams = len(family.params)
+        base = omega.of_factors(family.factors([Fraction(0)] * nparams))
+        for j, column in enumerate(_linear_columns(family, omega)):
+            probe = omega.of_factors(family.factors([Fraction(int(i == j)) for i in range(nparams)]))
+            difference = {k: probe.get(k, 0) - base.get(k, 0) for k in set(probe) | set(base)}
+            assert column == {k: v for k, v in difference.items() if v}
 
 
 # -- decomposability identities ---------------------------------------------------
