@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .algebra import RationalSampler
@@ -37,6 +37,7 @@ from .dynamics import (
     NoSolutionInFamily,
     OFCounterexample,
     hamiltonian_nvector_solve,
+    observability_family,
     recheck_of_counterexample,
 )
 from .observables import (
@@ -62,10 +63,6 @@ PASS, FAIL, NOT_DEFINED = "pass", "fail", "not-defined"
 
 def _point_to_json(point: Sequence[Fraction]) -> list[str]:
     return [str(v) for v in point]
-
-
-def _point_from_json(data: Sequence[str]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in data)
 
 
 def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
@@ -350,6 +347,84 @@ def _record_error(check, has_chart: bool) -> str | None:
     return f"lacks witness {', '.join(missing)}" if missing else None
 
 
+def _rationals(data, what: str, length: int) -> tuple[Fraction, ...]:
+    """`length` rationals stored in a witness as a list of strings."""
+    if not isinstance(data, list) or len(data) != length:
+        raise ValueError(f"{what} is not a list of {length} rationals")
+    try:
+        return tuple(Fraction(v) for v in data)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValueError(f"{what} has an entry that is not a rational number") from None
+
+
+def _witness_form(chart: Chart, data, what: str, kind: str, degree: int):
+    try:
+        form = parse_form(chart.frame, data, kind=kind)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{what} is not a {kind}: {exc}") from None
+    if form.degree != degree:
+        raise ValueError(f"{what} has degree {form.degree}, expected {degree}")
+    return form
+
+
+def _replay(check: dict, chart: Chart | None) -> Callable[[], bool] | None:
+    """The replay of a record's witness, decoded up front, or None when
+    recheck does not replay the record.  A witness value that does not
+    decode raises ValueError."""
+    witness = check.get("witness") or {}
+    kind = (check["check_id"], check["status"])
+    if chart is None:
+        return None
+    n = chart.n
+    if kind == ("nondegenerate", FAIL):
+        from .charts import contraction_matrix
+
+        vector = _rationals(witness["kernel_vector"], "kernel_vector", chart.dim)
+
+        def nondegenerate_fail() -> bool:
+            image = [sum(row[j] * vector[j] for j in range(len(vector))) for row in contraction_matrix(chart)]
+            return not any(image) and any(vector)
+
+        return nondegenerate_fail
+    if kind == ("of", FAIL):
+        form = _witness_form(chart, witness["form"], "form", "form", n)
+        point = _rationals(witness["point"], "point", chart.dim)
+        family = witness["family"]
+        if not (isinstance(family, list) and all(isinstance(name, str) for name in family)):
+            raise ValueError("family is not a list of coordinate names")
+        try:
+            horizontal = tuple(chart.frame.index(name) for name in family)
+        except KeyError as exc:
+            raise ValueError(f"family names an {exc.args[0]}") from None
+        params = len(observability_family(chart, horizontal).params)
+        ce = OFCounterexample(
+            family_horizontal=tuple(family),
+            base_params=_rationals(witness["base_params"], "base_params", params),
+            kernel_direction=_rationals(witness["kernel_direction"], "kernel_direction", params),
+            scale=_rationals([witness["scale"]], "scale", 1)[0],
+            value=_rationals([witness["value"]], "value", 1)[0],
+            value_perturbed=_rationals([witness["value_perturbed"]], "value_perturbed", 1)[0],
+        )
+        return lambda: recheck_of_counterexample(chart, form, point, ce)
+    if kind == ("aof", PASS) and witness.get("hamilton_field") is not None and witness.get("dF") is not None:
+        xi = _witness_form(chart, witness["hamilton_field"], "hamilton_field", "multivector",
+                           chart.omega.degree - n)
+        df = _witness_form(chart, witness["dF"], "dF", "form", n)
+        return lambda: not (hook(xi, chart.omega) + df)
+    if kind == ("aof", FAIL) and witness.get("residual") is not None and witness.get("dF") is not None:
+        from .observables import solve_contraction
+
+        df = _witness_form(chart, witness["dF"], "dF", "form", n)
+        stored = _witness_form(chart, witness["residual"], "residual", "form", n)
+
+        def aof_fail() -> bool:
+            result = solve_contraction(chart, -df)
+            return isinstance(result, NotAOF) and result.residual == stored
+
+        return aof_fail
+    return None
+
+
 def cmd_recheck(args) -> int:
     try:
         with open(args.report, encoding="utf-8") as fh:
@@ -360,8 +435,9 @@ def cmd_recheck(args) -> int:
     if not (isinstance(data, dict) and isinstance(data.get("checks"), list) and "tool_version" in data):
         sys.stderr.write(f"input error: {args.report} is not a report (needs a checks list and a tool_version)\n")
         return 2
-    if data.get("chart") and not (isinstance(data["chart"], dict) and {"name", "hash"} <= data["chart"].keys()):
-        sys.stderr.write(f"input error: the chart of {args.report} needs a name and a hash\n")
+    if data.get("chart") and not (isinstance(data["chart"], dict) and {"name", "hash"} <= data["chart"].keys()
+                                  and isinstance(data["chart"]["name"], str)):
+        sys.stderr.write(f"input error: the chart of {args.report} needs a name string and a hash\n")
         return 2
     for number, check in enumerate(data["checks"], 1):
         error = _record_error(check, bool(data.get("chart")))
@@ -378,55 +454,18 @@ def cmd_recheck(args) -> int:
         if chart.spec_hash() != data["chart"]["hash"]:
             sys.stderr.write("chart hash mismatch\n")
             return 1
+    replays = []
+    for number, check in enumerate(data["checks"], 1):
+        try:
+            replays.append(_replay(check, chart))
+        except ValueError as exc:
+            sys.stderr.write(f"input error: check {number} of {args.report} has a malformed witness: {exc}\n")
+            return 2
     verified = 0
     failures = 0
-    for check in data["checks"]:
-        witness = check.get("witness") or {}
-        if check["check_id"] == "nondegenerate" and check["status"] == FAIL:
-            from .charts import contraction_matrix
-
-            vector = _point_from_json(witness["kernel_vector"])
-            matrix = contraction_matrix(chart)
-            image = [sum(row[j] * vector[j] for j in range(len(vector))) for row in matrix]
-            ok = not any(image) and any(vector)
-            verified += ok
-            failures += not ok
-        elif check["check_id"] == "of" and check["status"] == FAIL:
-            form = parse_form(chart.frame, witness["form"], kind="form")
-            ce = OFCounterexample(
-                family_horizontal=tuple(witness["family"]),
-                base_params=_point_from_json(witness["base_params"]),
-                kernel_direction=_point_from_json(witness["kernel_direction"]),
-                scale=Fraction(witness["scale"]),
-                value=Fraction(witness["value"]),
-                value_perturbed=Fraction(witness["value_perturbed"]),
-            )
-            point = _point_from_json(witness["point"])
-            ok = recheck_of_counterexample(chart, form, point, ce)  # type: ignore[arg-type]
-            verified += ok
-            failures += not ok
-        elif check["check_id"] == "aof" and check["status"] == PASS and chart is not None:
-            xi_terms = witness.get("hamilton_field")
-            df_terms = witness.get("dF")
-            if xi_terms is None or df_terms is None:
-                continue
-            xi = parse_form(chart.frame, xi_terms, kind="multivector")
-            df = parse_form(chart.frame, df_terms, kind="form")
-            ok = not (hook(xi, chart.omega) + df)  # type: ignore[arg-type]
-            verified += ok
-            failures += not ok
-        elif check["check_id"] == "aof" and check["status"] == FAIL and chart is not None:
-            df_terms = witness.get("dF")
-            residual_terms = witness.get("residual")
-            if df_terms is None or residual_terms is None:
-                continue
-            from .observables import NotAOF as _NotAOF
-            from .observables import solve_contraction
-
-            df = parse_form(chart.frame, df_terms, kind="form")
-            stored = parse_form(chart.frame, residual_terms, kind="form")
-            result = solve_contraction(chart, -df)  # type: ignore[arg-type]
-            ok = isinstance(result, _NotAOF) and result.residual == stored
+    for replay in replays:
+        if replay is not None:
+            ok = replay()
             verified += ok
             failures += not ok
     sys.stdout.write(json.dumps({"verified": verified, "failed": failures}, sort_keys=True) + "\n")

@@ -11,6 +11,14 @@ nonlinearity, which is exactly what the conservation experiments probe).
 The integrator is the standard three-level leapfrog: second order,
 time-reversible, and exactly charge-conserving up to round-off.
 
+`kg_step` is the one stepping kernel.  It advances any number of levels
+in place, in ghost-padded buffers with preallocated scratch, optionally
+writing every level into a caller's frame array; `simulate` records a
+trajectory through it and `reversibility_error` runs it forwards and,
+with the levels swapped, backwards.  Its results are bit-identical to the
+plain one-level `np.roll` expression (same IEEE operations in the same
+order), so recorded runs and their digests do not depend on the kernel.
+
 Lifting a discrete solution into the scalar-field chart uses centered
 differences for the momenta p^mu_a = eta^{mu nu} d_nu phi^a and fixes the
 energy coordinate by matching the Lagrangian density,
@@ -28,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,15 +87,89 @@ def acceleration(phi: np.ndarray, dx: float, mass2: float, coupling: float) -> n
     return _laplacian(phi, dx) - _v_prime(s, mass2, coupling) * phi
 
 
-def kg_step(state: FieldState) -> FieldState:
-    """One leapfrog step; stepping with the two levels swapped walks the
-    trajectory backwards, which is the reversibility test."""
+class _Level(NamedTuple):
+    """One field level in kg_step's buffer: the rows phi1 and phi2, each
+    with a ghost value on either side, laid end to end, and views into it."""
+
+    buf: np.ndarray  # shape (2 (M + 2),)
+    span: np.ndarray  # buf[1:-1]: both rows, with the two ghosts between them
+    right: np.ndarray  # buf[2:]: right neighbours of span
+    left: np.ndarray  # buf[:-2]: left neighbours of span
+    rows: tuple[np.ndarray, np.ndarray]  # the M values of each row
+    field: np.ndarray  # shape (2, M) view of the rows
+
+    @classmethod
+    def of(cls, values, width: int) -> "_Level":
+        buf = np.zeros(2 * width)
+        field = buf.reshape(2, width)[:, 1:-1]
+        field[...] = values
+        m = width - 2
+        return cls(buf, buf[1:-1], buf[2:], buf[:-2], (buf[1 : m + 1], buf[width + 1 : width + m + 1]), field)
+
+
+def kg_step(state: FieldState, n_steps: int = 1, frames: np.ndarray | None = None) -> FieldState:
+    """Advance `n_steps` leapfrog levels; when `frames` (shape
+    (n_steps, 2, M)) is given, level j+1 is written into frames[j].
+    Stepping with the two levels swapped walks the trajectory backwards,
+    which is the reversibility test.  The input state is not modified.
+
+    The levels rotate through three float64 buffers, each the two
+    components as ghost-padded rows of M + 2 values laid end to end.  The
+    four ghost values are refreshed from the periodic neighbours each
+    step, so one contiguous span covers both rows and the shifted spans
+    are the neighbours; every intermediate goes into preallocated scratch
+    and a step allocates nothing.  Every lattice value sees the IEEE
+    operations of the plain expression, in its order,
+
+        next = (2 phi - prev) + dt^2 * ((((right - 2 phi) + left) / dx^2)
+                                        - (mass2 + (2 coupling) s) phi),
+        s = 0.5 (phi1^2 + phi2^2),
+
+    and the time advances by repeated `+ dt`, so the result is
+    bit-identical to stepping one level at a time with that expression.
+    """
     if state.dt > CFL_BOUND * state.dx:
         raise ValueError("CFL bound violated")
-    nxt = 2.0 * state.phi - state.phi_prev + state.dt**2 * acceleration(
-        state.phi, state.dx, state.mass2, state.coupling
-    )
-    return replace(state, phi=nxt, phi_prev=state.phi, time=state.time + state.dt)
+    m = state.grid_points
+    if n_steps < 0:
+        raise ValueError(f"cannot take {n_steps} steps")
+    if frames is not None and frames.shape != (n_steps, 2, m):
+        raise ValueError(f"frames have shape {frames.shape}, expected {(n_steps, 2, m)}")
+    width = m + 2  # row r holds its ghosts at r*width and r*width + m + 1
+    prev, cur, nxt = _Level.of(state.phi_prev, width), _Level.of(state.phi, width), _Level.of(0.0, width)
+    # scratch over the span of both rows; its two slots between the rows feed
+    # only the next level's ghosts, which the next refresh overwrites
+    two_phi, lap, squares, v_phi = (np.zeros(2 * width - 2) for _ in range(4))
+    squares_rows = squares[:m], squares[width : width + m]
+    v_rows = v_phi[:m], v_phi[width : width + m]
+    s = np.empty(m)
+    dx2, dt, dt2 = state.dx**2, state.dt, state.dt**2
+    mass2, two_coupling = state.mass2, 2.0 * state.coupling
+    time = state.time
+    for j in range(n_steps):
+        buf = cur.buf
+        buf[0], buf[m + 1] = buf[m], buf[1]
+        buf[width], buf[width + m + 1] = buf[width + m], buf[width + 1]
+        np.multiply(2.0, cur.span, out=two_phi)
+        np.subtract(cur.right, two_phi, out=lap)
+        np.add(lap, cur.left, out=lap)
+        np.divide(lap, dx2, out=lap)
+        np.square(cur.span, out=squares)
+        np.add(squares_rows[0], squares_rows[1], out=s)
+        np.multiply(0.5, s, out=s)
+        np.multiply(two_coupling, s, out=s)
+        np.add(mass2, s, out=s)
+        np.multiply(s, cur.rows[0], out=v_rows[0])
+        np.multiply(s, cur.rows[1], out=v_rows[1])
+        np.subtract(lap, v_phi, out=lap)
+        np.multiply(dt2, lap, out=lap)
+        np.subtract(two_phi, prev.span, out=two_phi)
+        np.add(two_phi, lap, out=nxt.span)
+        if frames is not None:
+            frames[j] = nxt.field
+        time = time + dt
+        prev, cur, nxt = cur, nxt, prev
+    return replace(state, phi=cur.field.copy(), phi_prev=prev.field.copy(), time=time)
 
 
 def time_reversed(state: FieldState) -> FieldState:
@@ -147,14 +229,13 @@ class FieldHistory:
 
 def simulate(state: FieldState, n_steps: int) -> FieldHistory:
     frames = np.empty((n_steps + 1, 2, state.grid_points))
-    times = np.empty(n_steps + 1)
     frames[0] = state.phi
+    kg_step(state, n_steps, frames[1:])
+    # a cumulative sum adds in sequence, so times[j] is t0 + dt + ... + dt
+    # exactly as kg_step accumulates it
+    times = np.full(n_steps + 1, state.dt)
     times[0] = state.time
-    current = state
-    for j in range(1, n_steps + 1):
-        current = kg_step(current)
-        frames[j] = current.phi
-        times[j] = current.time
+    np.cumsum(times, out=times)
     return FieldHistory(
         dx=state.dx, dt=state.dt, times=times, phi=frames, mass2=state.mass2, coupling=state.coupling
     )
@@ -422,16 +503,28 @@ class ExperimentConfig:
     smeared_tolerance: float = 1e-4
     expectations: Mapping[str, bool] | None = None
 
+    def __post_init__(self):
+        if self.grid_points < 1 or self.record_stride < 1:
+            raise ValueError("grid_points and record_stride must be at least 1")
+        for name in ("length", "cfl", "crossing_times"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ExperimentConfig":
         kwargs = dict(data)
         for key in ("field_modes", "test_modes"):
             if key in kwargs:
-                kwargs[key] = tuple(
-                    Mode(amplitude=float(m["amplitude"]), wavenumber=int(m["wavenumber"]),
-                         phase=float(m.get("phase", 0.0)))
-                    for m in kwargs[key]
-                )
+                try:
+                    kwargs[key] = tuple(
+                        Mode(amplitude=float(m["amplitude"]), wavenumber=int(m["wavenumber"]),
+                             phase=float(m.get("phase", 0.0)))
+                        for m in kwargs[key]
+                    )
+                except KeyError as exc:
+                    raise ValueError(f"every entry of {key} needs an amplitude and a wavenumber; "
+                                     f"one lacks {exc}") from None
         for key in ("grid_points", "record_stride"):
             if key in kwargs:
                 kwargs[key] = int(kwargs[key])
@@ -440,6 +533,8 @@ class ExperimentConfig:
             if key in kwargs:
                 kwargs[key] = float(kwargs[key])
         if "expectations" in kwargs and kwargs["expectations"] is not None:
+            if not isinstance(kwargs["expectations"], Mapping):
+                raise ValueError("expectations must map functional names to booleans")
             kwargs["expectations"] = {str(k): bool(v) for k, v in kwargs["expectations"].items()}
         return cls(**kwargs)
 
@@ -499,6 +594,8 @@ def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     total_time = config.crossing_times * config.length
     n_steps = int(round(total_time / state.dt))
+    if n_steps < 2:
+        raise ValueError(f"a run of {n_steps} steps records no row; it needs at least 2")
     history = simulate(state, n_steps)
     test_history = simulate(test_state, n_steps)
 
@@ -585,12 +682,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def reversibility_error(state: FieldState, n_steps: int) -> float:
-    forward = state
-    for _ in range(n_steps):
-        forward = kg_step(forward)
-    backward = time_reversed(forward)
-    for _ in range(n_steps):
-        backward = kg_step(backward)
+    backward = kg_step(time_reversed(kg_step(state, n_steps)), n_steps)
     return float(
         max(
             np.max(np.abs(backward.phi - state.phi_prev)),

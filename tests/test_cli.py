@@ -233,14 +233,33 @@ def _failing_observable_report(tmp_path) -> dict:
     return json.loads(report_path.read_text())
 
 
+# witness values of the `of` fail record that do not decode
+_BAD_OF_WITNESS = {
+    "scale_with_zero_denominator": ("scale", "1/0"),
+    "unknown_family_coordinate": ("family", ["zz"]),
+    "short_base_params": ("base_params", ["1"]),
+    "short_point": ("point", ["1", "2"]),
+    "malformed_form": ("form", {"degree": 2, "terms": [5]}),
+}
+
+
 @pytest.mark.parametrize("case", ["no_check_id", "of_fail_without_chart", "nondegenerate_fail_without_chart",
-                                  "chart_without_hash"])
+                                  "chart_without_hash", "numeric_chart_name", "kernel_vector_with_zero_denominator",
+                                  *_BAD_OF_WITNESS])
 def test_recheck_rejects_malformed_records(capsys, tmp_path, case):
     """A record without check_id, fail records whose replay needs a chart
-    in a report without one, and a chart without its hash are input
-    errors."""
+    in a report without one, a chart without its hash or with a numeric
+    name, and witness values that do not decode are input errors."""
     report = _failing_observable_report(tmp_path)
-    if case == "chart_without_hash":
+    if case in _BAD_OF_WITNESS:
+        key, value = _BAD_OF_WITNESS[case]
+        next(c for c in report["checks"] if c["check_id"] == "of")["witness"][key] = value
+    elif case == "numeric_chart_name":
+        report["chart"]["name"] = 7
+    elif case == "kernel_vector_with_zero_denominator":
+        report["checks"] = [{"check_id": "nondegenerate", "law": "", "status": "fail",
+                             "witness": {"kernel_vector": ["1/0"] * 9}}]
+    elif case == "chart_without_hash":
         del report["chart"]["hash"]
     elif case == "no_check_id":
         report["checks"] = [{"status": "pass", "witness": {}}]
@@ -254,6 +273,25 @@ def test_recheck_rejects_malformed_records(capsys, tmp_path, case):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(report))
     assert main(["recheck", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("config", [
+    {"grid_points": 0},
+    {"length": 0},
+    {"cfl": 0},
+    {"record_stride": -1},
+    {"grid_points": 8, "crossing_times": 0},
+    {"grid_points": 8, "crossing_times": 0.05},
+    {"field_modes": [{"amplitude": 1.0}]},
+    {"expectations": [True]},
+])
+def test_simulate_rejects_configs_that_cannot_run(capsys, tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")

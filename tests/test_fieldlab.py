@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from multisymp.fieldlab import (
     reversibility_error,
     simulate,
     slice_functional,
+    time_reversed,
 )
 from multisymp.observables import charge_current_form
 
@@ -44,6 +46,50 @@ def analytic_mode(m_grid, mode: Mode, mass2: float, t: float):
 def test_cfl_guard():
     with pytest.raises(ValueError):
         FieldState(dx=0.1, dt=0.095, time=0.0, phi=np.zeros((2, 8)), phi_prev=np.zeros((2, 8)))
+
+
+def reference_step(state: FieldState) -> FieldState:
+    """One leapfrog level as the plain np.roll expression, the reference
+    that the buffered kernel must match bit for bit."""
+    phi = state.phi
+    s = 0.5 * (phi[0] ** 2 + phi[1] ** 2)
+    lap = (np.roll(phi, -1, axis=-1) - 2.0 * phi + np.roll(phi, 1, axis=-1)) / state.dx**2
+    acc = lap - (state.mass2 + 2.0 * state.coupling * s) * phi
+    nxt = 2.0 * phi - state.phi_prev + state.dt**2 * acc
+    return replace(state, phi=nxt, phi_prev=phi, time=state.time + state.dt)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.5])
+@pytest.mark.parametrize("grid", [1, 2, 3, 64])
+def test_kernel_is_bit_identical_to_the_reference_stepper(grid, coupling):
+    state = plane_wave_state(grid, LENGTH, 0.1, [Mode(1.0, 1, 0.0), Mode(0.4, 2, 1.1)], 1.0, coupling)
+    phi, phi_prev = state.phi.copy(), state.phi_prev.copy()
+    levels = [state]
+    for _ in range(100):
+        levels.append(reference_step(levels[-1]))
+    assert np.isfinite(levels[-1].phi).all()
+    for n in (0, 1, 2, 100):
+        stepped, expected = kg_step(state, n), levels[n]
+        assert stepped.phi.tobytes() == expected.phi.tobytes()
+        assert stepped.phi_prev.tobytes() == expected.phi_prev.tobytes()
+        assert stepped.time == expected.time
+        history = simulate(state, n)
+        assert history.phi.tobytes() == np.array([level.phi for level in levels[: n + 1]]).tobytes()
+        assert history.times.tobytes() == np.array([level.time for level in levels[: n + 1]]).tobytes()
+        backward = time_reversed(expected)
+        for _ in range(n):
+            backward = reference_step(backward)
+        reversal = max(np.max(np.abs(backward.phi - state.phi_prev)), np.max(np.abs(backward.phi_prev - state.phi)))
+        assert reversibility_error(state, n) == float(reversal)
+    assert state.phi.tobytes() == phi.tobytes() and state.phi_prev.tobytes() == phi_prev.tobytes()
+
+
+def test_kg_step_rejects_bad_step_counts_and_frames():
+    state = plane_wave_state(8, LENGTH, 0.45, [Mode(1.0, 1, 0.0)], 1.0)
+    with pytest.raises(ValueError):
+        kg_step(state, -1)
+    with pytest.raises(ValueError):
+        kg_step(state, 3, np.empty((2, 2, 8)))
 
 
 def test_zero_field_stays_zero():
