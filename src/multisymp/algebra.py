@@ -15,6 +15,7 @@ the same variable tuple, which keeps the dense exponent tuples small
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from fractions import Fraction
@@ -69,7 +70,9 @@ def gen_kronecker(upper: Sequence[int], lower: Sequence[int]) -> int:
 class Polynomial:
     """Sparse multivariate polynomial over the rationals.
 
-    Immutable by convention: no method mutates `terms` after construction.
+    Immutable, and callers rely on it: an operation may return one of its
+    operands (`p * 1` is `p`), so no code may mutate `terms` or
+    `variables` after construction.
     """
 
     __slots__ = ("variables", "terms")
@@ -90,15 +93,26 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _raw(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
+        """Trusted constructor for results that are already clean: a variable
+        tuple, exponent tuples of its length, nonzero Fraction coefficients.
+        Takes ownership of `terms`."""
+        result = cls.__new__(cls)
+        result.variables = variables
+        result.terms = terms
+        return result
+
+    @classmethod
     def zero(cls, variables: Sequence[str]) -> Polynomial:
         return cls(variables)
 
     @classmethod
     def const(cls, variables: Sequence[str], value: Fraction | int) -> Polynomial:
+        variables = tuple(variables)
         value = Fraction(value)
         if value == 0:
-            return cls(variables)
-        return cls(variables, {(0,) * len(variables): value})
+            return cls._raw(variables, {})
+        return cls._raw(variables, {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> Polynomial:
@@ -109,12 +123,12 @@ class Polynomial:
             raise KeyError(f"unknown variable {name!r}") from None
         expo = [0] * len(variables)
         expo[idx] = 1
-        return cls(variables, {tuple(expo): Fraction(1)})
+        return cls._raw(variables, {tuple(expo): Fraction(1)})
 
     # -- ring operations ----------------------------------------------
 
     def _check_same_vars(self, other: Polynomial) -> None:
-        if self.variables != other.variables:
+        if self.variables is not other.variables and self.variables != other.variables:
             raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
 
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
@@ -123,23 +137,21 @@ class Polynomial:
         self._check_same_vars(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            s = out.get(expo, 0) + coeff
-            if s:
-                out[expo] = s
+            prev = out.get(expo)
+            if prev is None:
+                out[expo] = coeff
             else:
-                out.pop(expo, None)
-        result = Polynomial.__new__(Polynomial)
-        result.variables = self.variables
-        result.terms = out
-        return result
+                s = prev + coeff
+                if s:
+                    out[expo] = s
+                else:
+                    del out[expo]
+        return Polynomial._raw(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        result = Polynomial.__new__(Polynomial)
-        result.variables = self.variables
-        result.terms = {expo: -coeff for expo, coeff in self.terms.items()}
-        return result
+        return Polynomial._raw(self.variables, {expo: -coeff for expo, coeff in self.terms.items()})
 
     def __sub__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -149,44 +161,63 @@ class Polynomial:
     def __rsub__(self, other: Fraction | int) -> Polynomial:
         return (-self) + other
 
+    def _scale(self, c: Fraction | int) -> Polynomial:
+        """self * c for a nonzero rational c: no exponent work, term order kept."""
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        return Polynomial._raw(self.variables, {expo: coeff * c for expo, coeff in self.terms.items()})
+
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
+        variables = self.variables
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
-            if c == 0:
-                return Polynomial(self.variables)
-            result = Polynomial.__new__(Polynomial)
-            result.variables = self.variables
-            result.terms = {expo: coeff * c for expo, coeff in self.terms.items()}
-            return result
+            c = other if isinstance(other, (int, Fraction)) else Fraction(other)
+            return self._scale(c) if c else Polynomial._raw(variables, {})
         self._check_same_vars(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return Polynomial._raw(variables, {})
+        # a one-term constant operand scales the other one
+        if len(b) == 1:
+            (eb, cb), = b.items()
+            if not any(eb):
+                return self._scale(cb)
+        if len(a) == 1:
+            (ea, ca), = a.items()
+            if not any(ea):
+                return other._scale(ca)
+        add = operator.add
         out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(expo, 0) + ca * cb
-                if s:
-                    out[expo] = s
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                expo = tuple(map(add, ea, eb))
+                prev = out.get(expo)
+                if prev is None:
+                    out[expo] = ca * cb
                 else:
-                    out.pop(expo, None)
-        result = Polynomial.__new__(Polynomial)
-        result.variables = self.variables
-        result.terms = out
-        return result
+                    s = prev + ca * cb
+                    if s:
+                        out[expo] = s
+                    else:
+                        del out[expo]
+        return Polynomial._raw(variables, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Polynomial.const(self.variables, 1)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return Polynomial.const(self.variables, 1) if result is None else result
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -209,20 +240,12 @@ class Polynomial:
             idx = self.variables.index(name)
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
-        out: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in self.terms.items():
-            e = expo[idx]
-            if e == 0:
-                continue
-            new = list(expo)
-            new[idx] = e - 1
-            key = tuple(new)
-            s = out.get(key, 0) + coeff * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Polynomial(self.variables, out)
+        # distinct terms have distinct derivatives, so nothing accumulates
+        return Polynomial._raw(self.variables, {
+            expo[:idx] + (expo[idx] - 1,) + expo[idx + 1:]: coeff * expo[idx]
+            for expo, coeff in self.terms.items()
+            if expo[idx]
+        })
 
     def eval(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact evaluation at a rational point (one value per variable)."""

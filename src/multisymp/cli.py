@@ -181,6 +181,9 @@ def cmd_observable(args) -> int:
                 f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}"
             )
         point = _parse_point(args.point, chart.dim) if args.point else None
+        for flag, count in (("--points", args.points), ("--samples", args.samples)):
+            if count < 1:
+                raise ValueError(f"{flag} must be at least 1, got {count}")
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
@@ -449,7 +452,7 @@ def cmd_recheck(args) -> int:
         try:
             chart = builtin_chart(data["chart"]["name"])
         except ValueError:
-            sys.stderr.write("recheck supports built-in charts only\n")
+            sys.stderr.write(f"input error: recheck supports built-in charts only, not {data['chart']['name']!r}\n")
             return 2
         if chart.spec_hash() != data["chart"]["hash"]:
             sys.stderr.write("chart hash mismatch\n")

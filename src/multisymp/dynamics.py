@@ -245,7 +245,7 @@ class HamiltonianSolution:
         values = list(self.base_assignment)
         for c, direction in zip(kernel_coeffs, self.kernel):
             if c:
-                values = [v + c * d for v, d in zip(values, direction)]
+                values = [v + c * d if d else v for v, d in zip(values, direction)]
         return tuple(values)
 
     def factors(self, kernel_coeffs: Sequence[Fraction] = ()) -> list[Terms]:
@@ -506,6 +506,8 @@ def of_sampling_test(
     """
     if a.degree != chart.n:
         raise ValueError(f"candidate form must have degree n = {chart.n}")
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     point = tuple(Fraction(v) for v in point)
     omega = OmegaContraction(eval_terms(chart.omega.terms, point))
     a_num = eval_terms(a.terms, point)

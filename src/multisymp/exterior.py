@@ -18,6 +18,13 @@ objects are polynomials wrapped with the empty index tuple.
 The private `_*_terms` kernels work on plain dicts whose values may be
 Fraction instead of Polynomial; the point-evaluated fast paths in the
 dynamics modules reuse them directly.
+
+The public constructor validates every index tuple.  Results that the
+kernels have already cleaned (strictly increasing in-range tuples of the
+right length, no zero coefficient) skip that through the trusted
+constructor `_AltTensor._raw`: `wedge`, `hook`, `cohook`, `ext_d`, `+`,
+unary `-`, and `scale` by a nonzero factor.  User input (`from_named`,
+`parse_form`, direct construction) is always validated.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -105,8 +113,10 @@ class CoordinateFrame:
 Terms = dict  # Mapping[tuple[int, ...], coefficient]
 
 
+@lru_cache(maxsize=1024)
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
-    """Sign of sorting the concatenation of two increasing index tuples."""
+    """Sign of sorting the concatenation of two increasing index tuples
+    (pure, so memoized: the kernels meet the same pairs over and over)."""
     if not left:
         return right, 1
     if not right:
@@ -158,7 +168,8 @@ def _hook_terms(x: Terms, mu: Terms) -> Terms:
             rest = tuple(i for i in im if i not in sx)
             _, sign = _merge_sign(ix, rest)
             if sign:
-                _add_terms(out, rest, sign * (cx * cm))
+                p = cx * cm
+                _add_terms(out, rest, p if sign == 1 else -p)
     return out
 
 
@@ -173,7 +184,8 @@ def _cohook_terms(x: Terms, mu: Terms) -> Terms:
             rest = tuple(i for i in ix if i not in sm)
             _, sign = _merge_sign(im, rest)
             if sign:
-                _add_terms(out, rest, sign * (cx * cm))
+                p = cx * cm
+                _add_terms(out, rest, p if sign == 1 else -p)
     return out
 
 
@@ -220,6 +232,16 @@ class _AltTensor:
     # construction helpers -------------------------------------------------
 
     @classmethod
+    def _raw(cls, frame: CoordinateFrame, degree: int, terms: dict[tuple[int, ...], Polynomial]):
+        """Trusted constructor for kernel results that are already clean
+        (see the module docstring); takes ownership of `terms`."""
+        result = cls.__new__(cls)
+        result.frame = frame
+        result.degree = degree
+        result.terms = terms
+        return result
+
+    @classmethod
     def zero(cls, frame: CoordinateFrame, degree: int):
         return cls(frame, degree)
 
@@ -253,10 +275,10 @@ class _AltTensor:
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             _add_terms(terms, key, coeff)
-        return type(self)(self.frame, self.degree, terms)
+        return self._raw(self.frame, self.degree, terms)
 
     def __neg__(self):
-        return type(self)(self.frame, self.degree, {k: -c for k, c in self.terms.items()})
+        return self._raw(self.frame, self.degree, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -264,7 +286,10 @@ class _AltTensor:
     def scale(self, factor: Polynomial | Fraction | int):
         if not isinstance(factor, Polynomial):
             factor = self.frame.poly_const(factor)
-        return type(self)(self.frame, self.degree, {k: factor * c for k, c in self.terms.items()})
+        if not factor:
+            return self._raw(self.frame, self.degree, {})
+        # a product of nonzero polynomials is nonzero
+        return self._raw(self.frame, self.degree, {k: factor * c for k, c in self.terms.items()})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -348,8 +373,8 @@ def wedge(a: _AltTensor, b: _AltTensor) -> _AltTensor:
     a.assert_compatible(b)
     degree = a.degree + b.degree
     if degree > a.frame.dim:
-        return type(a)(a.frame, a.frame.dim)  # identically zero at top degree overflow
-    return type(a)(a.frame, degree, _wedge_terms(a.terms, b.terms))
+        return a._raw(a.frame, a.frame.dim, {})  # identically zero at top degree overflow
+    return a._raw(a.frame, degree, _wedge_terms(a.terms, b.terms))
 
 
 def wedge_all(factors: Sequence[_AltTensor]) -> _AltTensor:
@@ -377,7 +402,7 @@ def hook(x: PolyMultivector, mu: PolyForm) -> PolyForm:
         raise ValueError("coordinate frame mismatch")
     if x.degree > mu.degree:
         raise ValueError(f"hook needs deg X <= deg mu, got {x.degree} > {mu.degree} (use cohook)")
-    return PolyForm(mu.frame, mu.degree - x.degree, _hook_terms(x.terms, mu.terms))
+    return PolyForm._raw(mu.frame, mu.degree - x.degree, _hook_terms(x.terms, mu.terms))
 
 
 def cohook(x: PolyMultivector, mu: PolyForm) -> PolyMultivector:
@@ -386,27 +411,24 @@ def cohook(x: PolyMultivector, mu: PolyForm) -> PolyMultivector:
         raise ValueError("coordinate frame mismatch")
     if x.degree < mu.degree:
         raise ValueError(f"cohook needs deg X >= deg mu, got {x.degree} < {mu.degree} (use hook)")
-    return PolyMultivector(x.frame, x.degree - mu.degree, _cohook_terms(x.terms, mu.terms))
+    return PolyMultivector._raw(x.frame, x.degree - mu.degree, _cohook_terms(x.terms, mu.terms))
 
 
 def ext_d(mu: PolyForm) -> PolyForm:
     """Exterior derivative; d(f dx^J) = sum_a (df/da) dx^a ^ dx^J."""
     frame = mu.frame
     if mu.degree == frame.dim:
-        return PolyForm(frame, frame.dim)  # nothing above top degree on the chart
+        return PolyForm._raw(frame, frame.dim, {})  # nothing above top degree on the chart
     out: dict[tuple[int, ...], Polynomial] = {}
     names = frame.names
     for key, coeff in mu.terms.items():
-        key_set = set(key)
-        for a in range(frame.dim):
-            if a in key_set:
-                continue
+        # d/da of coeff is nonzero exactly when coordinate a occurs in it
+        used = {a for expo in coeff.terms for a, e in enumerate(expo) if e}
+        for a in sorted(used.difference(key)):
             d = coeff.diff(names[a])
-            if not d:
-                continue
             new_key, sign = _merge_sign((a,), key)
             _add_terms(out, new_key, d if sign == 1 else -d)
-    return PolyForm(frame, mu.degree + 1, out)
+    return PolyForm._raw(frame, mu.degree + 1, out)
 
 
 def lie_bracket(xi: PolyMultivector, eta: PolyMultivector) -> PolyMultivector:

@@ -129,7 +129,12 @@ def is_of(
     seed: int = 0,
 ) -> OFVerdict:
     """Sampled observability of an (n-1)-form: its differential must pass
-    the observability test at every supplied point."""
+    the observability test at every supplied point.  With no point or no
+    sample there is nothing to test, so both are rejected."""
+    if not points:
+        raise ValueError("is_of needs at least one point")
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     df = ext_d(observable)
     total = 0
     for i, point in enumerate(points):

@@ -219,3 +219,108 @@ def test_sampler_is_deterministic():
         value = a.rational()
         assert -9 <= value.numerator <= 9 or abs(value.numerator) <= 9 * 3
         assert value.denominator in (1, 2, 3)
+
+
+# -- sympy oracle for Polynomial arithmetic -----------------------------------
+#
+# The strategies hit every shortcut of the ring operations: the zero
+# polynomial, one-term constants (±1 among them), scalars 0 and ±1, and
+# general sparse polynomials.  Every result must be clean (nonzero Fraction
+# coefficients, exponent tuples of the right length), and no operation may
+# mutate an operand, also when the result is an operand (`p * 1 is p`).
+
+ORACLE_VARS = ("x", "y", "z")
+
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+_nonzero = _rationals.filter(bool)
+_unit_or_rational = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), _nonzero)
+_scalars = st.one_of(st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+                     st.integers(-5, 5), _rationals)
+_polynomials = st.one_of(
+    st.just({}),
+    _unit_or_rational.map(lambda c: {(0, 0, 0): c}),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _nonzero, min_size=1, max_size=5),
+).map(lambda terms: Polynomial(ORACLE_VARS, terms))
+
+
+def _sympy_of(sympy, p: Polynomial):
+    symbols = sympy.symbols(ORACLE_VARS)
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[s**e for s, e in zip(symbols, expo)])
+        for expo, c in p.terms.items()
+    ])
+
+
+def _assert_matches(sympy, result: Polynomial, expr) -> None:
+    """`result` is clean and has exactly the terms of the sympy expression."""
+    assert result.variables == ORACLE_VARS
+    for expo, coeff in result.terms.items():
+        assert len(expo) == len(ORACLE_VARS) and all(type(e) is int and e >= 0 for e in expo)
+        assert type(coeff) is Fraction and coeff != 0
+    expected = sympy.Poly(sympy.expand(expr), *sympy.symbols(ORACLE_VARS)).as_dict()
+    assert result.terms == {tuple(int(e) for e in expo): Fraction(int(c.p), int(c.q)) for expo, c in expected.items()}
+
+
+def _snapshot(value):
+    return (value.variables, tuple(value.terms.items())) if isinstance(value, Polynomial) else value
+
+
+def _without_mutation(compute, *operands):
+    """Run `compute()` and then further operations on its result; neither
+    may change an operand or the result."""
+    before = [_snapshot(op) for op in operands]
+    result = compute()
+    kept = _snapshot(result)
+    for follow_up in (lambda r: r + r, lambda r: r - r, lambda r: r * r, lambda r: -r, lambda r: r * 1,
+                      lambda r: r * -1, lambda r: r**2, lambda r: r.diff("x")):
+        follow_up(result)
+    assert [_snapshot(op) for op in operands] == before
+    assert _snapshot(result) == kept
+    return result
+
+
+@given(_polynomials, _polynomials)
+@settings(max_examples=120, deadline=None)
+def test_ring_operations_match_sympy(p, q):
+    sympy = pytest.importorskip("sympy")
+    sp, sq = _sympy_of(sympy, p), _sympy_of(sympy, q)
+    _assert_matches(sympy, _without_mutation(lambda: p + q, p, q), sp + sq)
+    _assert_matches(sympy, _without_mutation(lambda: p - q, p, q), sp - sq)
+    _assert_matches(sympy, _without_mutation(lambda: p * q, p, q), sp * sq)
+    _assert_matches(sympy, _without_mutation(lambda: q * p, p, q), sq * sp)
+    # the cross terms cancel inside the product
+    _assert_matches(sympy, _without_mutation(lambda: (p + q) * (p - q), p, q), (sp + sq) * (sp - sq))
+    _assert_matches(sympy, _without_mutation(lambda: -p, p), -sp)
+
+
+@given(_polynomials, _scalars)
+@settings(max_examples=120, deadline=None)
+def test_scalar_operations_match_sympy(p, c):
+    sympy = pytest.importorskip("sympy")
+    sp, sc = _sympy_of(sympy, p), sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+    _assert_matches(sympy, _without_mutation(lambda: p * c, p, c), sp * sc)
+    _assert_matches(sympy, _without_mutation(lambda: c * p, p, c), sc * sp)
+    _assert_matches(sympy, _without_mutation(lambda: p + c, p, c), sp + sc)
+    _assert_matches(sympy, _without_mutation(lambda: c - p, p, c), sc - sp)
+
+
+@given(_polynomials, st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_powers_match_sympy(p, exponent):
+    sympy = pytest.importorskip("sympy")
+    _assert_matches(sympy, _without_mutation(lambda: p**exponent, p), _sympy_of(sympy, p) ** exponent)
+
+
+@given(_polynomials, _polynomials, _scalars, st.tuples(*[_rationals] * 3))
+@settings(max_examples=80, deadline=None)
+def test_diff_eval_and_subs_match_sympy(p, q, c, point):
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols(ORACLE_VARS)
+    sp = _sympy_of(sympy, p)
+    for name, symbol in zip(ORACLE_VARS, (x, y, z)):
+        _assert_matches(sympy, _without_mutation(lambda: p.diff(name), p), sympy.diff(sp, symbol))
+    value = sp.subs({s: sympy.Rational(v.numerator, v.denominator) for s, v in zip((x, y, z), point)})
+    assert p.eval(point) == Fraction(int(value.p), int(value.q))
+    sc = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+    substituted = _without_mutation(lambda: p.subs({"x": q, "z": c}), p, q, c)
+    _assert_matches(sympy, substituted, sp.subs({x: _sympy_of(sympy, q), z: sc}, simultaneous=True))

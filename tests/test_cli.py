@@ -199,6 +199,27 @@ def test_observable_non_rational_point_entry_is_input_error(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("input error:")
 
 
+# an (n-1)-form that is not observable on lepage-dedecker:2,2
+_NOT_OF_FORM = '{"degree": 1, "terms": [{"indices": ["p12"], "coeff": "p34"}]}'
+
+
+def test_observable_form_that_is_not_of_fails_with_one_point(capsys):
+    code, report = run(capsys, "observable", "lepage-dedecker:2,2", "--form", _NOT_OF_FORM, "--points", "1")
+    assert code == 1
+    assert {c["check_id"]: c["status"] for c in report["checks"]}["of"] == "fail"
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-3"], ["--points", "0"],
+                                   ["--points", "-1"], ["--point", ",".join(["1"] * 10), "--samples", "0"]])
+def test_observable_rejects_non_positive_counts(capsys, flags):
+    """No point or no sample would make the `of` check pass vacuously."""
+    code = main(["observable", "lepage-dedecker:2,2", "--form", _NOT_OF_FORM, *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")
+
+
 def test_recheck_rejects_a_file_that_is_not_a_report(capsys, tmp_path):
     for name, content in [("config.json", (SCRIPTS / "linear_smeared.json").read_text()),
                           ("list.json", "[1, 2]"),
@@ -244,18 +265,21 @@ _BAD_OF_WITNESS = {
 
 
 @pytest.mark.parametrize("case", ["no_check_id", "of_fail_without_chart", "nondegenerate_fail_without_chart",
-                                  "chart_without_hash", "numeric_chart_name", "kernel_vector_with_zero_denominator",
-                                  *_BAD_OF_WITNESS])
+                                  "chart_without_hash", "numeric_chart_name", "chart_not_builtin",
+                                  "kernel_vector_with_zero_denominator", *_BAD_OF_WITNESS])
 def test_recheck_rejects_malformed_records(capsys, tmp_path, case):
     """A record without check_id, fail records whose replay needs a chart
-    in a report without one, a chart without its hash or with a numeric
-    name, and witness values that do not decode are input errors."""
+    in a report without one, a chart without its hash, with a numeric name
+    or with a name that is not built in, and witness values that do not
+    decode are input errors."""
     report = _failing_observable_report(tmp_path)
     if case in _BAD_OF_WITNESS:
         key, value = _BAD_OF_WITNESS[case]
         next(c for c in report["checks"] if c["check_id"] == "of")["witness"][key] = value
     elif case == "numeric_chart_name":
         report["chart"]["name"] = 7
+    elif case == "chart_not_builtin":
+        report["chart"]["name"] = "nope:1,1"
     elif case == "kernel_vector_with_zero_denominator":
         report["checks"] = [{"check_id": "nondegenerate", "law": "", "status": "fail",
                              "witness": {"kernel_vector": ["1/0"] * 9}}]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_form, random_vector
 from multisymp.algebra import Polynomial, RationalSampler
+from multisymp.charts import builtin_chart
 from multisymp.exterior import (
     CoordinateFrame,
     DecomposableNVector,
@@ -363,3 +364,42 @@ def test_vector_from_components():
     xi = vector_from_components(FRAME, {"q1": 2, "p2": FRAME.poly_var("e")})
     assert xi.coefficient(("q1",)) == FRAME.poly_const(2)
     assert xi.coefficient(("p2",)) == FRAME.poly_var("e")
+
+
+# -- the trusted constructor ----------------------------------------------------
+
+
+def assert_survives_validation(tensor):
+    """Kernel results skip validation; the validating public constructor
+    must accept each one unchanged, term for term and in the same order."""
+    rebuilt = type(tensor)(tensor.frame, tensor.degree, tensor.terms)
+    assert rebuilt == tensor
+    assert list(rebuilt.terms.items()) == list(tensor.terms.items())
+    for coeff in tensor.terms.values():
+        assert isinstance(coeff, Polynomial) and coeff.variables == tensor.frame.names
+
+
+@pytest.mark.parametrize("label", ["maxwell", "ddw:3,2", "lepage-dedecker:2,3"])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_kernel_results_pass_the_validating_constructor(label, seed):
+    chart = builtin_chart(label)
+    frame = chart.frame
+    sampler = RationalSampler(seed)
+    one = random_form(frame, 1, sampler)
+    two = random_form(frame, 2, sampler, coeff_degree=2)
+    top = random_form(frame, frame.dim, sampler)
+    x, y, z = (random_vector(frame, sampler) for _ in range(3))
+    xy = wedge(x, y)
+    xyz = wedge(xy, z)
+    factor = sampler.polynomial(frame.names, max_degree=1, n_terms=2)
+    results = [
+        wedge(one, two), wedge(one, one), wedge(top, one), wedge(two, chart.omega), xy, xyz, wedge(xy, xy),
+        hook(x, two), hook(xy, chart.omega), hook(xyz, wedge(one, two)), hook(x, one),
+        cohook(xyz, one), cohook(xyz, two), cohook(xy, two),
+        ext_d(one), ext_d(two), ext_d(chart.omega), ext_d(top), ext_d(ext_d(one)),
+        one + one, two + two.scale(-1), xy + wedge(y, x), two - two, -two, -xy,
+        two.scale(0), two.scale(frame.poly_zero()), two.scale(1), two.scale(sampler.nonzero()),
+        two.scale(factor), xyz.scale(factor),
+    ]
+    for tensor in results:
+        assert_survives_validation(tensor)

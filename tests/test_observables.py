@@ -261,6 +261,20 @@ def test_maxwell_excluded_direction_fails_sampling():
     assert not of_sampling_test(chart, bad, point, seed=109).passed
 
 
+@pytest.mark.parametrize("sample_count", [0, -3])
+def test_sampling_without_samples_or_points_is_rejected(sample_count):
+    """Zero samples or no point would be a vacuous pass."""
+    chart = lepage_dedecker_chart(2, 2)
+    form = PolyForm.from_named(chart.frame, 1, [(("p12",), chart.frame.poly_var("p34"))])
+    point = RationalSampler(5).point(chart.dim)
+    with pytest.raises(ValueError, match="sample_count"):
+        of_sampling_test(chart, ext_d(form), point, sample_count=sample_count)
+    with pytest.raises(ValueError, match="sample_count"):
+        is_of(chart, form, [point], sample_count=sample_count)
+    with pytest.raises(ValueError, match="point"):
+        is_of(chart, form, [])
+
+
 def test_polarization_pairing_invariance():
     """Same-contraction decomposable pairs pair equally against every
     copolarization generator, and contracting with a generator preserves
