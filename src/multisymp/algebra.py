@@ -457,14 +457,19 @@ class RationalSampler:
     Numerators range over [-9, 9] and denominators over {1, 2, 3}: small
     enough that exact arithmetic stays cheap, rich enough to break any
     accidental alignment.  Identical seeds reproduce identical streams.
+    Draws come from a table of the 57 (numerator, denominator) pairs,
+    indexed by the same `randint` and `choice` draws, so no `Fraction` is
+    built per draw.
     """
+
+    _RATIONALS = {(n, d): Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 3)}
 
     def __init__(self, seed: int):
         self.seed = seed
         self._rng = random.Random(seed)
 
     def rational(self) -> Fraction:
-        return Fraction(self._rng.randint(-9, 9), self._rng.choice((1, 2, 3)))
+        return self._RATIONALS[self._rng.randint(-9, 9), self._rng.choice((1, 2, 3))]
 
     def nonzero(self) -> Fraction:
         while True:

@@ -12,6 +12,10 @@ Subcommands:
 Reports are JSON with stable key ordering: identical inputs and seed
 produce byte-identical output.  Exit codes: 0 all checks pass, 1 at
 least one check failed, 2 input error.
+
+Forms read from input (form arguments and the forms stored in a report)
+may raise a coordinate to at most the power MAX_EXPONENT in any term of a
+coefficient; a larger exponent is an input error.
 """
 
 from __future__ import annotations
@@ -76,6 +80,24 @@ def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
     return point
 
 
+# Exact evaluation of x^e at a rational point costs time and memory that
+# grow with e (`q1^30000000` runs for minutes), and no form on the charts
+# here needs a high degree, so input forms are capped well below that.
+MAX_EXPONENT = 64
+
+
+def decode_form(chart: Chart, data, kind: str = "form"):
+    """`parse_form` on input data, refusing any coefficient term in which a
+    coordinate carries an exponent above MAX_EXPONENT."""
+    form = parse_form(chart.frame, data, kind=kind)
+    for coeff in form.terms.values():
+        for expo in coeff.terms:
+            top = max(expo, default=0)
+            if top > MAX_EXPONENT:
+                raise ValueError(f"exponent {top} exceeds the limit of {MAX_EXPONENT} per factor")
+    return form
+
+
 def load_chart_argument(label: str) -> Chart:
     if label.endswith(".json"):
         with open(label, encoding="utf-8") as fh:
@@ -108,9 +130,7 @@ def load_form_argument(chart: Chart, spec: str) -> PolyForm:
     else:
         with open(spec, encoding="utf-8") as fh:
             data = json.load(fh)
-    form = parse_form(frame, data, kind="form")
-    assert isinstance(form, PolyForm)
-    return form
+    return decode_form(chart, data)
 
 
 class Report:
@@ -362,7 +382,7 @@ def _rationals(data, what: str, length: int) -> tuple[Fraction, ...]:
 
 def _witness_form(chart: Chart, data, what: str, kind: str, degree: int):
     try:
-        form = parse_form(chart.frame, data, kind=kind)
+        form = decode_form(chart, data, kind=kind)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{what} is not a {kind}: {exc}") from None
     if form.degree != degree:

@@ -16,9 +16,14 @@ the parameters is decided exactly from Omega, once per family
 (`OmegaContraction.affine_on`); on an affine family the kernel of the
 linear part generates exact pairs with equal contraction, which is what
 the observability property quantifies over, so the sampler never
-recomputes a contraction.  For solving the Hamilton equation the free
-coordinates are all non-selected directions and the polynomial system is
-reduced by substituting one affine equation at a time.
+recomputes a contraction.  Its pairings are computed on the form's
+support: only the parameters of columns the form reads enter the factors,
+and a direction that is zero on all of them is counted as a sample
+without being evaluated, since it cannot change the value.
+
+For solving the Hamilton equation the free coordinates are all
+non-selected directions and the polynomial system is reduced by
+substituting one affine equation at a time.
 """
 
 from __future__ import annotations
@@ -503,6 +508,15 @@ def of_sampling_test(
     on an open set extends to the whole family, which is why sampling
     near arbitrary base points suffices).  `family_limit` restricts large
     charts to a seeded subset of the base-coordinate families.
+
+    Pairings are computed on the form's support only: a(X) reads the
+    columns that occur in the keys of a, so it depends only on the
+    parameters t[slot, c] with c in that support (the active ones), and
+    the factors are built from those alone.  A direction that is zero on
+    every active parameter leaves a(X) exactly unchanged; it still draws
+    its scale and counts as a sample, but no pairing is evaluated for it.
+    Every draw, sample count, verdict and counterexample is the one the
+    full factors give.
     """
     if a.degree != chart.n:
         raise ValueError(f"candidate form must have degree n = {chart.n}")
@@ -511,6 +525,7 @@ def of_sampling_test(
     point = tuple(Fraction(v) for v in point)
     omega = OmegaContraction(eval_terms(chart.omega.terms, point))
     a_num = eval_terms(a.terms, point)
+    support = set().union(*a_num)
     sampler = RationalSampler(seed)
     names = chart.frame.names
     samples_used = 0
@@ -526,30 +541,44 @@ def of_sampling_test(
             continue
         if not affine:
             raise DegenerateSystem("contraction is not affine on this family")
+        active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
+        active_keys = [(slot, (c,)) for slot, c in (family.params[pos] for pos in active)]
+        fixed = [{(h,): Fraction(1)} if h in support else {} for h in horizontal]
+        kernel_active = [tuple(vec[pos] for pos in active) for vec in kernel]
+
+        def pairing(values: Sequence[Fraction]) -> Fraction:
+            factors = [dict(f) for f in fixed]
+            for (slot, key), v in zip(active_keys, values):
+                if v:
+                    factors[slot][key] = v
+            return decomposable_pairing(factors, a_num)
 
         for _ in range(sample_count):
             base_params = tuple(sampler.rational() for _ in range(nparams))
-            value = decomposable_pairing(family.factors(base_params), a_num)
-            directions = list(kernel)
+            base_active = [base_params[pos] for pos in active]
+            value = None
+            directions = list(kernel_active)
             if len(kernel) > 1:
-                mix = [Fraction(0)] * nparams
-                for vec in kernel:
-                    c = sampler.rational()
-                    mix = [m + c * v if v else m for m, v in zip(mix, vec)]
-                directions.append(tuple(mix))
-            for direction in directions:
+                coeffs = [sampler.rational() for _ in kernel]
+                directions.append(_mix(coeffs, kernel_active, len(active)))
+            for index, direction in enumerate(directions):
                 scale = sampler.nonzero()
-                perturbed = tuple(b + scale * d if d else b for b, d in zip(base_params, direction))
                 samples_used += 1
-                value_perturbed = decomposable_pairing(family.factors(perturbed), a_num)
+                if not any(direction):
+                    continue
+                if value is None:
+                    value = pairing(base_active)
+                perturbed = [b + scale * d if d else b for b, d in zip(base_active, direction)]
+                value_perturbed = pairing(perturbed)
                 if value_perturbed != value:
+                    full = kernel[index] if index < len(kernel) else _mix(coeffs, kernel, nparams)
                     return OFVerdict(
                         passed=False,
                         samples_used=samples_used,
                         counterexample=OFCounterexample(
                             family_horizontal=tuple(names[i] for i in horizontal),
                             base_params=base_params,
-                            kernel_direction=tuple(direction),
+                            kernel_direction=full,
                             scale=scale,
                             value=value,
                             value_perturbed=value_perturbed,
@@ -557,6 +586,15 @@ def of_sampling_test(
                         failed_point=point,
                     )
     return OFVerdict(passed=True, samples_used=samples_used)
+
+
+def _mix(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]], length: int) -> tuple[Fraction, ...]:
+    """sum of coeffs[i] * vectors[i], each vector of the given length."""
+    mix = [Fraction(0)] * length
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            mix = [m + c * v if v else m for m, v in zip(mix, vec)]
+    return tuple(mix)
 
 
 def recheck_of_counterexample(chart: Chart, a: PolyForm, point: Sequence[Fraction], ce: OFCounterexample) -> bool:

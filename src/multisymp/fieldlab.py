@@ -488,6 +488,13 @@ def pointwise_dynamics_on_lift(
 # ---------------------------------------------------------------------------
 
 
+# Largest frame array (every recorded level of both field components,
+# float64) that one simulated run may ask for.  The shipped configs record
+# about 23 MB per run; the limit turns a mistyped `crossing_times` or
+# `grid_points` into an input error before anything is allocated.
+FRAME_BYTES_LIMIT = 2**28
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     grid_points: int = 256
@@ -510,6 +517,21 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        try:  # in floats, so an oversized product reads inf
+            frame_bytes = (self.n_steps + 1) * 16.0 * self.grid_points
+        except (OverflowError, ZeroDivisionError):  # dt underflows or the step count is infinite
+            frame_bytes = math.inf
+        if frame_bytes > FRAME_BYTES_LIMIT:
+            raise ValueError(
+                f"the run's frames need {frame_bytes:.3g} bytes, more than the limit of "
+                f"{FRAME_BYTES_LIMIT}; lower crossing_times or grid_points"
+            )
+
+    @property
+    def n_steps(self) -> int:
+        """Leapfrog steps of the run: the run time over dt = cfl * dx, in
+        the float operations `plane_wave_state` uses for dt."""
+        return int(round(self.crossing_times * self.length / (self.cfl * (self.length / self.grid_points))))
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ExperimentConfig":
@@ -592,8 +614,7 @@ def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
     test_state = plane_wave_state(
         config.grid_points, config.length, config.cfl, config.test_modes, config.mass2, 0.0
     )
-    total_time = config.crossing_times * config.length
-    n_steps = int(round(total_time / state.dt))
+    n_steps = config.n_steps
     if n_steps < 2:
         raise ValueError(f"a run of {n_steps} steps records no row; it needs at least 2")
     history = simulate(state, n_steps)

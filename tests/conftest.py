@@ -123,12 +123,14 @@ def random_aof(chart: Chart, sampler: RationalSampler) -> PolyForm:
     raise AssertionError(f"random AOF generation failed to converge on {chart.name}")
 
 
-def random_aof_like_candidate(chart: Chart, sampler: RationalSampler) -> PolyForm:
+def random_aof_like_candidate(chart: Chart, sampler: RationalSampler, kind: int | None = None) -> PolyForm:
     """Candidate n-forms for the observability dichotomy: a seeded mix of
     contraction images, base-coordinate wedges, and free momentum-wedge
-    monomials (the patterns that separate observable from non-observable)."""
+    monomials (the patterns that separate observable from non-observable).
+    `kind` (0-3) picks the pattern instead of drawing it."""
     frame = chart.frame
-    kind = sampler.integer(0, 3)
+    if kind is None:
+        kind = sampler.integer(0, 3)
     if kind == 0:
         xi = random_constant_vector(frame, sampler)
         return hook(xi, chart.omega)

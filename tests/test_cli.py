@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from multisymp.cli import main
 
-SCRIPTS = Path(__file__).parent.parent / "scripts"
+ROOT = Path(__file__).parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run(capsys, *argv):
@@ -261,6 +265,7 @@ _BAD_OF_WITNESS = {
     "short_base_params": ("base_params", ["1"]),
     "short_point": ("point", ["1", "2"]),
     "malformed_form": ("form", {"degree": 2, "terms": [5]}),
+    "exponent_over_the_limit": ("form", {"degree": 2, "terms": [{"indices": ["p1_1", "x1"], "coeff": "x2^65"}]}),
 }
 
 
@@ -311,6 +316,9 @@ def test_recheck_rejects_malformed_records(capsys, tmp_path, case):
     {"grid_points": 8, "crossing_times": 0.05},
     {"field_modes": [{"amplitude": 1.0}]},
     {"expectations": [True]},
+    # frames of more than 10^18 bytes, refused before anything is allocated
+    {"crossing_times": 1e12},
+    {"grid_points": 10**14},
 ])
 def test_simulate_rejects_configs_that_cannot_run(capsys, tmp_path, config):
     path = tmp_path / "config.json"
@@ -319,3 +327,32 @@ def test_simulate_rejects_configs_that_cannot_run(capsys, tmp_path, config):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")
+
+
+def test_observable_rejects_an_oversized_exponent():
+    """q1^30000000 would take minutes to evaluate; the form is refused while
+    it is decoded.  Run as a subprocess so a regression times out instead
+    of hanging the suite."""
+    form = json.dumps({"degree": 1, "terms": [{"indices": ["p12"], "coeff": "q1^30000000"}]})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "multisymp", "observable", "lepage-dedecker:2,2", "--form", form],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
+    assert "exponent 30000000" in done.stderr
+
+
+def test_observable_accepts_the_largest_exponent(capsys):
+    """At the limit the form is decoded and judged (it is not AOF, so the
+    report fails); one above it is an input error."""
+    from multisymp.cli import MAX_EXPONENT
+
+    def form(exponent):
+        return json.dumps({"degree": 1, "terms": [{"indices": ["p12"], "coeff": f"q1^{exponent}"}]})
+
+    code, report = run(capsys, "observable", "lepage-dedecker:2,2", "--form", form(MAX_EXPONENT), "--points", "1")
+    assert code == 1 and report["checks"][0]["status"] == "fail"
+    assert main(["observable", "lepage-dedecker:2,2", "--form", form(MAX_EXPONENT + 1)]) == 2

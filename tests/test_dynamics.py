@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_constant_vector
+from conftest import random_aof_like_candidate, random_constant_vector
 from multisymp.algebra import Polynomial, RationalSampler
 from multisymp.charts import (
     builtin_chart,
@@ -16,10 +16,14 @@ from multisymp.charts import (
 from multisymp.dynamics import (
     DegenerateSystem,
     NoSolutionInFamily,
+    OFCounterexample,
+    OFVerdict,
     OmegaContraction,
+    _family_step_data,
     _linear_columns,
     annihilator_span,
     contraction_form,
+    decomposable_pairing,
     frame_compatible_hamiltonian,
     hamiltonian_nvector_solve,
     observability_family,
@@ -280,6 +284,70 @@ def test_direct_columns_equal_probe_differences(label):
             probe = omega.of_factors(family.factors([Fraction(int(i == j)) for i in range(nparams)]))
             difference = {k: probe.get(k, 0) - base.get(k, 0) for k in set(probe) | set(base)}
             assert column == {k: v for k, v in difference.items() if v}
+
+
+def _full_factor_sampler(chart, a, point, sample_count, seed):
+    """The sampler loop as it was before pairings were restricted to the
+    form's support: every sample builds the full factors and evaluates
+    both pairings."""
+    point = tuple(Fraction(v) for v in point)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, point))
+    a_num = eval_terms(a.terms, point)
+    sampler = RationalSampler(seed)
+    names = chart.frame.names
+    samples_used = 0
+    for horizontal in combinations(chart.frame.base_indices(), chart.n):
+        family = observability_family(chart, horizontal)
+        nparams = len(family.params)
+        kernel, affine = _family_step_data(chart, family, point, omega)
+        if not kernel:
+            continue
+        if not affine:
+            raise DegenerateSystem("contraction is not affine on this family")
+        for _ in range(sample_count):
+            base_params = tuple(sampler.rational() for _ in range(nparams))
+            value = decomposable_pairing(family.factors(base_params), a_num)
+            directions = list(kernel)
+            if len(kernel) > 1:
+                mix = [Fraction(0)] * nparams
+                for vec in kernel:
+                    c = sampler.rational()
+                    mix = [m + c * v if v else m for m, v in zip(mix, vec)]
+                directions.append(tuple(mix))
+            for direction in directions:
+                scale = sampler.nonzero()
+                perturbed = tuple(b + scale * d if d else b for b, d in zip(base_params, direction))
+                samples_used += 1
+                value_perturbed = decomposable_pairing(family.factors(perturbed), a_num)
+                if value_perturbed != value:
+                    counterexample = OFCounterexample(
+                        tuple(names[i] for i in horizontal), base_params, tuple(direction),
+                        scale, value, value_perturbed,
+                    )
+                    return OFVerdict(False, samples_used, counterexample, point)
+    return OFVerdict(True, samples_used)
+
+
+@pytest.mark.parametrize("label", CLI_CORPUS_CHARTS)
+def test_support_restricted_sampler_matches_full_factors(label):
+    """Same verdict, sample count, counterexample and failed point as the
+    full-factor loop, on the volume form and candidates of all four kinds;
+    on the audit charts, more candidates at the audit's sample count."""
+    chart = builtin_chart(label)
+    sampler = RationalSampler(71)
+    point = sampler.point(chart.dim)
+    audit = label.startswith("lepage-dedecker:2,")
+    kinds = list(range(4)) * (3 if audit else 1)
+    forms = [chart.volume_form()] + [random_aof_like_candidate(chart, sampler, kind) for kind in kinds]
+    sample_count = 5 if audit else 2
+    outcomes = set()
+    for trial, form in enumerate(form for form in forms if form):
+        verdict = of_sampling_test(chart, form, point, sample_count=sample_count, seed=trial)
+        assert verdict == _full_factor_sampler(chart, form, point, sample_count, trial)
+        outcomes.add(verdict.passed)
+        if not verdict.passed:
+            assert recheck_of_counterexample(chart, form, point, verdict.counterexample)
+    assert outcomes == {True, False}
 
 
 # -- decomposability identities ---------------------------------------------------

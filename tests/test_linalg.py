@@ -14,7 +14,7 @@ from multisymp.dynamics import (
     observability_family,
 )
 from multisymp.exterior import _pair_terms, eval_terms
-from multisymp.linalg import sparse_minor
+from multisymp.linalg import nullspace, sparse_minor
 
 COLUMNS = 7
 
@@ -80,6 +80,38 @@ def test_sparse_minor_matches_sympy(rows, data):
     ]
     det = sympy.Matrix(len(rows), len(rows), [v for row in dense for v in row]).det()
     assert sparse_minor(rows, columns, {}) == Fraction(int(det.p), int(det.q))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Dense Fraction matrices of 0-6 rows and 0-6 columns, mostly zero.
+    A matrix without rows has no columns either: `nullspace` reads the
+    column count from the first row."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6)) if rows else 0
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    return [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@given(sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_matches_sympy_rank(matrix):
+    """The kernel has dimension cols - rank (rank from sympy), every basis
+    vector solves A v == 0 exactly, and the basis is independent."""
+    sympy = pytest.importorskip("sympy")
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+
+    def to_sympy(vectors, width):
+        flat = [sympy.Rational(v.numerator, v.denominator) for vec in vectors for v in vec]
+        return sympy.Matrix(len(vectors), width, flat)
+
+    kernel = nullspace(matrix)
+    assert len(kernel) == cols - to_sympy(matrix, cols).rank()
+    for vec in kernel:
+        assert len(vec) == cols
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+    assert to_sympy(kernel, cols).rank() == len(kernel)
 
 
 # -- minors against the full wedge expansion ----------------------------------
