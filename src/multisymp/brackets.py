@@ -31,6 +31,7 @@ from .exterior import (
     _hook_terms,
     _pair_terms,
     _wedge_terms,
+    all_index_tuples,
     eval_terms,
     ext_d,
     form_basis,
@@ -38,7 +39,7 @@ from .exterior import (
     lie_bracket,
     wedge,
 )
-from .linalg import LinearSolver
+from .linalg import Span
 from .observables import AOFTensor, Copolarization, NotAOF, aof_solve
 
 
@@ -273,7 +274,8 @@ def form_division(phi: PolyForm, divisors: Sequence[PolyForm]) -> DivisionResult
     """Solve  phi = a^1 ^ ... ^ a^r ^ chi  for chi, the divisors being
     constant-coefficient 1-forms.  The quotient is unique exactly when it
     is a scalar (degree 0); otherwise it is one solution, defined modulo
-    the ideal spanned by the divisors."""
+    the ideal spanned by the divisors.  Divisibility is decided by the
+    span solver's residual, which is returned when nonzero."""
     frame = phi.frame
     r = len(divisors)
     if r == 0:
@@ -292,39 +294,13 @@ def form_division(phi: PolyForm, divisors: Sequence[PolyForm]) -> DivisionResult
     if not w:
         raise ValueError("divisors are linearly dependent")
 
-    from .exterior import all_index_tuples
-    from .linalg import RowBasis
-
     chi_keys = all_index_tuples(frame.dim, chi_degree)
-    keys: dict[tuple[int, ...], None] = {}
-    columns = []
     w_num = {k: c.constant_value() for k, c in w.terms.items()}
-    for key in chi_keys:
-        col = _wedge_terms(w_num, {key: Fraction(1)})
-        for k2 in col:
-            keys.setdefault(k2)
-        columns.append(col)
-    for k2 in phi.terms:
-        keys.setdefault(k2)
-    basis = RowBasis(len(chi_keys))
-    basis_keys = []
-    for key in keys:
-        row = [columns[j].get(key, Fraction(0)) for j in range(len(chi_keys))]
-        if basis.add(row):
-            basis_keys.append(key)
-        if basis.rank == len(chi_keys):
-            break
-    matrix = [[columns[j].get(key, Fraction(0)) for j in range(len(chi_keys))] for key in basis_keys]
-    solver = LinearSolver(matrix)
-    zero = frame.poly_zero()
-    rhs = [phi.terms.get(key, zero) for key in basis_keys]
-    solution = solver.solve(rhs)
-    if solution is None:
-        solution = [zero] * len(chi_keys)
-    chi = PolyForm(frame, chi_degree, {chi_keys[j]: solution[j] for j in range(len(chi_keys)) if solution[j]})
-    residual = phi - wedge(w, chi)
+    span = Span([_wedge_terms(w_num, {key: Fraction(1)}) for key in chi_keys])
+    solution, residual = span.solve(phi.terms, frame.poly_zero())
     if residual:
-        return DivisionResult(quotient=None, residual=residual, unique=False)
+        return DivisionResult(quotient=None, residual=PolyForm(frame, phi.degree, residual), unique=False)
+    chi = PolyForm(frame, chi_degree, {key: x for key, x in zip(chi_keys, solution) if x})
     return DivisionResult(quotient=chi, residual=None, unique=chi_degree == 0)
 
 

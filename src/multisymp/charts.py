@@ -557,13 +557,14 @@ class NondegeneracyVerdict:
     points_checked: int
 
 
-def contraction_matrix(chart: Chart, point: Sequence[Fraction] | None = None) -> list[list[Fraction]]:
-    """Matrix of xi -> xi . Omega over the n-form basis (rows) and the
-    coordinate directions (columns), with polynomial coefficients
+def contraction_columns(
+    chart: Chart, point: Sequence[Fraction] | None = None
+) -> list[dict[tuple[int, ...], Fraction]]:
+    """The contractions e_j . Omega of the coordinate directions as sparse
+    n-form columns (nonzero entries only), with polynomial coefficients
     evaluated at `point` (required when Omega is not constant)."""
     frame = chart.frame
-    rows: dict[tuple[int, ...], int] = {}
-    columns: list[dict[tuple[int, ...], Fraction]] = []
+    columns = []
     for j in range(frame.dim):
         contraction = hook(vector_basis(frame, frame.names[j]), chart.omega)
         col: dict[tuple[int, ...], Fraction] = {}
@@ -571,13 +572,17 @@ def contraction_matrix(chart: Chart, point: Sequence[Fraction] | None = None) ->
             value = coeff.constant_value() if point is None else coeff.eval(point)
             if value:
                 col[key] = value
-                rows.setdefault(key, len(rows))
         columns.append(col)
-    matrix = [[Fraction(0)] * frame.dim for _ in range(len(rows))]
-    for j, col in enumerate(columns):
-        for key, value in col.items():
-            matrix[rows[key]][j] = value
-    return matrix
+    return columns
+
+
+def contraction_matrix(chart: Chart, point: Sequence[Fraction] | None = None) -> list[list[Fraction]]:
+    """Matrix of xi -> xi . Omega over the n-form basis (rows, in first-seen
+    order) and the coordinate directions (columns); see
+    `contraction_columns`."""
+    columns = contraction_columns(chart, point)
+    rows = dict.fromkeys(key for col in columns for key in col)
+    return [[col.get(key, Fraction(0)) for col in columns] for key in rows]
 
 
 def omega_is_constant(chart: Chart) -> bool:
@@ -654,17 +659,6 @@ def chart_from_spec(spec: Mapping) -> Chart:
         metric=metric,
         horizontal=tuple(spec["horizontal"]),
     )
-
-
-def save_chart(chart: Chart, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chart_to_spec(chart), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_chart(path) -> Chart:
-    with open(path, encoding="utf-8") as fh:
-        return chart_from_spec(json.load(fh))
 
 
 def builtin_chart(label: str) -> Chart:

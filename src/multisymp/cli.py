@@ -13,9 +13,10 @@ Reports are JSON with stable key ordering: identical inputs and seed
 produce byte-identical output.  Exit codes: 0 all checks pass, 1 at
 least one check failed, 2 input error.
 
-Forms read from input (form arguments and the forms stored in a report)
-may raise a coordinate to at most the power MAX_EXPONENT in any term of a
-coefficient; a larger exponent is an input error.
+Forms read from input (form arguments, the forms stored in a report, and
+the omega, theta and hamiltonian of a chart spec file) may raise a
+coordinate to at most the power MAX_EXPONENT in any term of a coefficient;
+a larger exponent is an input error.
 """
 
 from __future__ import annotations
@@ -86,23 +87,36 @@ def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
 MAX_EXPONENT = 64
 
 
-def decode_form(chart: Chart, data, kind: str = "form"):
-    """`parse_form` on input data, refusing any coefficient term in which a
-    coordinate carries an exponent above MAX_EXPONENT."""
-    form = parse_form(chart.frame, data, kind=kind)
-    for coeff in form.terms.values():
+def check_exponents(coefficients) -> None:
+    """Refuse any coefficient term in which a coordinate carries an exponent
+    above MAX_EXPONENT."""
+    for coeff in coefficients:
         for expo in coeff.terms:
             top = max(expo, default=0)
             if top > MAX_EXPONENT:
                 raise ValueError(f"exponent {top} exceeds the limit of {MAX_EXPONENT} per factor")
+
+
+def decode_form(chart: Chart, data, kind: str = "form"):
+    """`parse_form` on input data, held to MAX_EXPONENT."""
+    form = parse_form(chart.frame, data, kind=kind)
+    check_exponents(form.terms.values())
     return form
 
 
 def load_chart_argument(label: str) -> Chart:
-    if label.endswith(".json"):
-        with open(label, encoding="utf-8") as fh:
-            return chart_from_spec(json.load(fh))
-    return builtin_chart(label)
+    """A built-in chart label, or a `.json` chart spec file whose omega,
+    theta and hamiltonian are held to MAX_EXPONENT."""
+    if not label.endswith(".json"):
+        return builtin_chart(label)
+    with open(label, encoding="utf-8") as fh:
+        chart = chart_from_spec(json.load(fh))
+    for form in (chart.omega, chart.theta):
+        if form is not None:
+            check_exponents(form.terms.values())
+    if chart.hamiltonian is not None:
+        check_exponents([chart.hamiltonian])
+    return chart
 
 
 def load_form_argument(chart: Chart, spec: str) -> PolyForm:

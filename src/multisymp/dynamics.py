@@ -44,7 +44,7 @@ from .exterior import (
     _wedge_terms,
     eval_terms,
 )
-from .linalg import column_space_rref, nullspace, sparse_minor
+from .linalg import RowBasis, nullspace, sparse_minor
 
 
 class NoSolutionInFamily(Exception):
@@ -698,8 +698,6 @@ def pseudofiber_directions(
     along representatives of the solution family: vectors xi whose
     contraction with Omega kills every slot-deformation of every
     representative.  Adding representatives can only shrink the result."""
-    from .linalg import RowBasis
-
     frame = chart.frame
     omega_num = solution.omega_num
     columns = [
@@ -725,8 +723,12 @@ def pseudofiber_directions(
 
 
 def annihilator_span(directions: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Canonical basis of the span, for comparing two direction sets."""
-    return column_space_rref(list(directions))
+    """Canonical basis (RREF rows) of the span, for comparing two direction
+    sets: two spans are equal iff their canonical bases are equal."""
+    basis = RowBasis(len(directions[0]) if directions else 0)
+    for vector in directions:
+        basis.add(vector)
+    return basis.rows
 
 
 def pseudofiber_integrand_check(

@@ -353,12 +353,6 @@ def vector_basis(frame: CoordinateFrame, *names: str) -> PolyMultivector:
     return PolyMultivector.from_named(frame, len(names), [(names, 1)])
 
 
-def form_scalar(frame: CoordinateFrame, value: Polynomial | Fraction | int) -> PolyForm:
-    if not isinstance(value, Polynomial):
-        value = frame.poly_const(value)
-    return PolyForm(frame, 0, {(): value})
-
-
 def vector_from_components(frame: CoordinateFrame, components: Mapping[str, Polynomial | Fraction | int]) -> PolyMultivector:
     return PolyMultivector.from_named(frame, 1, [((name,), c) for name, c in components.items()])
 

@@ -1,54 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Gaussian elimination with Fraction entries; no pivot-size heuristics are
-needed since arithmetic is exact.  `LinearSolver` factors a rational
-matrix once and then solves `A x = b` for many right-hand sides whose
-entries may be Fractions *or* Polynomials (anything a Fraction can
-multiply), which is how the constant-coefficient contraction systems of
-the charts are solved with symbolic right-hand sides.  `sparse_minor`
-is the one determinant routine: exact cofactor expansion over sparse rows
-with memoized sub-minors.
+`RowBasis` is the one elimination routine: Gaussian elimination with
+Fraction entries into an incrementally maintained reduced row echelon
+basis (no pivot-size heuristics are needed since arithmetic is exact).
+`nullspace` reads kernels off it.  `Span` solves in the span of fixed
+sparse rational columns for many targets whose entries may be Fractions
+*or* Polynomials (anything a Fraction can multiply), which is how the
+constant-coefficient contraction, copolarization and division systems are
+solved with symbolic targets; every solution is checked against the full
+system by exact reconstruction.  `sparse_minor` is the one determinant
+routine: exact cofactor expansion over sparse rows with memoized
+sub-minors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-Matrix = list[list[Fraction]]
-
-
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, Matrix, list[int]]:
-    """Reduced row echelon form.
-
-    Returns (R, E, pivots) with E @ A = R, E square and invertible, and
-    `pivots` the pivot column of each leading row.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    r = [[Fraction(x) for x in row] for row in matrix]
-    e = [[Fraction(1 if i == j else 0) for j in range(rows)] for i in range(rows)]
-    pivots: list[int] = []
-    lead = 0
-    for col in range(cols):
-        pivot_row = next((i for i in range(lead, rows) if r[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        r[lead], r[pivot_row] = r[pivot_row], r[lead]
-        e[lead], e[pivot_row] = e[pivot_row], e[lead]
-        inv = 1 / r[lead][col]
-        r[lead] = [x * inv for x in r[lead]]
-        e[lead] = [x * inv for x in e[lead]]
-        for i in range(rows):
-            if i != lead and r[i][col] != 0:
-                factor = r[i][col]
-                r[i] = [a - factor * b for a, b in zip(r[i], r[lead])]
-                e[i] = [a - factor * b for a, b in zip(e[i], e[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == rows:
-            break
-    return r, e, pivots
+from typing import Hashable, Mapping, Sequence
 
 
 class RowBasis:
@@ -63,14 +31,13 @@ class RowBasis:
         self.cols = cols
         self.pivots: list[int] = []
         self.rows: list[list[Fraction]] = []
-        self.tags: list = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, row: Sequence[Fraction]) -> list[Fraction]:
-        r = [Fraction(x) for x in row]
+        r = list(row)
         for pivot, brow in zip(self.pivots, self.rows):
             factor = r[pivot]
             if factor:
@@ -79,13 +46,13 @@ class RowBasis:
                         r[j] -= factor * brow[j]
         return r
 
-    def add(self, row: Sequence[Fraction], tag=None) -> bool:
+    def add(self, row: Sequence[Fraction]) -> bool:
         """Insert a row; returns True when it enlarged the span."""
         r = self.reduce(row)
         pivot = next((j for j, x in enumerate(r) if x), None)
         if pivot is None:
             return False
-        inv = 1 / r[pivot]
+        inv = Fraction(1) / r[pivot]
         r = [x * inv for x in r]
         for brow in self.rows:
             factor = brow[pivot]
@@ -96,7 +63,6 @@ class RowBasis:
         position = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
         self.pivots.insert(position, pivot)
         self.rows.insert(position, r)
-        self.tags.insert(position, tag)
         return True
 
     def nullspace(self) -> list[list[Fraction]]:
@@ -123,16 +89,60 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis.nullspace()
 
 
-def column_space_rref(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Canonical basis (RREF rows) of the span of the given vectors.
+class Span:
+    """The span of fixed sparse rational columns (key -> Fraction dicts),
+    factored once to solve `sum_j x_j columns[j] = target` for many
+    targets.
 
-    Useful for comparing subspaces exactly: two spans are equal iff their
-    canonical bases are equal.
+    Target entries may be Fractions or Polynomials; the coefficients come
+    back in the same ring, with free variables set to zero.  Rows are
+    picked in first-seen key order by one `RowBasis`.  A second one, fed
+    the picked rows with unit vectors appended, yields E with
+    E A = RREF(A) on those rows: they are independent, so every pivot
+    falls in the A block and E is unique.  Only the picked rows are
+    solved, so `solve` checks the answer on every key by exact
+    reconstruction.
     """
-    if not vectors:
-        return []
-    r, _, pivots = rref(vectors)
-    return [row for row in r[: len(pivots)]]
+
+    def __init__(self, columns: Sequence[Mapping[Hashable, Fraction]]):
+        self.columns = columns
+        width = len(columns)
+        basis = RowBasis(width)
+        self.keys: list = []
+        picked = []
+        for key in dict.fromkeys(key for column in columns for key in column):
+            row = [column.get(key, Fraction(0)) for column in columns]
+            if basis.add(row):
+                self.keys.append(key)
+                picked.append(row)
+            if basis.rank == width:
+                break
+        self.rank = basis.rank
+        factor = RowBasis(width + self.rank)
+        for i, row in enumerate(picked):
+            factor.add(row + [Fraction(int(i == j)) for j in range(self.rank)])
+        self.pivots = factor.pivots
+        self.inverse = [row[width:] for row in factor.rows]
+
+    def solve(self, target: Mapping, zero) -> tuple[list, dict]:
+        """Coefficients x of the target, and the nonzero entries of the
+        residual `target - sum_j x_j columns[j]` over every key; the
+        residual is empty exactly when the target lies in the span.
+        `zero` is the zero of the target's ring."""
+        rhs = [target.get(key, zero) for key in self.keys]
+        coefficients = [zero] * len(self.columns)
+        for pivot, e_row in zip(self.pivots, self.inverse):
+            acc = zero
+            for e, b in zip(e_row, rhs):
+                if e:
+                    acc = acc + e * b
+            coefficients[pivot] = acc
+        residual = dict(target)
+        for x, column in zip(coefficients, self.columns):
+            if x:
+                for key, value in column.items():
+                    residual[key] = residual.get(key, zero) - x * value
+        return coefficients, {key: r for key, r in residual.items() if r}
 
 
 def sparse_minor(
@@ -168,39 +178,3 @@ def sparse_minor(
                 total += entry * sub
     memo[columns] = total
     return total
-
-
-class LinearSolver:
-    """Solve A x = b exactly for a fixed rational A and varied b.
-
-    The right-hand side entries may be any ring elements that support
-    addition and multiplication by Fraction (Fraction or Polynomial);
-    solutions come back in the same ring.  Free variables are set to zero
-    in the particular solution.
-    """
-
-    def __init__(self, matrix: Sequence[Sequence[Fraction]]):
-        self.rows = len(matrix)
-        self.cols = len(matrix[0]) if self.rows else 0
-        _, self.e, self.pivots = rref(matrix)
-        self.rank = len(self.pivots)
-
-    def solve(self, rhs: Sequence) -> list | None:
-        """Particular solution of A x = rhs, or None when inconsistent."""
-        if len(rhs) != self.rows:
-            raise ValueError(f"rhs has length {len(rhs)}, expected {self.rows}")
-        zero = 0 * rhs[0] if self.rows else Fraction(0)
-        transformed = []
-        for i in range(self.rows):
-            acc = zero
-            for j, coeff in enumerate(self.e[i]):
-                if coeff:
-                    acc = acc + coeff * rhs[j]
-            transformed.append(acc)
-        for i in range(self.rank, self.rows):
-            if transformed[i]:
-                return None
-        solution = [zero for _ in range(self.cols)]
-        for row_idx, p in enumerate(self.pivots):
-            solution[p] = transformed[row_idx]
-        return solution

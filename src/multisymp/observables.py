@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .algebra import Polynomial
-from .charts import Chart, omega_is_constant
+from .charts import Chart, contraction_columns, omega_is_constant
 from .dynamics import of_sampling_test, OFVerdict
 from .exterior import (
     CoordKind,
@@ -37,7 +37,7 @@ from .exterior import (
     vector_basis,
     wedge,
 )
-from .linalg import LinearSolver
+from .linalg import Span
 
 # ---------------------------------------------------------------------------
 # Hamilton vector fields of (n-1)-forms
@@ -54,63 +54,37 @@ class NotAOF:
         return False
 
 
-_SOLVER_CACHE: dict[int, tuple[Chart, LinearSolver, list[tuple[int, ...]]]] = {}
+_SOLVER_CACHE: dict[int, tuple[Chart, Span]] = {}
 
 
-def contraction_solver(chart: Chart) -> tuple[LinearSolver, list[tuple[int, ...]]]:
-    """Invertible row-basis restriction of the xi -> xi . Omega map, cached
-    per chart (constant Omega makes it global; nondegeneracy makes the
-    basis square and the Hamilton vector field unique).  Solutions of the
-    restricted system are verified against the full equation by exact
-    reconstruction, which is where inconsistency shows up."""
+def contraction_solver(chart: Chart) -> Span:
+    """The span of the contractions e_j . Omega, cached per chart (constant
+    Omega makes it global; nondegeneracy makes the columns independent and
+    the Hamilton vector field unique).  Solutions are checked against the
+    full equation by the span solver's residual, which is where
+    inconsistency shows up."""
     key = id(chart)
     hit = _SOLVER_CACHE.get(key)
     if hit is not None:
-        return hit[1], hit[2]
+        return hit[1]
     if not omega_is_constant(chart):
         raise ValueError("Hamilton vector solving needs a constant-coefficient Omega")
-    from .linalg import RowBasis
-
-    frame = chart.frame
-    columns = []
-    keys: dict[tuple[int, ...], list[Fraction] | None] = {}
-    for j in range(frame.dim):
-        contraction = hook(vector_basis(frame, frame.names[j]), chart.omega)
-        col = {k: c.constant_value() for k, c in contraction.terms.items()}
-        for k in col:
-            keys.setdefault(k)
-        columns.append(col)
-    basis = RowBasis(frame.dim)
-    basis_keys: list[tuple[int, ...]] = []
-    for k in keys:
-        row = [columns[j].get(k, Fraction(0)) for j in range(frame.dim)]
-        if basis.add(row):
-            basis_keys.append(k)
-        if basis.rank == frame.dim:
-            break
-    if basis.rank < frame.dim:
+    span = Span(contraction_columns(chart))
+    if span.rank < chart.frame.dim:
         raise ValueError("Omega is degenerate; Hamilton vector fields are not unique")
-    matrix = [[columns[j].get(k, Fraction(0)) for j in range(frame.dim)] for k in basis_keys]
-    solver = LinearSolver(matrix)
-    _SOLVER_CACHE[key] = (chart, solver, basis_keys)
-    return solver, basis_keys
+    _SOLVER_CACHE[key] = (chart, span)
+    return span
 
 
 def solve_contraction(chart: Chart, target: PolyForm) -> PolyMultivector | NotAOF:
     """Solve xi . Omega = target for a polynomial vector field xi."""
     if target.degree != chart.n:
         raise ValueError(f"target must be an n-form, got degree {target.degree}")
-    solver, basis_keys = contraction_solver(chart)
     frame = chart.frame
-    zero = frame.poly_zero()
-    rhs = [target.terms.get(k, zero) for k in basis_keys]
-    solution = solver.solve(rhs)
-    assert solution is not None  # the restricted system is invertible
-    xi = PolyMultivector(frame, 1, {(j,): solution[j] for j in range(frame.dim) if solution[j]})
-    residual = target - hook(xi, chart.omega)
+    solution, residual = contraction_solver(chart).solve(target.terms, frame.poly_zero())
     if residual:
-        return NotAOF(residual=residual)
-    return xi
+        return NotAOF(residual=PolyForm(frame, chart.n, residual))
+    return PolyMultivector(frame, 1, {(j,): x for j, x in enumerate(solution) if x})
 
 
 def aof_solve(chart: Chart, observable: PolyForm) -> PolyMultivector | NotAOF:
@@ -250,46 +224,16 @@ def maxwell_copolarization() -> Copolarization:
 
 def copolar_membership(copol: Copolarization, mu: PolyForm) -> tuple[bool, list[Polynomial] | None]:
     """Exact membership of a form in the pointwise span of the generators
-    of its degree; coefficients may be polynomials in the coordinates.
+    of its degree; coefficients may be polynomials in the coordinates and
+    are checked by the span solver's residual.
     Returns (member, coefficients aligned with the generator list)."""
-    from .linalg import RowBasis
-
     p = mu.degree
     if not 1 <= p <= copol.chart.n:
         return False, None
     gens = copol.degree(p)
-    frame = copol.chart.frame
-    keys: dict[tuple[int, ...], None] = {}
-    cols = []
-    for g in gens:
-        col = {}
-        for key, coeff in g.terms.items():
-            col[key] = coeff.constant_value()
-            keys.setdefault(key)
-        cols.append(col)
-    for key in mu.terms:
-        keys.setdefault(key)
-    basis = RowBasis(len(gens))
-    basis_keys = []
-    for key in keys:
-        row = [cols[j].get(key, Fraction(0)) for j in range(len(gens))]
-        if basis.add(row):
-            basis_keys.append(key)
-        if basis.rank == len(gens):
-            break
-    matrix = [[cols[j].get(key, Fraction(0)) for j in range(len(gens))] for key in basis_keys]
-    solver = LinearSolver(matrix)
-    zero = frame.poly_zero()
-    rhs = [mu.terms.get(key, zero) for key in basis_keys]
-    solution = solver.solve(rhs)
-    if solution is None:
-        return False, None
-    # reconstruction is the real consistency check
-    recon = PolyForm.zero(frame, p)
-    for coeff, g in zip(solution, gens):
-        if coeff:
-            recon = recon + g.scale(coeff)
-    if recon != mu:
+    span = Span([{key: coeff.constant_value() for key, coeff in g.terms.items()} for g in gens])
+    solution, residual = span.solve(mu.terms, copol.chart.frame.poly_zero())
+    if residual:
         return False, None
     return True, solution
 

@@ -345,6 +345,31 @@ def test_observable_rejects_an_oversized_exponent():
     assert "exponent 30000000" in done.stderr
 
 
+@pytest.mark.parametrize("field", ["omega", "theta", "hamiltonian"])
+def test_check_chart_rejects_an_oversized_exponent_in_a_spec(tmp_path, field):
+    """A chart spec file is held to the same exponent limit as form
+    arguments: with `1 + q3^30000000` in Omega, nondegeneracy sampling would
+    run for minutes.  Run as a subprocess so a regression times out."""
+    from multisymp.charts import chart_to_spec, lepage_dedecker_chart
+
+    spec = chart_to_spec(lepage_dedecker_chart(2, 2))
+    if field == "hamiltonian":
+        spec["hamiltonian"] = "q3^30000000"
+    else:
+        spec[field]["terms"][0]["coeff"] += " + q3^30000000"
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "multisymp", "check-chart", str(path)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
+    assert "exponent 30000000" in done.stderr
+
+
 def test_observable_accepts_the_largest_exponent(capsys):
     """At the limit the form is decoded and judged (it is not AOF, so the
     report fails); one above it is an input error."""

@@ -1,20 +1,36 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multisymp.algebra import RationalSampler
+from conftest import random_aof_like_candidate, random_form
+from multisymp.algebra import Polynomial, RationalSampler
+from multisymp.brackets import DivisionResult, form_division
 from multisymp.charts import builtin_chart
 from multisymp.dynamics import (
     OmegaContraction,
+    annihilator_span,
     contraction_form,
     decomposable_pairing,
     observability_family,
 )
-from multisymp.exterior import _pair_terms, eval_terms
-from multisymp.linalg import nullspace, sparse_minor
+from multisymp.exterior import (
+    PolyForm,
+    PolyMultivector,
+    _pair_terms,
+    _wedge_terms,
+    all_index_tuples,
+    eval_terms,
+    form_basis,
+    hook,
+    vector_basis,
+    wedge,
+)
+from multisymp.linalg import Span, nullspace, sparse_minor
+from multisymp.observables import NotAOF, copolar_membership, maxwell_copolarization, solve_contraction
 
 COLUMNS = 7
 
@@ -112,6 +128,301 @@ def test_nullspace_matches_sympy_rank(matrix):
         assert len(vec) == cols
         assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
     assert to_sympy(kernel, cols).rank() == len(kernel)
+
+
+def test_nullspace_of_integer_rows_is_fractions():
+    """Integer input is normalised with a Fraction reciprocal: no int or
+    float survives into the kernel or the basis rows."""
+    for matrix in ([[1, 0]], [[2, 1, 0], [4, 3, 1]], [[0, 3, 6], [1, 1, 1], [1, 4, 7]]):
+        kernel = nullspace(matrix)
+        assert kernel
+        assert all(type(v) is Fraction for vec in kernel for v in vec)
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix for vec in kernel)
+    assert all(type(v) is Fraction for row in annihilator_span([[2, 4], [1, 3]]) for v in row)
+
+
+# -- the span solver against the deleted dense solver ----------------------------
+#
+# `rref`, `LinearSolver` and `column_space_rref` are the dense solver that
+# `Span` and `RowBasis` replaced, kept verbatim as the reference.
+
+Matrix = list[list[Fraction]]
+
+
+def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, Matrix, list[int]]:
+    """Reduced row echelon form.
+
+    Returns (R, E, pivots) with E @ A = R, E square and invertible, and
+    `pivots` the pivot column of each leading row.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    r = [[Fraction(x) for x in row] for row in matrix]
+    e = [[Fraction(1 if i == j else 0) for j in range(rows)] for i in range(rows)]
+    pivots: list[int] = []
+    lead = 0
+    for col in range(cols):
+        pivot_row = next((i for i in range(lead, rows) if r[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        r[lead], r[pivot_row] = r[pivot_row], r[lead]
+        e[lead], e[pivot_row] = e[pivot_row], e[lead]
+        inv = 1 / r[lead][col]
+        r[lead] = [x * inv for x in r[lead]]
+        e[lead] = [x * inv for x in e[lead]]
+        for i in range(rows):
+            if i != lead and r[i][col] != 0:
+                factor = r[i][col]
+                r[i] = [a - factor * b for a, b in zip(r[i], r[lead])]
+                e[i] = [a - factor * b for a, b in zip(e[i], e[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == rows:
+            break
+    return r, e, pivots
+
+
+def column_space_rref(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Canonical basis (RREF rows) of the span of the given vectors.
+
+    Useful for comparing subspaces exactly: two spans are equal iff their
+    canonical bases are equal.
+    """
+    if not vectors:
+        return []
+    r, _, pivots = rref(vectors)
+    return [row for row in r[: len(pivots)]]
+
+
+class LinearSolver:
+    """Solve A x = b exactly for a fixed rational A and varied b.
+
+    The right-hand side entries may be any ring elements that support
+    addition and multiplication by Fraction (Fraction or Polynomial);
+    solutions come back in the same ring.  Free variables are set to zero
+    in the particular solution.
+    """
+
+    def __init__(self, matrix: Sequence[Sequence[Fraction]]):
+        self.rows = len(matrix)
+        self.cols = len(matrix[0]) if self.rows else 0
+        _, self.e, self.pivots = rref(matrix)
+        self.rank = len(self.pivots)
+
+    def solve(self, rhs: Sequence) -> list | None:
+        """Particular solution of A x = rhs, or None when inconsistent."""
+        if len(rhs) != self.rows:
+            raise ValueError(f"rhs has length {len(rhs)}, expected {self.rows}")
+        zero = 0 * rhs[0] if self.rows else Fraction(0)
+        transformed = []
+        for i in range(self.rows):
+            acc = zero
+            for j, coeff in enumerate(self.e[i]):
+                if coeff:
+                    acc = acc + coeff * rhs[j]
+            transformed.append(acc)
+        for i in range(self.rank, self.rows):
+            if transformed[i]:
+                return None
+        solution = [zero for _ in range(self.cols)]
+        for row_idx, p in enumerate(self.pivots):
+            solution[p] = transformed[row_idx]
+        return solution
+
+
+def reference_rows(columns) -> list:
+    """Keys in first-seen order whose row raises the rank under `rref`."""
+    picked: list = []
+    rows: list[list[Fraction]] = []
+    for key in dict.fromkeys(key for column in columns for key in column):
+        row = [column.get(key, Fraction(0)) for column in columns]
+        if len(rref(rows + [row])[2]) > len(rows):
+            picked.append(key)
+            rows.append(row)
+        if len(rows) == len(columns):
+            break
+    return picked
+
+
+def reference_solution(columns, picked, target, zero) -> list:
+    """`LinearSolver`'s particular solution on the picked rows.  It reads
+    its width from the first row, so a system without rows is all zero."""
+    if not picked:
+        return [zero] * len(columns)
+    matrix = [[column.get(key, Fraction(0)) for column in columns] for key in picked]
+    solution = LinearSolver(matrix).solve([target.get(key, zero) for key in picked])
+    assert solution is not None  # the picked rows are independent
+    return solution
+
+
+VARIABLES = ("a", "b")
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), fractions, max_size=3
+).map(lambda terms: Polynomial(VARIABLES, terms))
+
+
+@st.composite
+def span_problems(draw):
+    """0-6 sparse Fraction columns over 0-8 keys met in shuffled order, some
+    columns combinations of earlier ones; a target in the span, or an
+    arbitrary one that may also use a key outside every column, with
+    Fraction or Polynomial entries.  Returns (columns, target, zero, in_span)."""
+    keys = draw(st.permutations(range(draw(st.integers(0, 8)))))
+    columns: list[dict[int, Fraction]] = []
+    for _ in range(draw(st.integers(0, 6))):
+        if columns and draw(st.integers(0, 2)) == 0:
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            s, t = draw(fractions), draw(fractions)
+            column = {key: s * a.get(key, 0) + t * b.get(key, 0) for key in keys if key in a or key in b}
+        else:
+            values = draw(st.lists(entries, min_size=len(keys), max_size=len(keys)))
+            column = {key: v for key, v in zip(keys, values) if v is not None}
+        columns.append(column)
+    kind = draw(st.sampled_from(["fraction span", "polynomial span", "fraction", "polynomial"]))
+    ring = polynomials if kind.startswith("polynomial") else fractions
+    zero = Polynomial(VARIABLES) if ring is polynomials else Fraction(0)
+    target: dict = {}
+    if not kind.endswith("span"):
+        for key in draw(st.lists(st.sampled_from(list(keys) + [len(keys)]), max_size=5)):
+            target[key] = draw(ring)
+        return columns, target, zero, False
+    for column in columns:
+        x = draw(ring)
+        for key, value in column.items():
+            target[key] = target.get(key, zero) + x * value
+    return columns, target, zero, True
+
+
+@given(span_problems())
+@settings(max_examples=200, deadline=None)
+def test_span_solve_matches_the_dense_reference(problem):
+    """Same picked rows and coefficients as the dense solver; the residual
+    is exactly what the reference's reconstruction leaves over."""
+    columns, target, zero, in_span = problem
+    span = Span(columns)
+    coefficients, residual = span.solve(target, zero)
+    picked = reference_rows(columns)
+    assert span.keys == picked
+    reference = reference_solution(columns, picked, target, zero)
+    assert coefficients == reference
+    recon: dict = {}
+    for x, column in zip(reference, columns):
+        for key, value in column.items():
+            recon[key] = recon.get(key, zero) + x * value
+    keys = dict.fromkeys([*target, *recon])
+    assert (residual == {}) == all(target.get(key, zero) == recon.get(key, zero) for key in keys)
+    difference = {key: target.get(key, zero) - recon.get(key, zero) for key in keys}
+    assert residual == {key: r for key, r in difference.items() if r}
+    if in_span:
+        assert residual == {}
+
+
+@given(sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_row_basis_rows_are_the_canonical_rref(matrix):
+    assert annihilator_span(matrix) == column_space_rref(matrix)
+
+
+# -- the callers against the dense reference on the built-in charts ---------------
+
+
+def reference_solve_contraction(chart, target):
+    frame = chart.frame
+    omega = chart.omega
+    columns = [
+        {key: c.constant_value() for key, c in hook(vector_basis(frame, name), omega).terms.items()}
+        for name in frame.names
+    ]
+    solution = reference_solution(columns, reference_rows(columns), target.terms, frame.poly_zero())
+    xi = PolyMultivector(frame, 1, {(j,): x for j, x in enumerate(solution) if x})
+    residual = target - hook(xi, omega)
+    return NotAOF(residual=residual) if residual else xi
+
+
+def reference_copolar_membership(copol, mu):
+    p = mu.degree
+    if not 1 <= p <= copol.chart.n:
+        return False, None
+    gens = copol.degree(p)
+    frame = copol.chart.frame
+    columns = [{key: c.constant_value() for key, c in g.terms.items()} for g in gens]
+    solution = reference_solution(columns, reference_rows(columns), mu.terms, frame.poly_zero())
+    recon = PolyForm.zero(frame, p)
+    for coeff, g in zip(solution, gens):
+        if coeff:
+            recon = recon + g.scale(coeff)
+    return (True, solution) if recon == mu else (False, None)
+
+
+def reference_form_division(phi, divisors):
+    frame = phi.frame
+    w = divisors[0]
+    for a in divisors[1:]:
+        w = wedge(w, a)
+    chi_keys = all_index_tuples(frame.dim, phi.degree - len(divisors))
+    w_num = {k: c.constant_value() for k, c in w.terms.items()}
+    columns = [_wedge_terms(w_num, {key: Fraction(1)}) for key in chi_keys]
+    solution = reference_solution(columns, reference_rows(columns), phi.terms, frame.poly_zero())
+    chi = PolyForm(frame, phi.degree - len(divisors), {key: x for key, x in zip(chi_keys, solution) if x})
+    residual = phi - wedge(w, chi)
+    if residual:
+        return DivisionResult(quotient=None, residual=residual, unique=False)
+    return DivisionResult(quotient=chi, residual=None, unique=chi.degree == 0)
+
+
+BUILTIN_CHARTS = [
+    "lepage-dedecker:2,2", "lepage-dedecker:2,3", "lepage-dedecker-split:2,2", "ddw:2,2", "ddw:3,2",
+    "maxwell", "scalar:2", "scalar:2,gauged",
+]
+
+
+@pytest.mark.parametrize("label", BUILTIN_CHARTS)
+def test_span_callers_match_the_dense_reference(label):
+    """`solve_contraction` and `form_division` on seeded candidate n-forms
+    of all four kinds, each reaching both outcomes."""
+    chart = builtin_chart(label)
+    frame = chart.frame
+    sampler = RationalSampler(29)
+    forms = [chart.volume_form()] + [random_aof_like_candidate(chart, sampler, kind) for kind in list(range(4)) * 2]
+    solved, divided = set(), set()
+    for form in forms:
+        result = solve_contraction(chart, form)
+        assert result == reference_solve_contraction(chart, form)
+        solved.add(not isinstance(result, NotAOF))
+        for count in (chart.n - 1, chart.n):
+            divisors = [form_basis(frame, name) for name in chart.horizontal[:count]]
+            if divisors:
+                division = form_division(form, divisors)
+                assert division == reference_form_division(form, divisors)
+                divided.add(division.divisible)
+    assert solved == {True, False}
+    assert divided == {True, False}
+
+
+def test_copolar_membership_matches_the_dense_reference():
+    """Every Maxwell copolarization degree: the generators, polynomial
+    combinations of them, and random forms; both outcomes."""
+    cop = maxwell_copolarization()
+    chart = cop.chart
+    frame = chart.frame
+    sampler = RationalSampler(31)
+    outcomes = set()
+    for p in range(1, chart.n + 1):
+        gens = cop.degree(p)
+        forms = list(gens) + [random_form(frame, p, sampler) for _ in range(3)]
+        for _ in range(3):
+            combination = PolyForm.zero(frame, p)
+            for g in sampler.sample(gens, min(3, len(gens))):
+                combination = combination + g.scale(sampler.polynomial(frame.names, max_degree=1, n_terms=2))
+            forms.append(combination)
+        if p == chart.n:
+            forms += [random_aof_like_candidate(chart, sampler, kind) for kind in range(4)]
+        for mu in forms:
+            result = copolar_membership(cop, mu)
+            assert result == reference_copolar_membership(cop, mu)
+            outcomes.add(result[0])
+    assert outcomes == {True, False}
 
 
 # -- minors against the full wedge expansion ----------------------------------
