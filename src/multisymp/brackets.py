@@ -39,7 +39,7 @@ from .exterior import (
     lie_bracket,
     wedge,
 )
-from .linalg import Span
+from .linalg import LinearSolver
 from .observables import AOFTensor, Copolarization, NotAOF, aof_solve
 
 
@@ -296,7 +296,7 @@ def form_division(phi: PolyForm, divisors: Sequence[PolyForm]) -> DivisionResult
 
     chi_keys = all_index_tuples(frame.dim, chi_degree)
     w_num = {k: c.constant_value() for k, c in w.terms.items()}
-    span = Span([_wedge_terms(w_num, {key: Fraction(1)}) for key in chi_keys])
+    span = LinearSolver([_wedge_terms(w_num, {key: Fraction(1)}) for key in chi_keys])
     solution, residual = span.solve(phi.terms, frame.poly_zero())
     if residual:
         return DivisionResult(quotient=None, residual=PolyForm(frame, phi.degree, residual), unique=False)

@@ -44,7 +44,7 @@ from .exterior import (
     _wedge_terms,
     eval_terms,
 )
-from .linalg import RowBasis, nullspace, sparse_minor
+from .linalg import RowBasis, column_space_rref, nullspace, sparse_minor
 
 
 class NoSolutionInFamily(Exception):
@@ -723,12 +723,8 @@ def pseudofiber_directions(
 
 
 def annihilator_span(directions: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Canonical basis (RREF rows) of the span, for comparing two direction
-    sets: two spans are equal iff their canonical bases are equal."""
-    basis = RowBasis(len(directions[0]) if directions else 0)
-    for vector in directions:
-        basis.add(vector)
-    return basis.rows
+    """Canonical basis of the span, for comparing two direction sets."""
+    return column_space_rref(directions)
 
 
 def pseudofiber_integrand_check(

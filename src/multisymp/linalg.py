@@ -3,14 +3,15 @@
 `RowBasis` is the one elimination routine: Gaussian elimination with
 Fraction entries into an incrementally maintained reduced row echelon
 basis (no pivot-size heuristics are needed since arithmetic is exact).
-`nullspace` reads kernels off it.  `Span` solves in the span of fixed
-sparse rational columns for many targets whose entries may be Fractions
-*or* Polynomials (anything a Fraction can multiply), which is how the
-constant-coefficient contraction, copolarization and division systems are
-solved with symbolic targets; every solution is checked against the full
-system by exact reconstruction.  `sparse_minor` is the one determinant
-routine: exact cofactor expansion over sparse rows with memoized
-sub-minors.
+`nullspace`, `rref` and `column_space_rref` read kernels, the transform
+E with E A = RREF(A), and canonical span bases off it.  `LinearSolver`
+solves in the span of fixed sparse rational columns for many targets
+whose entries may be Fractions *or* Polynomials (anything a Fraction can
+multiply), which is how the constant-coefficient contraction,
+copolarization and division systems are solved with symbolic targets;
+every solution is checked against the full system by exact
+reconstruction.  `sparse_minor` is the one determinant routine: exact
+cofactor expansion over sparse rows with memoized sub-minors.
 """
 
 from __future__ import annotations
@@ -89,19 +90,47 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis.nullspace()
 
 
-class Span:
+def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list, list, list[int]]:
+    """Reduced row echelon form, from one `RowBasis` fed the rows with
+    unit vectors appended.
+
+    Returns (R, E, pivots): the nonzero rows R of RREF(A), E with
+    E @ A = R, and the pivot column of each row of R.  E is unique when
+    the rows of A are independent.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    basis = RowBasis(cols + rows)
+    for i, row in enumerate(matrix):
+        basis.add(list(row) + [Fraction(int(i == j)) for j in range(rows)])
+    rank = sum(p < cols for p in basis.pivots)
+    kept = basis.rows[:rank]
+    return [r[:cols] for r in kept], [r[cols:] for r in kept], basis.pivots[:rank]
+
+
+def column_space_rref(vectors: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Canonical basis (RREF rows) of the span of the given vectors.
+
+    Useful for comparing subspaces exactly: two spans are equal iff their
+    canonical bases are equal.
+    """
+    basis = RowBasis(len(vectors[0]) if vectors else 0)
+    for vector in vectors:
+        basis.add(vector)
+    return basis.rows
+
+
+class LinearSolver:
     """The span of fixed sparse rational columns (key -> Fraction dicts),
     factored once to solve `sum_j x_j columns[j] = target` for many
     targets.
 
     Target entries may be Fractions or Polynomials; the coefficients come
     back in the same ring, with free variables set to zero.  Rows are
-    picked in first-seen key order by one `RowBasis`.  A second one, fed
-    the picked rows with unit vectors appended, yields E with
-    E A = RREF(A) on those rows: they are independent, so every pivot
-    falls in the A block and E is unique.  Only the picked rows are
-    solved, so `solve` checks the answer on every key by exact
-    reconstruction.
+    picked in first-seen key order by one `RowBasis` and factored by
+    `rref`: they are independent, so every pivot falls on a column and E
+    is unique.  Only the picked rows are solved, so `solve` checks the
+    answer on every key by exact reconstruction.
     """
 
     def __init__(self, columns: Sequence[Mapping[Hashable, Fraction]]):
@@ -118,11 +147,7 @@ class Span:
             if basis.rank == width:
                 break
         self.rank = basis.rank
-        factor = RowBasis(width + self.rank)
-        for i, row in enumerate(picked):
-            factor.add(row + [Fraction(int(i == j)) for j in range(self.rank)])
-        self.pivots = factor.pivots
-        self.inverse = [row[width:] for row in factor.rows]
+        _, self.inverse, self.pivots = rref(picked)
 
     def solve(self, target: Mapping, zero) -> tuple[list, dict]:
         """Coefficients x of the target, and the nonzero entries of the

@@ -37,7 +37,7 @@ from .exterior import (
     vector_basis,
     wedge,
 )
-from .linalg import Span
+from .linalg import LinearSolver
 
 # ---------------------------------------------------------------------------
 # Hamilton vector fields of (n-1)-forms
@@ -54,10 +54,10 @@ class NotAOF:
         return False
 
 
-_SOLVER_CACHE: dict[int, tuple[Chart, Span]] = {}
+_SOLVER_CACHE: dict[int, tuple[Chart, LinearSolver]] = {}
 
 
-def contraction_solver(chart: Chart) -> Span:
+def contraction_solver(chart: Chart) -> LinearSolver:
     """The span of the contractions e_j . Omega, cached per chart (constant
     Omega makes it global; nondegeneracy makes the columns independent and
     the Hamilton vector field unique).  Solutions are checked against the
@@ -69,7 +69,7 @@ def contraction_solver(chart: Chart) -> Span:
         return hit[1]
     if not omega_is_constant(chart):
         raise ValueError("Hamilton vector solving needs a constant-coefficient Omega")
-    span = Span(contraction_columns(chart))
+    span = LinearSolver(contraction_columns(chart))
     if span.rank < chart.frame.dim:
         raise ValueError("Omega is degenerate; Hamilton vector fields are not unique")
     _SOLVER_CACHE[key] = (chart, span)
@@ -91,8 +91,7 @@ def aof_solve(chart: Chart, observable: PolyForm) -> PolyMultivector | NotAOF:
     """Hamilton vector field of an (n-1)-form: dF + xi . Omega = 0."""
     if observable.degree != chart.n - 1:
         raise ValueError(f"expected an (n-1)-form, got degree {observable.degree}")
-    result = solve_contraction(chart, -ext_d(observable))
-    return result
+    return solve_contraction(chart, -ext_d(observable))
 
 
 def is_of(
@@ -231,7 +230,7 @@ def copolar_membership(copol: Copolarization, mu: PolyForm) -> tuple[bool, list[
     if not 1 <= p <= copol.chart.n:
         return False, None
     gens = copol.degree(p)
-    span = Span([{key: coeff.constant_value() for key, coeff in g.terms.items()} for g in gens])
+    span = LinearSolver([{key: coeff.constant_value() for key, coeff in g.terms.items()} for g in gens])
     solution, residual = span.solve(mu.terms, copol.chart.frame.poly_zero())
     if residual:
         return False, None

@@ -29,7 +29,8 @@ from multisymp.exterior import (
     vector_basis,
     wedge,
 )
-from multisymp.linalg import Span, nullspace, sparse_minor
+from multisymp import linalg
+from multisymp.linalg import nullspace, sparse_minor
 from multisymp.observables import NotAOF, copolar_membership, maxwell_copolarization, solve_contraction
 
 COLUMNS = 7
@@ -141,10 +142,12 @@ def test_nullspace_of_integer_rows_is_fractions():
     assert all(type(v) is Fraction for row in annihilator_span([[2, 4], [1, 3]]) for v in row)
 
 
-# -- the span solver against the deleted dense solver ----------------------------
+# -- the span solver against the old dense solver --------------------------------
 #
-# `rref`, `LinearSolver` and `column_space_rref` are the dense solver that
-# `Span` and `RowBasis` replaced, kept verbatim as the reference.
+# `rref`, `LinearSolver` and `column_space_rref` below are the old dense
+# solver, kept verbatim as the reference; `linalg.LinearSolver`, `linalg.rref`
+# and `linalg.column_space_rref` are the span solver built on `RowBasis` that
+# replaced it.
 
 Matrix = list[list[Fraction]]
 
@@ -300,7 +303,7 @@ def test_span_solve_matches_the_dense_reference(problem):
     """Same picked rows and coefficients as the dense solver; the residual
     is exactly what the reference's reconstruction leaves over."""
     columns, target, zero, in_span = problem
-    span = Span(columns)
+    span = linalg.LinearSolver(columns)
     coefficients, residual = span.solve(target, zero)
     picked = reference_rows(columns)
     assert span.keys == picked
@@ -321,7 +324,23 @@ def test_span_solve_matches_the_dense_reference(problem):
 @given(sparse_matrices())
 @settings(max_examples=150, deadline=None)
 def test_row_basis_rows_are_the_canonical_rref(matrix):
-    assert annihilator_span(matrix) == column_space_rref(matrix)
+    assert annihilator_span(matrix) == linalg.column_space_rref(matrix) == column_space_rref(matrix)
+
+
+@given(sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_the_dense_reference(matrix):
+    """Same RREF rows and pivots as the dense reference, E @ A == R, and
+    the same E as the reference when the rows are independent (E is then
+    unique)."""
+    r, e, pivots = linalg.rref(matrix)
+    ref_r, ref_e, ref_pivots = rref(matrix)
+    assert pivots == ref_pivots
+    assert r == ref_r[: len(ref_pivots)]
+    cols = len(matrix[0]) if matrix else 0
+    assert [[sum(x * row[j] for x, row in zip(e_row, matrix)) for j in range(cols)] for e_row in e] == r
+    if len(pivots) == len(matrix):
+        assert e == ref_e
 
 
 # -- the callers against the dense reference on the built-in charts ---------------
