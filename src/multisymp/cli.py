@@ -16,7 +16,8 @@ least one check failed, 2 input error.
 Forms read from input (form arguments, the forms stored in a report, and
 the omega, theta and hamiltonian of a chart spec file) may raise a
 coordinate to at most the power MAX_EXPONENT in any term of a coefficient;
-a larger exponent is an input error.
+a larger exponent is an input error.  `observable` takes at most
+MAX_POINTS points and MAX_SAMPLES samples per family and point.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
 # grow with e (`q1^30000000` runs for minutes), and no form on the charts
 # here needs a high degree, so input forms are capped well below that.
 MAX_EXPONENT = 64
+
+# `observable` draws every point before it judges anything and samples each
+# observability family `--samples` times at every point, so both counts are
+# capped: far above what a sampled verdict gains from (the default is 4
+# samples at 3 points), far below a run that does not end.
+MAX_SAMPLES = 64
+MAX_POINTS = 64
 
 
 def check_exponents(coefficients) -> None:
@@ -215,9 +223,9 @@ def cmd_observable(args) -> int:
                 f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}"
             )
         point = _parse_point(args.point, chart.dim) if args.point else None
-        for flag, count in (("--points", args.points), ("--samples", args.samples)):
-            if count < 1:
-                raise ValueError(f"{flag} must be at least 1, got {count}")
+        for flag, count, limit in (("--points", args.points, MAX_POINTS), ("--samples", args.samples, MAX_SAMPLES)):
+            if not 1 <= count <= limit:
+                raise ValueError(f"{flag} must be between 1 and {limit}, got {count}")
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

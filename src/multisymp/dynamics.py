@@ -19,7 +19,11 @@ the observability property quantifies over, so the sampler never
 recomputes a contraction.  Its pairings are computed on the form's
 support: only the parameters of columns the form reads enter the factors,
 and a direction that is zero on all of them is counted as a sample
-without being evaluated, since it cannot change the value.
+without being evaluated, since it cannot change the value.  They run over
+Python integers: the form, the kernel directions and each sample are held
+as integer numerators over one common denominator, every factor of X is
+scaled by the denominator of its parameter values, and a pairing builds
+one `Fraction` from its integer minor sum.
 
 For solving the Hamilton equation the free coordinates are all
 non-selected directions and the polynomial system is reduced by
@@ -31,7 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from math import lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .algebra import Polynomial, RationalSampler
 from .charts import Chart
@@ -472,11 +478,13 @@ class OFVerdict:
     failed_point: tuple[Fraction, ...] | None = None
 
 
-def decomposable_pairing(factors: Sequence[Terms], form_num: Terms) -> Fraction:
-    """<X_1 ^ ... ^ X_n, a> from the factors by minors."""
+def decomposable_pairing(factors: Sequence[Terms], form_num: Terms, zero=Fraction(0)):
+    """<X_1 ^ ... ^ X_n, a> from the factors by minors, in the ring of the
+    entries; `zero` is that ring's zero, returned when no key of the form
+    has a nonzero minor (`int` 0 for integer factors and form)."""
     rows, present = _factor_rows(factors)
-    memo: dict[tuple[int, ...], Fraction] = {}
-    acc = Fraction(0)
+    memo: dict = {}
+    acc = zero
     for key, coeff in form_num.items():
         if not present.issuperset(key):
             continue
@@ -515,8 +523,16 @@ def of_sampling_test(
     the factors are built from those alone.  A direction that is zero on
     every active parameter leaves a(X) exactly unchanged; it still draws
     its scale and counts as a sample, but no pairing is evaluated for it.
-    Every draw, sample count, verdict and counterexample is the one the
-    full factors give.
+
+    The arithmetic is over the integers.  The evaluated form is cleared of
+    denominators once per call (a = a_int / a_den), the active kernel
+    directions once per family, and each sample's base and perturbed
+    values are held as integer numerators over one denominator D.  The
+    factors of X are then integer rows with horizontal entries D, so
+    `decomposable_pairing` on them returns a_den * D**n * a(X), and the
+    value is `Fraction(result, a_den * D**n)`: one `Fraction` per pairing.
+    Every draw, sample count, verdict and counterexample (with `Fraction`
+    values) is the one the full `Fraction` factors give.
     """
     if a.degree != chart.n:
         raise ValueError(f"candidate form must have degree n = {chart.n}")
@@ -526,6 +542,9 @@ def of_sampling_test(
     omega = OmegaContraction(eval_terms(chart.omega.terms, point))
     a_num = eval_terms(a.terms, point)
     support = set().union(*a_num)
+    a_den, a_nums = _numerators(a_num.values())
+    a_int = dict(zip(a_num, a_nums))
+    n = chart.n
     sampler = RationalSampler(seed)
     names = chart.frame.names
     samples_used = 0
@@ -543,35 +562,48 @@ def of_sampling_test(
             raise DegenerateSystem("contraction is not affine on this family")
         active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
         active_keys = [(slot, (c,)) for slot, c in (family.params[pos] for pos in active)]
-        fixed = [{(h,): Fraction(1)} if h in support else {} for h in horizontal]
-        kernel_active = [tuple(vec[pos] for pos in active) for vec in kernel]
+        held = [h in support for h in horizontal]
+        kernel_den, flat = _numerators([vec[pos] for vec in kernel for pos in active])
+        width = len(active)
+        kernel_nums = [flat[i * width : (i + 1) * width] for i in range(len(kernel))]
 
-        def pairing(values: Sequence[Fraction]) -> Fraction:
-            factors = [dict(f) for f in fixed]
-            for (slot, key), v in zip(active_keys, values):
+        def pairing(nums: Sequence[int], den: int) -> Fraction:
+            """a(X) at the active parameter values nums / den: every
+            factor is scaled by den, so the integer pairing is
+            a_den * den**n times the value."""
+            factors = [{(h,): den} if keep else {} for h, keep in zip(horizontal, held)]
+            for (slot, key), v in zip(active_keys, nums):
                 if v:
                     factors[slot][key] = v
-            return decomposable_pairing(factors, a_num)
+            return Fraction(decomposable_pairing(factors, a_int, 0), a_den * den**n)
 
         for _ in range(sample_count):
             base_params = tuple(sampler.rational() for _ in range(nparams))
-            base_active = [base_params[pos] for pos in active]
+            base_den, base_nums = _numerators([base_params[pos] for pos in active])
             value = None
-            directions = list(kernel_active)
+            directions = [(kernel_den, nums) for nums in kernel_nums]
             if len(kernel) > 1:
                 coeffs = [sampler.rational() for _ in kernel]
-                directions.append(_mix(coeffs, kernel_active, len(active)))
-            for index, direction in enumerate(directions):
+                coeff_den, coeff_nums = _numerators(coeffs)
+                mix = [sum(map(mul, coeff_nums, column)) for column in zip(*kernel_nums)]
+                directions.append((coeff_den * kernel_den, mix))
+            for index, (den, direction) in enumerate(directions):
                 scale = sampler.nonzero()
                 samples_used += 1
                 if not any(direction):
                     continue
                 if value is None:
-                    value = pairing(base_active)
-                perturbed = [b + scale * d if d else b for b, d in zip(base_active, direction)]
-                value_perturbed = pairing(perturbed)
+                    value = pairing(base_nums, base_den)
+                # base + scale * direction over base_den * scale.denominator * den
+                b_factor = scale.denominator * den
+                d_factor = scale.numerator * base_den
+                perturbed = [b * b_factor + d * d_factor for b, d in zip(base_nums, direction)]
+                value_perturbed = pairing(perturbed, base_den * b_factor)
                 if value_perturbed != value:
-                    full = kernel[index] if index < len(kernel) else _mix(coeffs, kernel, nparams)
+                    if index < len(kernel):
+                        full = kernel[index]
+                    else:
+                        full = tuple(sum(map(mul, coeffs, column), Fraction(0)) for column in zip(*kernel))
                     return OFVerdict(
                         passed=False,
                         samples_used=samples_used,
@@ -588,13 +620,11 @@ def of_sampling_test(
     return OFVerdict(passed=True, samples_used=samples_used)
 
 
-def _mix(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]], length: int) -> tuple[Fraction, ...]:
-    """sum of coeffs[i] * vectors[i], each vector of the given length."""
-    mix = [Fraction(0)] * length
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            mix = [m + c * v if v else m for m, v in zip(mix, vec)]
-    return tuple(mix)
+def _numerators(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator of rationals and their numerators over it."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def recheck_of_counterexample(chart: Chart, a: PolyForm, point: Sequence[Fraction], ce: OFCounterexample) -> bool:

@@ -11,13 +11,17 @@ multiply), which is how the constant-coefficient contraction,
 copolarization and division systems are solved with symbolic targets;
 every solution is checked against the full system by exact
 reconstruction.  `sparse_minor` is the one determinant routine: exact
-cofactor expansion over sparse rows with memoized sub-minors.
+cofactor expansion over sparse rows with memoized sub-minors, over any
+ring whose elements mix with `int` 0 and 1 under `+`, `-` and `*` (int,
+Fraction, Polynomial), so integer rows stay in Python integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence, TypeVar
+
+Ring = TypeVar("Ring")
 
 
 class RowBasis:
@@ -170,11 +174,7 @@ class LinearSolver:
         return coefficients, {key: r for key, r in residual.items() if r}
 
 
-def sparse_minor(
-    rows: Sequence[Mapping[int, Fraction]],
-    columns: tuple[int, ...],
-    memo: dict[tuple[int, ...], Fraction],
-) -> Fraction:
+def sparse_minor(rows: Sequence[Mapping[int, Ring]], columns: tuple[int, ...], memo: dict[tuple[int, ...], Ring]) -> Ring:
     """Determinant of the square submatrix on the first len(columns) rows
     and the given columns, with rows stored sparsely as column -> value.
 
@@ -182,15 +182,19 @@ def sparse_minor(
     entries.  Sub-minors are memoized by their column tuple, which together
     with its length names the submatrix, so one memo may be shared by all
     minors of the same rows.
+
+    Generic in the ring of the entries: the empty minor is `int` 1 and a
+    sum without terms is `int` 0, so integer rows give `int` minors, and
+    a minor with at least one nonzero term is in the ring of the entries.
     """
     size = len(columns)
     if not size:
-        return Fraction(1)
+        return 1
     hit = memo.get(columns)
     if hit is not None:
         return hit
     row = rows[size - 1]
-    total = Fraction(0)
+    total = 0
     for pos, col in enumerate(columns):
         entry = row.get(col)
         if not entry:

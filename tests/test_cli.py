@@ -224,6 +224,37 @@ def test_observable_rejects_non_positive_counts(capsys, flags):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")
 
 
+def test_observable_rejects_oversized_counts():
+    """`--samples 100000` on the volume form ran for more than 20 s, and
+    `--points N` draws all N points before anything is judged, so counts
+    above the limits are refused before any point is drawn.  Run as a
+    subprocess so a regression times out instead of hanging the suite; no
+    count tried here allocates much even when it is accepted."""
+    from multisymp.cli import MAX_POINTS, MAX_SAMPLES
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for flag, count, limit in [("--samples", 100000, MAX_SAMPLES), ("--samples", MAX_SAMPLES + 1, MAX_SAMPLES),
+                               ("--points", MAX_POINTS + 1, MAX_POINTS)]:
+        done = subprocess.run(
+            [sys.executable, "-m", "multisymp", "observable", "lepage-dedecker:2,3", "--form", "@volume-primitive",
+             flag, str(count)],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
+        assert f"between 1 and {limit}, got {count}" in done.stderr
+
+
+def test_observable_accepts_the_largest_counts(capsys):
+    from multisymp.cli import MAX_POINTS, MAX_SAMPLES
+
+    code, report = run(capsys, "observable", "lepage-dedecker:2,2", "--form", _NOT_OF_FORM,
+                       "--points", str(MAX_POINTS), "--samples", str(MAX_SAMPLES))
+    assert code == 1
+    assert {c["check_id"]: c["status"] for c in report["checks"]}["of"] == "fail"
+
+
 def test_recheck_rejects_a_file_that_is_not_a_report(capsys, tmp_path):
     for name, content in [("config.json", (SCRIPTS / "linear_smeared.json").read_text()),
                           ("list.json", "[1, 2]"),

@@ -350,6 +350,28 @@ def test_support_restricted_sampler_matches_full_factors(label):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("label", ["lepage-dedecker:2,2", "lepage-dedecker:2,3"])
+def test_integer_pairings_are_byte_identical_at_the_audit_configuration(label):
+    """The sampler's integer-numerator pairings give the verdict of the
+    full-factor `Fraction` loop byte for byte (same `Fraction` values and
+    sample counts in the repr), at the audit's sample count, on 20 seeded
+    points with a candidate of every kind at each."""
+    chart = builtin_chart(label)
+    outcomes = set()
+    for seed in range(20):
+        sampler = RationalSampler(1000 + seed)
+        point = sampler.point(chart.dim)
+        for kind in range(4):
+            form = random_aof_like_candidate(chart, sampler, kind)
+            if not form:
+                continue
+            trial = 4 * seed + kind
+            verdict = of_sampling_test(chart, form, point, sample_count=5, seed=trial)
+            assert repr(verdict) == repr(_full_factor_sampler(chart, form, point, 5, trial))
+            outcomes.add(verdict.passed)
+    assert outcomes == {True, False}
+
+
 # -- decomposability identities ---------------------------------------------------
 
 

@@ -59,8 +59,11 @@ entries = st.one_of(
 )
 
 
+integer_entries = st.one_of(st.none(), st.just(0), st.integers(-30, 30))
+
+
 @st.composite
-def sparse_rows(draw, max_size=5):
+def sparse_rows(draw, max_size=5, entries=entries):
     """Up to max_size sparse rows over COLUMNS columns, with absent and
     explicitly zero entries."""
     size = draw(st.integers(0, max_size))
@@ -76,6 +79,22 @@ def sparse_rows(draw, max_size=5):
 def test_sparse_minor_matches_permutation_expansion(rows, data):
     columns = tuple(sorted(data.draw(st.sets(st.integers(0, COLUMNS - 1), min_size=len(rows), max_size=len(rows)))))
     assert sparse_minor(rows, columns, {}) == permutation_det(rows, columns)
+
+
+@given(sparse_rows(entries=integer_entries), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_minor_stays_in_the_integers(rows, data):
+    """Integer rows give an `int` minor, equal to the oracle and to the
+    minor of the same rows as Fractions.  A nonzero minor of Fraction rows
+    is a Fraction, except the empty minor, which is `int` 1 in any ring."""
+    columns = tuple(sorted(data.draw(st.sets(st.integers(0, COLUMNS - 1), min_size=len(rows), max_size=len(rows)))))
+    minor = sparse_minor(rows, columns, {})
+    assert type(minor) is int
+    assert minor == permutation_det(rows, columns)
+    as_fractions = sparse_minor([{c: Fraction(v) for c, v in row.items()} for row in rows], columns, {})
+    assert as_fractions == minor
+    if rows and minor:
+        assert type(as_fractions) is Fraction
 
 
 @given(sparse_rows(max_size=4))
@@ -465,3 +484,27 @@ def test_minor_contraction_and_pairing_match_the_wedge_expansion(label):
             assert omega.of_factors(factors) == contraction_form(expanded, omega_num)
             form_num = {key: sampler.nonzero() for key in sampler.sample(keys, min(12, len(keys)))}
             assert decomposable_pairing(factors, form_num) == (_pair_terms(expanded, form_num) or Fraction(0))
+
+
+def test_fraction_factors_give_fraction_pairings_and_contractions():
+    """The minor routine is ring-generic, but its `Fraction` callers still
+    answer in `Fraction`, also for a form whose keys all miss the factors
+    (there no minor is taken at all)."""
+    chart = builtin_chart("lepage-dedecker:2,2")
+    sampler = RationalSampler(13)
+    point = sampler.point(chart.dim)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, point))
+    base = chart.frame.base_indices()
+    family = observability_family(chart, base[-chart.n :])
+    params = [sampler.rational() for _ in family.params]
+    factors = family.factors(params)
+    expanded = family.expand(params)
+    contraction = omega.of_factors(factors)
+    assert contraction and all(type(v) is Fraction for v in contraction.values())
+    missed = tuple(base[: chart.n])
+    met = {key: sampler.nonzero() for key in combinations(family.horizontal + family.free[:2], chart.n)}
+    for form_num in ({}, {missed: Fraction(3)}, met, {**met, missed: Fraction(-1)}):
+        value = decomposable_pairing(factors, form_num)
+        assert type(value) is Fraction
+        assert value == (_pair_terms(expanded, form_num) or Fraction(0))
+    assert decomposable_pairing(factors, {missed: Fraction(3)}) == 0 != decomposable_pairing(factors, met)
