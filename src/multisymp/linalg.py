@@ -174,7 +174,11 @@ class LinearSolver:
         return coefficients, {key: r for key, r in residual.items() if r}
 
 
-def sparse_minor(rows: Sequence[Mapping[int, Ring]], columns: tuple[int, ...], memo: dict[tuple[int, ...], Ring]) -> Ring:
+def sparse_minor(
+    rows: Sequence[Mapping[int, Ring]],
+    columns: tuple[int, ...],
+    memo: dict[tuple[int, ...], Ring],
+) -> Ring:
     """Determinant of the square submatrix on the first len(columns) rows
     and the given columns, with rows stored sparsely as column -> value.
 
