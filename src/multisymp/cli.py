@@ -89,10 +89,13 @@ MAX_EXPONENT = 64
 
 # `observable` draws every point before it judges anything and samples each
 # observability family `--samples` times at every point, so both counts are
-# capped: far above what a sampled verdict gains from (the default is 4
-# samples at 3 points), far below a run that does not end.
-MAX_SAMPLES = 64
-MAX_POINTS = 64
+# capped, at four times the default of 4 samples and five times the default
+# of 3 points.  A passing form runs every point, family and sample: on the
+# largest built-in chart, `observable maxwell --form @volume-primitive`
+# takes about 5 s at 16 points and 16 samples, and about 50 s at 64 and 64
+# (2-vCPU Xeon, CPython 3.11).
+MAX_SAMPLES = 16
+MAX_POINTS = 16
 
 
 def check_exponents(coefficients) -> None:

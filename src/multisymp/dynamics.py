@@ -478,20 +478,20 @@ class OFVerdict:
     failed_point: tuple[Fraction, ...] | None = None
 
 
-def decomposable_pairing(factors: Sequence[Terms], form_num: Terms, zero=Fraction(0)):
+def decomposable_pairing(factors: Sequence[Terms], form_num: Terms):
     """<X_1 ^ ... ^ X_n, a> from the factors by minors, in the ring of the
-    entries; `zero` is that ring's zero, returned when no key of the form
-    has a nonzero minor (`int` 0 for integer factors and form)."""
+    entries (an `int` for integer factors and form); `Fraction(0)` when no
+    key of the form has a nonzero minor."""
     rows, present = _factor_rows(factors)
     memo: dict = {}
-    acc = zero
+    acc = 0
     for key, coeff in form_num.items():
         if not present.issuperset(key):
             continue
         minor = sparse_minor(rows, key, memo)
         if minor:
             acc += coeff * minor
-    return acc
+    return acc or Fraction(0)
 
 
 def of_sampling_test(
@@ -575,7 +575,7 @@ def of_sampling_test(
             for (slot, key), v in zip(active_keys, nums):
                 if v:
                     factors[slot][key] = v
-            return Fraction(decomposable_pairing(factors, a_int, 0), a_den * den**n)
+            return Fraction(decomposable_pairing(factors, a_int), a_den * den**n)
 
         for _ in range(sample_count):
             base_params = tuple(sampler.rational() for _ in range(nparams))

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import random_aof_like_candidate, random_constant_vector
+from multisymp import dynamics
 from multisymp.algebra import Polynomial, RationalSampler
 from multisymp.charts import (
     builtin_chart,
@@ -331,45 +332,76 @@ def _full_factor_sampler(chart, a, point, sample_count, seed):
 @pytest.mark.parametrize("label", CLI_CORPUS_CHARTS)
 def test_support_restricted_sampler_matches_full_factors(label):
     """Same verdict, sample count, counterexample and failed point as the
-    full-factor loop, on the volume form and candidates of all four kinds;
-    on the audit charts, more candidates at the audit's sample count."""
+    full-factor `Fraction` loop, byte for byte (the reprs show every value's
+    type), on the volume form and candidates of all four kinds; on the
+    audit charts, at the audit's sample count on 20 seeded points."""
     chart = builtin_chart(label)
-    sampler = RationalSampler(71)
-    point = sampler.point(chart.dim)
     audit = label.startswith("lepage-dedecker:2,")
-    kinds = list(range(4)) * (3 if audit else 1)
-    forms = [chart.volume_form()] + [random_aof_like_candidate(chart, sampler, kind) for kind in kinds]
     sample_count = 5 if audit else 2
     outcomes = set()
-    for trial, form in enumerate(form for form in forms if form):
-        verdict = of_sampling_test(chart, form, point, sample_count=sample_count, seed=trial)
-        assert repr(verdict) == repr(_full_factor_sampler(chart, form, point, sample_count, trial))
-        outcomes.add(verdict.passed)
-        if not verdict.passed:
-            assert recheck_of_counterexample(chart, form, point, verdict.counterexample)
-    assert outcomes == {True, False}
-
-
-@pytest.mark.parametrize("label", ["lepage-dedecker:2,2", "lepage-dedecker:2,3"])
-def test_integer_pairings_are_byte_identical_at_the_audit_configuration(label):
-    """The sampler's integer-numerator pairings give the verdict of the
-    full-factor `Fraction` loop byte for byte (same `Fraction` values and
-    sample counts in the repr), at the audit's sample count, on 20 seeded
-    points with a candidate of every kind at each."""
-    chart = builtin_chart(label)
-    outcomes = set()
-    for seed in range(20):
-        sampler = RationalSampler(1000 + seed)
+    trial = 0
+    for offset in range(20 if audit else 1):
+        sampler = RationalSampler(71 + offset)
         point = sampler.point(chart.dim)
-        for kind in range(4):
-            form = random_aof_like_candidate(chart, sampler, kind)
+        forms = [chart.volume_form()] + [random_aof_like_candidate(chart, sampler, kind) for kind in range(4)]
+        for form in forms:
             if not form:
                 continue
-            trial = 4 * seed + kind
-            verdict = of_sampling_test(chart, form, point, sample_count=5, seed=trial)
-            assert repr(verdict) == repr(_full_factor_sampler(chart, form, point, 5, trial))
+            verdict = of_sampling_test(chart, form, point, sample_count=sample_count, seed=trial)
+            assert repr(verdict) == repr(_full_factor_sampler(chart, form, point, sample_count, trial))
             outcomes.add(verdict.passed)
+            if not verdict.passed:
+                assert recheck_of_counterexample(chart, form, point, verdict.counterexample)
+            trial += 1
     assert outcomes == {True, False}
+
+
+def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatch):
+    """No seeded candidate fails first on the mixed kernel direction, so an
+    observable form is made to fail there: the sampler's pairing on that
+    direction is negated.  The integer factors it pairs are those of
+    base + scale * mix scaled by one denominator, and the counterexample
+    carries sum_i c_i kernel_i in `Fraction`s and the values the full
+    `Fraction` factors give, at the base and (negated) at the perturbation."""
+    chart = builtin_chart("lepage-dedecker:2,2")
+    sampler = RationalSampler(300)
+    point = tuple(sampler.point(chart.dim))
+    form = hook(random_constant_vector(chart.frame, sampler), chart.omega)
+    a_num = eval_terms(form.terms, point)
+    horizontal = next(combinations(chart.frame.base_indices(), chart.n))
+    family = observability_family(chart, horizontal)
+    kernel, _ = _family_step_data(chart, family, point, OmegaContraction(eval_terms(chart.omega.terms, point)))
+    # the draws of the first sample, in the sampler's order
+    draws = RationalSampler(0)
+    base_params = tuple(draws.rational() for _ in family.params)
+    coeffs = [draws.rational() for _ in kernel]
+    scale = [draws.nonzero() for _ in range(len(kernel) + 1)][-1]
+    mix = tuple(sum((c * v for c, v in zip(coeffs, column)), Fraction(0)) for column in zip(*kernel))
+    value = decomposable_pairing(family.factors(base_params), a_num)
+    perturbed = [b + scale * d for b, d in zip(base_params, mix)]
+    # every parameter is active and every direction moves, so the sample
+    # pairs the base, each kernel direction and then the mix
+    assert set().union(*a_num) >= set(family.free)
+    assert len(kernel) > 1 and all(any(vec) for vec in kernel) and any(mix)
+    assert decomposable_pairing(family.factors(perturbed), a_num) == value != 0
+
+    real = dynamics.decomposable_pairing
+    calls = []
+
+    def negate_the_mixed_pairing(factors, form_num):
+        calls.append(factors)
+        result = real(factors, form_num)
+        return -result if len(calls) == len(kernel) + 2 else result
+
+    monkeypatch.setattr(dynamics, "decomposable_pairing", negate_the_mixed_pairing)
+    verdict = of_sampling_test(chart, form, point, sample_count=1, seed=0)
+    assert len(calls) == len(kernel) + 2
+    unscaled = [{key: Fraction(v, factor[(h,)]) for key, v in factor.items()} for h, factor in zip(horizontal, calls[-1])]
+    assert unscaled == family.factors(perturbed)
+    names = tuple(chart.frame.names[i] for i in horizontal)
+    expected = OFVerdict(False, len(kernel) + 1, OFCounterexample(names, base_params, mix, scale, value, -value), point)
+    assert repr(verdict) == repr(expected)
+    assert all(type(v) is Fraction for v in verdict.counterexample.kernel_direction)
 
 
 # -- decomposability identities ---------------------------------------------------
