@@ -251,11 +251,10 @@ class Polynomial:
         """Exact evaluation at a rational point (one value per variable)."""
         if len(point) != len(self.variables):
             raise ValueError(f"point has length {len(point)}, expected {len(self.variables)}")
-        values = [Fraction(v) for v in point]
         total = Fraction(0)
         for expo, coeff in self.terms.items():
             term = coeff
-            for e, v in zip(expo, values):
+            for e, v in zip(expo, point):
                 if e:
                     term *= v**e
             total += term
@@ -263,24 +262,12 @@ class Polynomial:
 
     def subs(self, assignment: Mapping[str, "Polynomial | Fraction | int"]) -> Polynomial:
         """Substitute polynomials (over the same variable tuple) for variables."""
-        out = Polynomial(self.variables)
-        rebuilt: dict[str, Polynomial] = {}
+        images = {name: Polynomial.var(self.variables, name) for name in self.used_variables()}
         for name, value in assignment.items():
             if name not in self.variables:
                 raise KeyError(f"unknown variable {name!r}")
-            rebuilt[name] = value if isinstance(value, Polynomial) else Polynomial.const(self.variables, value)
-        for expo, coeff in self.terms.items():
-            term = Polynomial.const(self.variables, coeff)
-            for idx, e in enumerate(expo):
-                if not e:
-                    continue
-                name = self.variables[idx]
-                if name in rebuilt:
-                    term = term * rebuilt[name] ** e
-                else:
-                    term = term * Polynomial.var(self.variables, name) ** e
-            out = out + term
-        return out
+            images[name] = value if isinstance(value, Polynomial) else Polynomial.const(self.variables, value)
+        return self.transplant(self.variables, images)
 
     def transplant(self, variables: Sequence[str], assignment: Mapping[str, "Polynomial"]) -> Polynomial:
         """Rewrite onto a new variable tuple, sending each old variable to a
@@ -327,12 +314,13 @@ class Polynomial:
                     used.add(self.variables[idx])
         return used
 
-    def coefficient_of(self, name: str, power: int = 1) -> Polynomial:
-        """Coefficient polynomial of `name**power` (collecting in one variable)."""
+    def coefficient_of(self, name: str) -> Polynomial:
+        """Coefficient polynomial of the first power of `name` (collecting in
+        one variable)."""
         idx = self.variables.index(name)
         out: dict[tuple[int, ...], Fraction] = {}
         for expo, coeff in self.terms.items():
-            if expo[idx] == power:
+            if expo[idx] == 1:
                 new = list(expo)
                 new[idx] = 0
                 out[tuple(new)] = coeff
@@ -510,7 +498,3 @@ class RationalSampler:
             key = tuple(expo)
             terms[key] = terms.get(key, Fraction(0)) + self.rational()
         return Polynomial(variables, {e: c for e, c in terms.items() if c})
-
-    def spawn(self, tag: int) -> "RationalSampler":
-        """Derived sampler with a seed mixed from this one (batch isolation)."""
-        return RationalSampler((self.seed * 1000003 + tag) % (2**63))

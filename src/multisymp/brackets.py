@@ -5,8 +5,10 @@ observable (p-1)-form is computed from a pointwise decomposable solution
 of the Hamilton equation; for p < n its well-defined content is the list
 of pairings against the complementary-degree copolarization generators,
 and representative-independence across the solution family is verified on
-every call.  The Poisson bracket of two forms with Hamilton vector
-fields is  {F, G} = xi_F ^ xi_G . Omega, with the usual structural
+every call.  Its values are pairings of the solution's factors, computed
+by minors (`dynamics.decomposable_pairing`) without expanding the wedge.
+The Poisson bracket of two forms with Hamilton vector fields is
+{F, G} = xi_F ^ xi_G . Omega, with the usual structural
 identities (derivation of d, Jacobi up to an exact term, the
 theta-corrected bracket with vanishing Jacobi sum) checked exactly in the
 test-suite.  Complementary-degree pairs (p + q = n + 1) get their scalar
@@ -22,7 +24,7 @@ from typing import Sequence
 
 from .algebra import Polynomial, RationalSampler
 from .charts import Chart
-from .dynamics import HamiltonianSolution
+from .dynamics import HamiltonianSolution, decomposable_pairing, differential_at
 from .exterior import (
     PolyForm,
     PolyMultivector,
@@ -71,36 +73,20 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _representative_value(
-    chart: Chart,
-    x_terms: Terms,
-    df_num: Terms,
-    p: int,
-    copol: Copolarization | None,
-    point: Sequence[Fraction],
-) -> PseudobracketValue:
-    n = chart.n
-    sign = _sign((n - p) * p)
-    contracted = _cohook_terms(x_terms, df_num)
-    if p == n:
-        value = contracted.get((), Fraction(0))
-        return PseudobracketValue(p=p, n=n, scalar=sign * value, pairings=None)
-    if copol is None:
-        raise ValueError("pairings for p < n need a copolarization")
-    pairings = []
-    for phi in copol.degree(n - p):
-        phi_num = eval_terms(phi.terms, point)
-        pairings.append(sign * (_pair_terms(contracted, phi_num) or Fraction(0)))
-    return PseudobracketValue(p=p, n=n, scalar=None, pairings=tuple(pairings))
-
-
 def pseudobracket(
     chart: Chart,
     observable: PolyForm,
     solution: HamiltonianSolution,
     copol: Copolarization | None = None,
 ) -> PseudobracketValue:
-    """{H, F} = sign * X L dF for X in the solution family at the point.
+    """{H, F} = sign * X L dF for X in the solution family at the point,
+    with sign = (-1)^((n-p)p).
+
+    For p = n the value is the scalar sign * <X, dF>.  For p < n it is the
+    list of pairings sign * <X L dF, phi> = sign * <X, dF ^ phi> against
+    the degree-(n-p) copolarization generators phi, which are required.
+    Each dF ^ phi is wedged once per call, and every value is paired with
+    the factors of X by minors.
 
     Every kernel direction of the family is tried; if any representative
     changes the reported value the bracket is not well defined for this F
@@ -110,16 +96,27 @@ def pseudobracket(
     n = chart.n
     if not 1 <= p <= n:
         raise ValueError("observable degree out of range")
-    df_num = eval_terms(ext_d(observable).terms, solution.point)
+    point = solution.point
+    df_num = eval_terms(ext_d(observable).terms, point)
+    if p == n:
+        forms = [df_num]
+    elif copol is None:
+        raise ValueError("pairings for p < n need a copolarization")
+    else:
+        forms = [_wedge_terms(df_num, eval_terms(phi.terms, point)) for phi in copol.degree(n - p)]
+    sign = _sign((n - p) * p)
     reference = None
     schedules = [()] + [
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(len(solution.kernel)))
         for i in range(len(solution.kernel))
     ]
     for coeffs in schedules:
-        value = _representative_value(
-            chart, solution.expand(coeffs), df_num, p, copol, solution.point
-        )
+        factors = solution.factors(coeffs)
+        values = tuple(sign * decomposable_pairing(factors, form) for form in forms)
+        if p == n:
+            value = PseudobracketValue(p=p, n=n, scalar=values[0], pairings=None)
+        else:
+            value = PseudobracketValue(p=p, n=n, scalar=None, pairings=values)
         if reference is None:
             reference = value
         elif value != reference:
@@ -140,11 +137,7 @@ def pseudobracket_aof(
     point = tuple(Fraction(v) for v in point)
     p = tensor.p
     n = chart.n
-    dh_num: Terms = {}
-    for idx, name in enumerate(chart.frame.names):
-        v = hamiltonian.diff(name).eval(point)
-        if v:
-            dh_num[(idx,)] = v
+    dh_num = differential_at(hamiltonian, chart, point)
     values = []
     for xi in tensor.vectors:
         xi_num = eval_terms(xi.terms, point)
@@ -304,19 +297,17 @@ def form_division(phi: PolyForm, divisors: Sequence[PolyForm]) -> DivisionResult
     return DivisionResult(quotient=chi, residual=None, unique=chi_degree == 0)
 
 
-def complementary_bracket(
-    chart: Chart,
-    f: PolyForm,
-    g: PolyForm,
-    smear_count: int = 3,
-) -> Polynomial:
+_SMEARINGS = 3
+
+
+def complementary_bracket(chart: Chart, f: PolyForm, g: PolyForm) -> Polynomial:
     """Scalar bracket of a (p-1)-form and a (q-1)-form with p + q = n + 1.
 
     Both forms are smeared with wedges of horizontal coordinate
     differentials to (n-1)-forms with Hamilton vector fields, their
     Poisson bracket is divided by the smearing wedge, and the scalar must
     not depend on the admissible choice of smearing coordinates (checked
-    over `smear_count` choices).
+    over the first `_SMEARINGS` admissible choices).
     """
     n = chart.n
     p = f.degree + 1
@@ -347,9 +338,9 @@ def complementary_bracket(
                 continue
             scalar = division.quotient.terms.get((), chart.frame.poly_zero())
             results.append((f_names, g_names, scalar))
-            if len(results) >= smear_count:
+            if len(results) >= _SMEARINGS:
                 break
-        if len(results) >= smear_count:
+        if len(results) >= _SMEARINGS:
             break
     if not results:
         raise NotDefined("no admissible smearing produced a Hamilton pair")
@@ -380,7 +371,6 @@ def dynamics_relation_check(
     f: PolyForm,
     g: PolyForm,
     solution: HamiltonianSolution,
-    extra_random: int = 3,
     seed: int = 0,
 ) -> DynamicsRelationVerdict:
     """Exact check of the two-observable dynamical relation at a point:
@@ -388,7 +378,7 @@ def dynamics_relation_check(
         {H, F} . dG (Y) = (-1)^{(n-p)(n-q)} {H, G} . dF (Y)
 
     for (p+q-n)-vectors Y built from the base solution frame (all
-    increasing sub-wedges plus seeded random rational combinations)."""
+    increasing sub-wedges plus three seeded random rational combinations)."""
     n = chart.n
     p = f.degree + 1
     q = g.degree + 1
@@ -420,7 +410,7 @@ def dynamics_relation_check(
             if acc:
                 candidates.append(acc)
         sampler = RationalSampler(seed)
-        for _ in range(extra_random):
+        for _ in range(3):
             mix: Terms = {}
             for base in candidates[: len(list(combinations(range(n), r)))]:
                 c = sampler.rational()

@@ -37,7 +37,6 @@ from .exterior import (
     CoordKind,
     CoordinateFrame,
     PolyForm,
-    PolyMultivector,
     dump_form,
     ext_d,
     form_basis,
@@ -416,15 +415,13 @@ def scalar_field_chart(n: int, potential: Polynomial, gauged: bool = False) -> C
 # ---------------------------------------------------------------------------
 
 
-def transplant_form(form: PolyForm, new_frame: CoordinateFrame, assignment: Mapping[str, Polynomial], is_form: bool = True):
+def transplant_form(form: PolyForm, new_frame: CoordinateFrame, assignment: Mapping[str, Polynomial]) -> PolyForm:
     """Pull a form through a linear-in-coordinates substitution old -> new.
 
     Each old coordinate maps to a polynomial of degree <= 1 over the new
     frame; its differential maps linearly accordingly.
     """
-    cls = PolyForm if is_form else PolyMultivector
     old_names = form.frame.names
-    new_zero = Polynomial.zero(new_frame.names)
     differentials: dict[str, list[tuple[int, Fraction]]] = {}
     for old, image in assignment.items():
         if image.total_degree() > 1:
@@ -436,7 +433,7 @@ def transplant_form(form: PolyForm, new_frame: CoordinateFrame, assignment: Mapp
             idx = next(i for i, e in enumerate(expo) if e)
             entries.append((idx, coeff))
         differentials[old] = entries
-    out = cls.zero(new_frame, form.degree)
+    out = PolyForm.zero(new_frame, form.degree)
     for key, coeff in form.terms.items():
         new_coeff = coeff.transplant(new_frame.names, assignment)
         if not new_coeff:
@@ -464,7 +461,7 @@ def transplant_form(form: PolyForm, new_frame: CoordinateFrame, assignment: Mapp
                 terms[sorted_key] = entry
             else:
                 terms.pop(sorted_key, None)
-        out = out + cls(new_frame, form.degree, terms)
+        out = out + PolyForm(new_frame, form.degree, terms)
     return out
 
 
@@ -589,11 +586,15 @@ def omega_is_constant(chart: Chart) -> bool:
     return all(c.is_constant() for c in chart.omega.terms.values())
 
 
-def nondegeneracy_check(chart: Chart, seed: int = 0, sample_points: int = 3) -> NondegeneracyVerdict:
+_NONDEGENERACY_POINTS = 3
+
+
+def nondegeneracy_check(chart: Chart, seed: int = 0) -> NondegeneracyVerdict:
     """Kernel check of xi -> xi . Omega.
 
     For constant-coefficient Omega one evaluation decides exactly; otherwise
-    the kernel is required to vanish at seeded random rational points.
+    the kernel is required to vanish at `_NONDEGENERACY_POINTS` seeded
+    random rational points.
     """
     if omega_is_constant(chart):
         kernel = nullspace(contraction_matrix(chart))
@@ -601,12 +602,12 @@ def nondegeneracy_check(chart: Chart, seed: int = 0, sample_points: int = 3) -> 
             return NondegeneracyVerdict(False, True, tuple(kernel[0]), 1)
         return NondegeneracyVerdict(True, True, None, 1)
     sampler = RationalSampler(seed)
-    for i in range(sample_points):
+    for i in range(_NONDEGENERACY_POINTS):
         point = sampler.point(chart.dim)
         kernel = nullspace(contraction_matrix(chart, point))
         if kernel:
             return NondegeneracyVerdict(False, True, tuple(kernel[0]), i + 1)
-    return NondegeneracyVerdict(True, False, None, sample_points)
+    return NondegeneracyVerdict(True, False, None, _NONDEGENERACY_POINTS)
 
 
 def validate_chart(chart: Chart) -> list[str]:

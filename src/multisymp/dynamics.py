@@ -28,6 +28,16 @@ one `Fraction` from its integer minor sum.
 For solving the Hamilton equation the free coordinates are all
 non-selected directions and the polynomial system is reduced by
 substituting one affine equation at a time.
+
+Every computing path that contracts or pairs a decomposable n-vector
+given by its factors goes through the one minor routine
+(`OmegaContraction.of_factors`, `decomposable_pairing`, both over
+`linalg.sparse_minor`), whose factor entries may be `Fraction`, `int` or
+`Polynomial`.  The full wedge expansion stays in the checks that must be
+independent of that route (`HamiltonianSolution.verify`,
+`recheck_of_counterexample`), in `plucker_check`, and in
+`brackets.dynamics_relation_check`, which takes interior products of the
+expanded n-vector.
 """
 
 from __future__ import annotations
@@ -129,7 +139,10 @@ class OmegaContraction:
     The factors become sparse rows once per call.  A minor with a column
     absent from every factor is zero and is never expanded; the others go
     through `sparse_minor` with one memo per call, so the n x n minors of
-    the different components share their smaller sub-minors.
+    the different components share their smaller sub-minors.  The factor
+    entries may be `Fraction`, `int` or `Polynomial`: the components come
+    back in that ring, which is how the Hamilton solver contracts its
+    symbolic factors, and how the pseudofiber rows contract unit vectors.
     """
 
     def __init__(self, omega_num: Terms):
@@ -145,7 +158,7 @@ class OmegaContraction:
 
     def of_factors(self, factors: Sequence[Terms]) -> Terms:
         rows, present = _factor_rows(factors)
-        memo: dict[tuple[int, ...], Fraction] = {}
+        memo: dict = {}
         out: Terms = {}
         for j, entries in self.plan.items():
             acc = None
@@ -300,18 +313,15 @@ def hamiltonian_nvector_solve(chart: Chart, hamiltonian: Polynomial, point: Sequ
     # symbolic factors over the parameter polynomial ring
     factors: list[Terms] = []
     pos = 0
-    for slot, h in enumerate(family.horizontal):
+    for h in family.horizontal:
         factor: Terms = {(h,): Polynomial.const(pvars, 1)}
         for c in family.free:
             factor[(c,)] = Polynomial.var(pvars, pvars[pos])
             pos += 1
         factors.append(factor)
-    x_terms = factors[0]
-    for f in factors[1:]:
-        x_terms = _wedge_terms(x_terms, f)
 
     omega_num = eval_terms(chart.omega.terms, point)
-    contraction = _hook_terms(x_terms, omega_num)
+    contraction = OmegaContraction(omega_num).of_factors(factors)
     sign = -1 if chart.n % 2 else 1
     target = differential_at(hamiltonian, chart, point)
 
@@ -334,7 +344,7 @@ def hamiltonian_nvector_solve(chart: Chart, hamiltonian: Polynomial, point: Sequ
             for v in sorted(eq.used_variables()):
                 if eq.degree_in(v) != 1:
                     continue
-                coeff = eq.coefficient_of(v, 1)
+                coeff = eq.coefficient_of(v)
                 if coeff.is_constant() and coeff:
                     pick = (v, coeff.constant_value())
                     break
@@ -380,7 +390,7 @@ def hamiltonian_nvector_solve(chart: Chart, hamiltonian: Polynomial, point: Sequ
             if name == f:
                 direction.append(Fraction(1))
             elif name in solved:
-                direction.append(solved[name].coefficient_of(f, 1).constant_value())
+                direction.append(solved[name].coefficient_of(f).constant_value())
             else:
                 direction.append(Fraction(0))
         kernel.append(tuple(direction))
@@ -405,7 +415,6 @@ def frame_compatible_hamiltonian(
     sampler: RationalSampler,
     point: Sequence[Fraction],
     vertical_only: bool = False,
-    quadratic_terms: int = 2,
 ) -> Polynomial:
     """A Hamiltonian that is guaranteed to admit a decomposable solution at
     the given point.
@@ -413,10 +422,11 @@ def frame_compatible_hamiltonian(
     On a full momentum chart the momentum derivatives of H must realize the
     minors of some n-frame (a quadric condition for n, k >= 2), so random
     momentum polynomials are generically unsolvable.  Here H is built from
-    the contraction of a random family member, plus quadratic corrections
-    that vanish to second order at the point; with `vertical_only` the
-    random member carries momentum-direction components only, so H is the
-    top momentum plus a polynomial in the momenta.
+    the contraction of a random family member, plus two quadratic
+    corrections that vanish to second order at the point; with
+    `vertical_only` the random member carries momentum-direction
+    components only, so H is the top momentum plus a polynomial in the
+    momenta.
     """
     point = tuple(Fraction(v) for v in point)
     family = solver_family(chart)
@@ -427,8 +437,7 @@ def frame_compatible_hamiltonian(
             values.append(Fraction(0))
         else:
             values.append(sampler.rational())
-    omega_num = eval_terms(chart.omega.terms, point)
-    contraction = contraction_form(family.expand(values), omega_num)
+    contraction = OmegaContraction(eval_terms(chart.omega.terms, point)).of_factors(family.factors(values))
     sign = -1 if chart.n % 2 else 1
     h = Polynomial.zero(names)
     for (j,), coeff in contraction.items():
@@ -437,7 +446,7 @@ def frame_compatible_hamiltonian(
             # by parameters that occur nowhere else, so they may be dropped
             continue
         h = h + (sign * coeff) * Polynomial.var(names, names[j])
-    for _ in range(quadratic_terms):
+    for _ in range(2):
         i = sampler.integer(0, len(names) - 1)
         j = sampler.integer(0, len(names) - 1)
         if vertical_only and not (
@@ -500,7 +509,6 @@ def of_sampling_test(
     point: Sequence[Fraction],
     sample_count: int = 4,
     seed: int = 0,
-    family_limit: int | None = None,
 ) -> OFVerdict:
     """Sampled observability of an n-form at a point.
 
@@ -514,8 +522,7 @@ def of_sampling_test(
     recomputed per sample.  A reported counterexample is exact and final;
     a pass is probabilistic over the seeded sample schedule (affine data
     on an open set extends to the whole family, which is why sampling
-    near arbitrary base points suffices).  `family_limit` restricts large
-    charts to a seeded subset of the base-coordinate families.
+    near arbitrary base points suffices).
 
     Pairings are computed on the form's support only: a(X) reads the
     columns that occur in the keys of a, so it depends only on the
@@ -549,10 +556,7 @@ def of_sampling_test(
     names = chart.frame.names
     samples_used = 0
 
-    families = list(combinations(chart.frame.base_indices(), chart.n))
-    if family_limit is not None and family_limit < len(families):
-        families = RationalSampler(seed).spawn(7).sample(families, family_limit)
-    for horizontal in families:
+    for horizontal in combinations(chart.frame.base_indices(), chart.n):
         family = observability_family(chart, horizontal)
         nparams = len(family.params)
         kernel, affine = _family_step_data(chart, family, point, omega)
@@ -727,27 +731,22 @@ def pseudofiber_directions(
     """Common annihilator of the tangent spaces to the decomposable cone
     along representatives of the solution family: vectors xi whose
     contraction with Omega kills every slot-deformation of every
-    representative.  Adding representatives can only shrink the result."""
-    frame = chart.frame
-    omega_num = solution.omega_num
-    columns = [
-        _hook_terms({(j,): Fraction(1)}, omega_num) for j in range(frame.dim)
-    ]
-    basis = RowBasis(frame.dim)
+    representative.  Adding representatives can only shrink the result.
+    The row of the deformation e_c ^ (other factors) is its contraction
+    into Omega, taken from the factors by minors."""
+    dim = chart.dim
+    omega = OmegaContraction(solution.omega_num)
+    basis = RowBasis(dim)
     for coeffs in _representative_schedule(len(solution.kernel), doubled):
         factors = solution.factors(coeffs)
         for slot in range(chart.n):
             others = factors[:slot] + factors[slot + 1 :]
-            for c in range(frame.dim):
-                delta: Terms = {(c,): Fraction(1)}
-                for o in others:
-                    delta = _wedge_terms(delta, o)
-                if not delta:
-                    continue
-                row = [(_pair_terms(delta, col) or Fraction(0)) for col in columns]
+            for c in range(dim):
+                image = omega.of_factors([{(c,): 1}] + others)
+                row = [image.get((j,), 0) for j in range(dim)]
                 if any(row):
                     basis.add(row)
-                    if basis.rank == frame.dim:
+                    if basis.rank == dim:
                         return []
     return [tuple(v) for v in basis.nullspace()]
 
@@ -776,12 +775,7 @@ def pseudofiber_integrand_check(
     df_num = eval_terms(ext_d(observable).terms, solution.point)
     zeta_terms: Terms = {(i,): Fraction(v) for i, v in enumerate(zeta) if v}
     factors = solution.factors()
-    for slot in range(chart.n):
-        others = factors[:slot] + factors[slot + 1 :]
-        wedge_val = zeta_terms
-        for o in others:
-            wedge_val = _wedge_terms(wedge_val, o)
-        value = _pair_terms(wedge_val, df_num)
-        if value:
-            return False
-    return True
+    return not any(
+        decomposable_pairing([zeta_terms] + factors[:slot] + factors[slot + 1 :], df_num)
+        for slot in range(chart.n)
+    )

@@ -712,6 +712,9 @@ def reversibility_error(state: FieldState, n_steps: int) -> float:
     )
 
 
+_LIFT_SAMPLES = 12
+
+
 def lift_residual_orders(
     base_grid: int,
     refinements: int,
@@ -720,10 +723,10 @@ def lift_residual_orders(
     coupling: float = 0.0,
     length: float = 2.0 * math.pi,
     cfl: float = 0.45,
-    sample_steps: int = 12,
 ) -> list[float]:
-    """Max |H| on the lift for successively halved (dx, dt); returns the
-    observed convergence orders between consecutive refinements."""
+    """Max |H| on the lift for successively halved (dx, dt), sampled on
+    about `_LIFT_SAMPLES` rows of each run; returns the observed
+    convergence orders between consecutive refinements."""
     potential = Polynomial(("s",), {(1,): Fraction(mass2).limit_denominator(10**6)})
     if coupling:
         potential = potential + Polynomial(("s",), {(2,): Fraction(coupling).limit_denominator(10**6)})
@@ -732,9 +735,9 @@ def lift_residual_orders(
     for level in range(refinements + 1):
         grid = base_grid * 2**level
         state = plane_wave_state(grid, length, cfl, modes, mass2, coupling)
-        steps_needed = sample_steps * 2**level + 3
+        steps_needed = _LIFT_SAMPLES * 2**level + 3
         history = simulate(state, steps_needed)
-        rows = list(range(2, steps_needed - 2, max(1, (steps_needed - 4) // sample_steps)))
+        rows = list(range(2, steps_needed - 2, max(1, (steps_needed - 4) // _LIFT_SAMPLES)))
         curve = legendre_lift(history, chart, rows)
         residuals.append(float(np.max(np.abs(curve.h_residual))))
     return [math.log2(residuals[i] / residuals[i + 1]) for i in range(len(residuals) - 1)]

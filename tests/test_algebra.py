@@ -155,6 +155,7 @@ def test_poly_eval_examples():
     vars2 = ("x", "y")
     p = Polynomial.var(vars2, "x") + Polynomial.var(vars2, "y")
     assert p.eval((1, 2)) == 3
+    assert type(p.eval((1, 2))) is Fraction
     assert Polynomial.zero(vars2).eval((5, 7)) == 0
     q = Polynomial.var(vars2, "x") * Polynomial.var(vars2, "y") - Polynomial.var(vars2, "y") ** 2
     assert q.eval((3, 2)) == 2

@@ -135,8 +135,12 @@ def test_pseudobracket_routes_agree_on_random_observables():
                 f.names, 2, 4, restrict_to=[n for n in f.names if n != "e"]
             )
         sol = hamiltonian_nvector_solve(chart, h, point)
-        for _ in range(10):
-            observable = random_aof(chart, sampler)
+        # (n-1)-forms give the scalar (p = n); functions of the base
+        # coordinates give pairings with the copolarization (p < n)
+        observables = [random_aof(chart, sampler) for _ in range(10)]
+        base = [f.names[i] for i in f.base_indices()]
+        observables += [PolyForm(f, 0, {(): sampler.polynomial(f.names, 2, 3, restrict_to=base)}) for _ in range(5)]
+        for observable in observables:
             direct = pseudobracket(chart, observable, sol, cop)
             tensor = aof_tensor(chart, cop, observable)
             assert not isinstance(tensor, NotAOF)

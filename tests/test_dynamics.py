@@ -44,7 +44,8 @@ from multisymp.exterior import (
     hook,
     vector_basis,
 )
-from multisymp.exterior import _pair_terms
+from multisymp.exterior import _hook_terms, _pair_terms, _wedge_terms
+from multisymp.linalg import RowBasis
 
 V_MASS = Polynomial(("s",), {(1,): Fraction(1)})
 
@@ -479,6 +480,42 @@ def test_pseudofiber_verticality_and_doubling():
         assert annihilator_span(basis) == annihilator_span(doubled)
         for vec in basis:
             assert all(vec[i] == 0 for i in range(n_positions))
+
+
+def reference_pseudofiber_directions(chart, solution, doubled):
+    """The expand-then-pair row builder: the row of a slot deformation
+    delta = e_c ^ (other factors) has entries <delta, e_j . Omega>."""
+    columns = [_hook_terms({(j,): Fraction(1)}, solution.omega_num) for j in range(chart.dim)]
+    basis = RowBasis(chart.dim)
+    for coeffs in dynamics._representative_schedule(len(solution.kernel), doubled):
+        factors = solution.factors(coeffs)
+        for slot in range(chart.n):
+            for c in range(chart.dim):
+                delta = {(c,): Fraction(1)}
+                for other in factors[:slot] + factors[slot + 1 :]:
+                    delta = _wedge_terms(delta, other)
+                row = [_pair_terms(delta, col) or Fraction(0) for col in columns]
+                if any(row):
+                    basis.add(row)
+    return [tuple(v) for v in basis.nullspace()]
+
+
+@pytest.mark.parametrize("label", ["lepage-dedecker:2,2", "scalar:2"])
+def test_pseudofiber_directions_match_the_wedge_and_pair_rows(label):
+    """Rows from minors are (-1)^n times the expanded rows, so the RREF
+    nullspace is the same, exactly and in the same order."""
+    chart = builtin_chart(label)
+    found = 0
+    for seed in (1, 2, 3, 47):
+        sampler = RationalSampler(seed)
+        point = sampler.point(chart.dim)
+        h = frame_compatible_hamiltonian(chart, sampler, point, vertical_only=True)
+        sol = hamiltonian_nvector_solve(chart, h, point)
+        for doubled in (False, True):
+            directions = pseudofiber_directions(chart, sol, doubled=doubled)
+            assert directions == reference_pseudofiber_directions(chart, sol, doubled)
+            found += len(directions)
+    assert found or label == "scalar:2"
 
 
 def test_pseudofiber_integrand_vanishes():

@@ -16,10 +16,12 @@ from multisymp.dynamics import (
     contraction_form,
     decomposable_pairing,
     observability_family,
+    solver_family,
 )
 from multisymp.exterior import (
     PolyForm,
     PolyMultivector,
+    _hook_terms,
     _pair_terms,
     _wedge_terms,
     all_index_tuples,
@@ -484,6 +486,22 @@ def test_minor_contraction_and_pairing_match_the_wedge_expansion(label):
             assert omega.of_factors(factors) == contraction_form(expanded, omega_num)
             form_num = {key: sampler.nonzero() for key in sampler.sample(keys, min(12, len(keys)))}
             assert decomposable_pairing(factors, form_num) == (_pair_terms(expanded, form_num) or Fraction(0))
+    # the Hamilton solver's factors: one Polynomial variable per parameter
+    family = solver_family(chart)
+    pvars = tuple(f"t{slot}_{c}" for slot, c in family.params)
+    factors = []
+    pos = 0
+    for h in family.horizontal:
+        factor = {(h,): Polynomial.const(pvars, 1)}
+        for c in family.free:
+            factor[(c,)] = Polynomial.var(pvars, pvars[pos])
+            pos += 1
+        factors.append(factor)
+    expanded = factors[0]
+    for f in factors[1:]:
+        expanded = _wedge_terms(expanded, f)
+    contraction = omega.of_factors(factors)
+    assert contraction and contraction == _hook_terms(expanded, omega_num)
 
 
 def test_fraction_factors_give_fraction_pairings_and_contractions():
