@@ -453,7 +453,6 @@ class RationalSampler:
     _RATIONALS = {(n, d): Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 3)}
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def rational(self) -> Fraction:
@@ -476,9 +475,6 @@ class RationalSampler:
 
     def sample(self, items: Sequence, k: int):
         return self._rng.sample(list(items), k)
-
-    def shuffle(self, items: list) -> None:
-        self._rng.shuffle(items)
 
     def polynomial(
         self,

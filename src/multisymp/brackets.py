@@ -29,7 +29,7 @@ from .exterior import (
     PolyForm,
     PolyMultivector,
     Terms,
-    _cohook_terms,
+    _add_terms,
     _hook_terms,
     _pair_terms,
     _wedge_terms,
@@ -106,11 +106,7 @@ def pseudobracket(
         forms = [_wedge_terms(df_num, eval_terms(phi.terms, point)) for phi in copol.degree(n - p)]
     sign = _sign((n - p) * p)
     reference = None
-    schedules = [()] + [
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(len(solution.kernel)))
-        for i in range(len(solution.kernel))
-    ]
-    for coeffs in schedules:
+    for coeffs in solution.unit_moves():
         factors = solution.factors(coeffs)
         values = tuple(sign * decomposable_pairing(factors, form) for form in forms)
         if p == n:
@@ -388,8 +384,8 @@ def dynamics_relation_check(
     df_num = eval_terms(ext_d(f).terms, point)
     dg_num = eval_terms(ext_d(g).terms, point)
     x_terms = solution.expand()
-    vf = _cohook_terms(x_terms, df_num)
-    vg = _cohook_terms(x_terms, dg_num)
+    vf = _hook_terms(df_num, x_terms)
+    vg = _hook_terms(dg_num, x_terms)
     sign_f = _sign((n - p) * p)
     sign_g = _sign((n - q) * q)
     lhs_form = {k: sign_f * v for k, v in _hook_terms(vf, dg_num).items()}
@@ -417,11 +413,7 @@ def dynamics_relation_check(
                 if not c:
                     continue
                 for k, v in base.items():
-                    s = mix.get(k, Fraction(0)) + c * v
-                    if s:
-                        mix[k] = s
-                    else:
-                        mix.pop(k, None)
+                    _add_terms(mix, k, c * v)
             if mix:
                 candidates.append(mix)
     checked = 0

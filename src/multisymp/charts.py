@@ -37,6 +37,7 @@ from .exterior import (
     CoordKind,
     CoordinateFrame,
     PolyForm,
+    _wedge_terms,
     dump_form,
     ext_d,
     form_basis,
@@ -310,19 +311,25 @@ def maxwell_pi(frame: CoordinateFrame) -> PolyForm:
     return pi
 
 
+def _gauge_legs(frame: CoordinateFrame) -> list[tuple[str, str]]:
+    """(a_mu, x_mu) name pairs, one per gauge coordinate of the frame."""
+    return [(name, "x" + name[1:]) for name, kind in frame.coords if kind == CoordKind.GAUGE]
+
+
 def maxwell_da(frame: CoordinateFrame) -> PolyForm:
-    """da = sum_mu da_mu ^ dx^mu, the differential of the potential 1-form."""
+    """da = sum_mu da_mu ^ dx^mu over the frame's gauge coordinates, the
+    differential of the potential 1-form."""
     da = PolyForm.zero(frame, 2)
-    for mu in range(4):
-        da = da + wedge(form_basis(frame, f"a{mu}"), form_basis(frame, f"x{mu}"))
+    for a_mu, x_mu in _gauge_legs(frame):
+        da = da + wedge(form_basis(frame, a_mu), form_basis(frame, x_mu))
     return da
 
 
 def maxwell_potential_form(frame: CoordinateFrame) -> PolyForm:
-    """a = sum_mu a_mu dx^mu."""
+    """a = sum_mu a_mu dx^mu over the frame's gauge coordinates."""
     a = PolyForm.zero(frame, 1)
-    for mu in range(4):
-        a = a + form_basis(frame, f"x{mu}").scale(frame.poly_var(f"a{mu}"))
+    for a_mu, x_mu in _gauge_legs(frame):
+        a = a + form_basis(frame, x_mu).scale(frame.poly_var(a_mu))
     return a
 
 
@@ -370,20 +377,12 @@ def scalar_field_chart(n: int, potential: Polynomial, gauged: bool = False) -> C
             omega = omega + wedge(form_basis(frame, f"p{mu}_{a}"), block)
             theta = theta + block.scale(frame.poly_var(f"p{mu}_{a}"))
     if gauged:
-        da = PolyForm.zero(frame, 2)
-        for lam in range(n):
-            da = da + wedge(form_basis(frame, f"a{lam}"), form_basis(frame, f"x{lam}"))
         half_dp_vol = PolyForm.zero(frame, n - 1)
-        pi_like = PolyForm.zero(frame, n - 2)
         for mu, nu in pairs:
             vol_munu = hook(vector_basis(frame, f"x{mu}", f"x{nu}"), vol)
             half_dp_vol = half_dp_vol + wedge(form_basis(frame, f"p{mu}{nu}"), vol_munu)
-            pi_like = pi_like + vol_munu.scale(frame.poly_var(f"p{mu}{nu}"))
-        omega = omega - wedge(da, half_dp_vol)
-        a_form = PolyForm.zero(frame, 1)
-        for lam in range(n):
-            a_form = a_form + form_basis(frame, f"x{lam}").scale(frame.poly_var(f"a{lam}"))
-        theta = theta - wedge(a_form, half_dp_vol)
+        omega = omega - wedge(maxwell_da(frame), half_dp_vol)
+        theta = theta - wedge(maxwell_potential_form(frame), half_dp_vol)
 
     s = Fraction(1, 2) * (frame.poly_var("phi1") ** 2 + frame.poly_var("phi2") ** 2)
     v_of_s = potential.transplant(frame.names, {"s": s})
@@ -422,46 +421,25 @@ def transplant_form(form: PolyForm, new_frame: CoordinateFrame, assignment: Mapp
     frame; its differential maps linearly accordingly.
     """
     old_names = form.frame.names
-    differentials: dict[str, list[tuple[int, Fraction]]] = {}
+    differentials: dict[str, dict[tuple[int, ...], Fraction]] = {}
     for old, image in assignment.items():
         if image.total_degree() > 1:
             raise ValueError("transplant_form needs linear coordinate images")
-        entries = []
-        for expo, coeff in image.terms.items():
-            if not any(expo):
-                continue
-            idx = next(i for i, e in enumerate(expo) if e)
-            entries.append((idx, coeff))
-        differentials[old] = entries
+        differentials[old] = {
+            (expo.index(1),): coeff for expo, coeff in image.terms.items() if any(expo)
+        }
     out = PolyForm.zero(new_frame, form.degree)
     for key, coeff in form.terms.items():
         new_coeff = coeff.transplant(new_frame.names, assignment)
         if not new_coeff:
             continue
-        # expand the wedge of the images of the differentials
-        expansions: list[tuple[tuple[int, ...], Fraction]] = [((), Fraction(1))]
+        image: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
         for i in key:
             old = old_names[i]
             if old not in differentials:
                 raise KeyError(f"coordinate {old!r} has no image")
-            expansions = [
-                (prefix + (idx,), c * w)
-                for prefix, c in expansions
-                for idx, w in differentials[old]
-            ]
-        terms: dict[tuple[int, ...], Polynomial] = {}
-        for indices, weight in expansions:
-            sorted_key, sign = sort_with_sign(indices)
-            if sign == 0:
-                continue
-            entry = (sign * weight) * new_coeff
-            prev = terms.get(sorted_key)
-            entry = entry if prev is None else prev + entry
-            if entry:
-                terms[sorted_key] = entry
-            else:
-                terms.pop(sorted_key, None)
-        out = out + PolyForm(new_frame, form.degree, terms)
+            image = _wedge_terms(image, differentials[old])
+        out = out + PolyForm(new_frame, form.degree, {k: w * new_coeff for k, w in image.items()})
     return out
 
 

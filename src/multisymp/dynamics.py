@@ -134,7 +134,12 @@ class OmegaContraction:
     computed from the factors by minors (no full wedge expansion): the
     component along the j-th coordinate differential is
 
-        sum over Omega terms K containing j of  sign * Omega_K * det(X on K - j).
+        <X ^ e_j, Omega> = (-1)^n <X, e_j . Omega>,
+
+    the sum of (-1)^n * c * det(X on L) over the terms c dx^L of
+    e_j . Omega.  The plan holds those terms per j, taken from the hook
+    kernel once per Omega, with j in order of first appearance in
+    Omega's keys.
 
     The factors become sparse rows once per call.  A minor with a column
     absent from every factor is zero and is never expanded; the others go
@@ -146,15 +151,10 @@ class OmegaContraction:
     """
 
     def __init__(self, omega_num: Terms):
-        from .algebra import sort_with_sign
-
-        plan: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
-        for key, coeff in omega_num.items():
-            for pos, j in enumerate(key):
-                rest = key[:pos] + key[pos + 1 :]
-                _, sign = sort_with_sign(rest + (j,))
-                plan.setdefault(j, []).append((rest, sign * coeff))
-        self.plan = plan
+        self.plan: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {
+            j: [(rest, -c if len(rest) % 2 else c) for rest, c in _hook_terms({(j,): 1}, omega_num).items()]
+            for j in dict.fromkeys(j for key in omega_num for j in key)
+        }
 
     def of_factors(self, factors: Sequence[Terms]) -> Terms:
         rows, present = _factor_rows(factors)
@@ -278,13 +278,17 @@ class HamiltonianSolution:
     def expand(self, kernel_coeffs: Sequence[Fraction] = ()) -> Terms:
         return self.family.expand(self.assignment(kernel_coeffs))
 
+    def unit_moves(self) -> list[tuple[Fraction, ...]]:
+        """Kernel coefficients of the base solution and of base + each
+        kernel direction."""
+        size = len(self.kernel)
+        return [()] + [tuple(Fraction(1) if i == j else Fraction(0) for j in range(size)) for i in range(size)]
+
     def verify(self) -> bool:
         """Exactness of the base solution and of base + each kernel move."""
-        checks = [()] + [tuple(Fraction(1) if i == j else Fraction(0) for j in range(len(self.kernel))) for i in range(len(self.kernel))]
-        for coeffs in checks:
-            if contraction_form(self.expand(coeffs), self.omega_num) != self.target:
-                return False
-        return True
+        return all(
+            contraction_form(self.expand(coeffs), self.omega_num) == self.target for coeffs in self.unit_moves()
+        )
 
 
 def differential_at(h: Polynomial, chart: Chart, point: Sequence[Fraction]) -> Terms:
@@ -364,9 +368,6 @@ def hamiltonian_nvector_solve(chart: Chart, hamiltonian: Polynomial, point: Sequ
             progress = True
             break
         if not progress:
-            for eq in pending:
-                if eq.is_constant():
-                    raise NoSolutionInFamily(f"inconsistent contraction system: residual {eq.to_text()}")
             raise DegenerateSystem(
                 "no affine pivot available; solution family is not affine in this parametrization"
             )

@@ -10,8 +10,10 @@ Conventions (pinned by regression tests, see tests/test_exterior.py):
   all (k-l)-forms nu  (requires deg X >= deg mu).
 
 Hook and cohook are distinct adjunctions (they differ by more than a
-sign) and are kept as separate operations.  Forms and multivectors share
-one sparse representation -- a map from strictly increasing index tuples
+sign) and stay two public operations, but they share one kernel: X L mu
+hooks the indices of mu into those of X, so `cohook` is `_hook_terms`
+with the arguments swapped.  Forms and multivectors share one sparse
+representation -- a map from strictly increasing index tuples
 to Polynomial coefficients -- distinguished by the class tag.  Degree-0
 objects are polynomials wrapped with the empty index tuple.
 
@@ -158,7 +160,8 @@ def _pair_terms(x: Terms, mu: Terms):
 
 
 def _hook_terms(x: Terms, mu: Terms) -> Terms:
-    """Interior product of a k-vector into an l-form, k <= l."""
+    """Interior product of a k-vector into an l-form, k <= l; with the
+    arguments swapped, of an l-form into a k-vector (the cohook)."""
     out: Terms = {}
     for ix, cx in x.items():
         sx = set(ix)
@@ -167,22 +170,6 @@ def _hook_terms(x: Terms, mu: Terms) -> Terms:
                 continue
             rest = tuple(i for i in im if i not in sx)
             _, sign = _merge_sign(ix, rest)
-            if sign:
-                p = cx * cm
-                _add_terms(out, rest, p if sign == 1 else -p)
-    return out
-
-
-def _cohook_terms(x: Terms, mu: Terms) -> Terms:
-    """Interior product of an l-form into a k-vector, l <= k."""
-    out: Terms = {}
-    for im, cm in mu.items():
-        sm = set(im)
-        for ix, cx in x.items():
-            if not sm.issubset(ix):
-                continue
-            rest = tuple(i for i in ix if i not in sm)
-            _, sign = _merge_sign(im, rest)
             if sign:
                 p = cx * cm
                 _add_terms(out, rest, p if sign == 1 else -p)
@@ -405,7 +392,7 @@ def cohook(x: PolyMultivector, mu: PolyForm) -> PolyMultivector:
         raise ValueError("coordinate frame mismatch")
     if x.degree < mu.degree:
         raise ValueError(f"cohook needs deg X >= deg mu, got {x.degree} < {mu.degree} (use hook)")
-    return PolyMultivector._raw(x.frame, x.degree - mu.degree, _cohook_terms(x.terms, mu.terms))
+    return PolyMultivector._raw(x.frame, x.degree - mu.degree, _hook_terms(mu.terms, x.terms))
 
 
 def ext_d(mu: PolyForm) -> PolyForm:

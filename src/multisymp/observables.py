@@ -332,26 +332,25 @@ def symplectomorphism_check(chart: Chart, xi: PolyMultivector) -> bool:
 
 def poincare_primitive(mu: PolyForm) -> PolyForm:
     """Canonical primitive with base point 0: the radial homotopy operator
-    P with d(P mu) + P(d mu) = mu, so d(P mu) = mu for closed mu."""
+    P with d(P mu) + P(d mu) = mu, so d(P mu) = mu for closed mu.
+
+    P mu is R . mu for the radial field R = sum x^i d/dx^i, with each
+    monomial of degree d' divided by d' - 1 + k: a monomial of degree d
+    in a coefficient of the k-form mu carries the weight 1 / (d + k) of
+    the homotopy integral, and R raises its degree by one.  A monomial's
+    degree does not depend on which terms of mu it came from, so
+    weighting after the sum equals weighting before it.
+    """
     frame = mu.frame
     k = mu.degree
     if k == 0:
         raise ValueError("0-forms have no primitive")
-    out = PolyForm.zero(frame, k - 1)
-    names = frame.names
-    terms: dict[tuple[int, ...], Polynomial] = {}
-    for key, coeff in mu.terms.items():
-        for expo, value in coeff.terms.items():
-            weight = Fraction(value, sum(expo) + k)
-            for slot, idx in enumerate(key):
-                rest = key[:slot] + key[slot + 1 :]
-                sign = 1 if slot % 2 == 0 else -1
-                new_expo = list(expo)
-                new_expo[idx] += 1
-                poly = Polynomial(names, {tuple(new_expo): sign * weight})
-                prev = terms.get(rest)
-                terms[rest] = poly if prev is None else prev + poly
-    return PolyForm(frame, k - 1, {k2: v for k2, v in terms.items() if v})
+    radial = PolyMultivector(frame, 1, {(i,): frame.poly_var(name) for i, name in enumerate(frame.names)})
+    weighted = {
+        key: Polynomial(frame.names, {expo: c / (sum(expo) - 1 + k) for expo, c in coeff.terms.items()})
+        for key, coeff in hook(radial, mu).terms.items()
+    }
+    return PolyForm(frame, k - 1, weighted)
 
 
 @dataclass(frozen=True)

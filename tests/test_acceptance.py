@@ -53,7 +53,7 @@ from multisymp.exterior import (
     vector_basis,
     wedge,
 )
-from multisymp.exterior import _cohook_terms, _hook_terms, _pair_terms
+from multisymp.exterior import _hook_terms, _pair_terms
 from multisymp.fieldlab import (
     ExperimentConfig,
     Mode,
@@ -114,7 +114,7 @@ def test_criterion_1_printed_values():
         vol_num = eval_terms(chart.volume_form().terms, point)
         for i in (1, 2):
             dy_num = {(f.index(f"y{i}"),): Fraction(1)}
-            v = _cohook_terms(sol.expand(), dy_num)
+            v = _hook_terms(dy_num, sol.expand())
             sign = -1 if (chart.n - 1) % 2 else 1
             lhs_form = {k: sign * c for k, c in _hook_terms(v, vol_num).items()}
             expected = {

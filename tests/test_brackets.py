@@ -87,7 +87,7 @@ def test_position_function_bracket_pairings():
     )
     sol = hamiltonian_nvector_solve(chart, h, point)
     cop = algebraic_copolarization(chart)
-    from multisymp.exterior import _cohook_terms, _pair_terms, eval_terms
+    from multisymp.exterior import _hook_terms, _pair_terms, eval_terms
 
     for i in (1, 2):
         y = PolyForm(f, 0, {(): f.poly_var(f"y{i}")})
@@ -95,7 +95,7 @@ def test_position_function_bracket_pairings():
         # {H, y} . vol = sum_mu dH/dp^mu_i dx^mu, tested via its pairings:
         # the generator list of degree n-1 is (vol_mu contractions are not
         # generators; dx wedges are), so check against the hook directly
-        v = _cohook_terms(sol.expand(), eval_terms(ext_d(y).terms, point))
+        v = _hook_terms(eval_terms(ext_d(y).terms, point), sol.expand())
         vol_num = eval_terms(chart.volume_form().terms, point)
         sign = -1 if (chart.n - 1) % 2 else 1
         hooked = {k: sign * c for k, c in __import__("multisymp.exterior", fromlist=["_hook_terms"])._hook_terms(v, vol_num).items()}
@@ -414,11 +414,11 @@ def test_dynamics_relation_field_equation():
         verdict = dynamics_relation_check(chart, y, primitive, sol)
         assert verdict.passed
         # specialization: dF(Y) = {H,F} . vol (Y) for Y = each base factor
-        from multisymp.exterior import _cohook_terms, _hook_terms, _pair_terms, eval_terms
+        from multisymp.exterior import _hook_terms, _pair_terms, eval_terms
 
         dy_num = eval_terms(ext_d(y).terms, point)
         vol_num = eval_terms(chart.volume_form().terms, point)
-        v = _cohook_terms(sol.expand(), dy_num)
+        v = _hook_terms(dy_num, sol.expand())
         sign = -1 if (chart.n - 1) % 2 else 1
         lhs_form = {k: sign * c for k, c in _hook_terms(v, vol_num).items()}
         for factor in sol.factors():

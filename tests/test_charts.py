@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from multisymp.algebra import Polynomial
+from multisymp.algebra import Polynomial, RationalSampler, sort_with_sign
 from multisymp.charts import (
     builtin_chart,
     chart_from_spec,
@@ -22,6 +22,7 @@ from multisymp.charts import (
     restrict_chart,
     scalar_field_chart,
     transplant_chart,
+    transplant_form,
     validate_chart,
 )
 from multisymp.exterior import (
@@ -292,3 +293,58 @@ def test_large_chart_scale():
     sol = hamiltonian_nvector_solve(chart, h, point)
     assert sol.verify()
     assert len(sol.kernel) > 0
+
+
+def _expanded_transplant(form, new_frame, assignment):
+    """Pullback by expanding every product of differential images over
+    unsorted index tuples, then sorting each with its sign: an oracle
+    independent of the wedge kernel."""
+    old_names = form.frame.names
+    differentials = {}
+    for old, image in assignment.items():
+        differentials[old] = [
+            (next(i for i, e in enumerate(expo) if e), coeff) for expo, coeff in image.terms.items() if any(expo)
+        ]
+    out = PolyForm.zero(new_frame, form.degree)
+    for key, coeff in form.terms.items():
+        new_coeff = coeff.transplant(new_frame.names, assignment)
+        expansions = [((), Fraction(1))]
+        for i in key:
+            expansions = [
+                (prefix + (idx,), c * w) for prefix, c in expansions for idx, w in differentials[old_names[i]]
+            ]
+        terms = {}
+        for indices, weight in expansions:
+            sorted_key, sign = sort_with_sign(indices)
+            if sign:
+                terms[sorted_key] = terms.get(sorted_key, new_frame.poly_zero()) + (sign * weight) * new_coeff
+        out = out + PolyForm(new_frame, form.degree, {k: v for k, v in terms.items() if v})
+    return out
+
+
+def test_transplant_form_under_multi_term_linear_images():
+    from conftest import random_form
+
+    chart = ddw_chart(2, 2)
+    f = chart.frame
+    v = f.poly_var
+    assignment = {name: v(name) for name in f.names}
+    assignment["x1"] = v("x1") + 2 * v("y1") + Fraction(1, 3)
+    assignment["y1"] = v("y1") - v("x1")
+    assignment["y2"] = Fraction(1, 2) * v("y2") - v("e") + 3 * v("p1_1") - 1
+    assignment["p2_2"] = v("x2") - v("p2_1")
+    assignment["e"] = f.poly_zero() + 5
+    sampler = RationalSampler(17)
+    forms = [chart.omega, chart.theta]
+    forms += [random_form(f, degree, sampler, n_terms=4, coeff_degree=2) for degree in (1, 2, 3) for _ in range(3)]
+    for form in forms:
+        image = transplant_form(form, f, assignment)
+        assert image == _expanded_transplant(form, f, assignment)
+        assert transplant_form(ext_d(form), f, assignment) == ext_d(image)
+    # dx1 ^ dy1 -> (dx1 + 2 dy1) ^ (dy1 - dx1) = 3 dx1 ^ dy1
+    assert transplant_form(form_basis(f, "x1", "y1"), f, assignment) == form_basis(f, "x1", "y1").scale(3)
+    with pytest.raises(ValueError, match="linear coordinate images"):
+        transplant_form(chart.omega, f, {**assignment, "e": v("e") ** 2})
+    missing = {name: image for name, image in assignment.items() if name != "p1_1"}
+    with pytest.raises(KeyError, match="p1_1"):
+        transplant_form(chart.omega, f, missing)

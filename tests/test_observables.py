@@ -284,7 +284,7 @@ def test_polarization_pairing_invariance():
     sampler = RationalSampler(113)
     point = sampler.point(chart.dim)
     from multisymp.dynamics import contraction_form, observability_family
-    from multisymp.exterior import _pair_terms, _cohook_terms, eval_terms
+    from multisymp.exterior import _pair_terms, _hook_terms, eval_terms
     from multisymp.linalg import nullspace
 
     family = observability_family(chart, tuple(chart.frame.index(h) for h in chart.horizontal))
@@ -317,8 +317,8 @@ def test_polarization_pairing_invariance():
             if p == chart.n:
                 assert (_pair_terms(x, gen_num) or Fraction(0)) == (_pair_terms(y, gen_num) or Fraction(0))
             else:
-                xa = _cohook_terms(x, gen_num)
-                ya = _cohook_terms(y, gen_num)
+                xa = _hook_terms(gen_num, x)
+                ya = _hook_terms(gen_num, y)
                 for other in cop.degree(chart.n - p):
                     other_num = eval_terms(other.terms, point)
                     assert (_pair_terms(xa, other_num) or Fraction(0)) == (
@@ -517,3 +517,45 @@ def test_massless_profile_observables():
     # profiles that do not solve the field equation are not conserved
     bad = linear_test_observable(chart, [f.poly_var("x0") ** 2, f.poly_zero()])
     assert pseudobracket_function(chart, bad) != f.poly_zero()
+
+
+def _radial_homotopy_loop(mu):
+    """The radial homotopy operator written out monomial by monomial and
+    slot by slot, as an oracle independent of the hook kernel."""
+    frame = mu.frame
+    k = mu.degree
+    names = frame.names
+    terms = {}
+    for key, coeff in mu.terms.items():
+        for expo, value in coeff.terms.items():
+            weight = Fraction(value, sum(expo) + k)
+            for slot, idx in enumerate(key):
+                rest = key[:slot] + key[slot + 1 :]
+                sign = 1 if slot % 2 == 0 else -1
+                new_expo = list(expo)
+                new_expo[idx] += 1
+                poly = Polynomial(names, {tuple(new_expo): sign * weight})
+                prev = terms.get(rest)
+                terms[rest] = poly if prev is None else prev + poly
+    return PolyForm(frame, k - 1, {k2: v for k2, v in terms.items() if v})
+
+
+@pytest.mark.parametrize("label", ["lepage-dedecker:2,2", "ddw:2,2", "maxwell"])
+def test_poincare_primitive_inverts_d_on_exact_forms(label):
+    from conftest import random_form
+    from multisymp.charts import builtin_chart
+    from multisymp.observables import poincare_primitive
+
+    chart = builtin_chart(label)
+    sampler = RationalSampler(sum(map(ord, label)))
+    checked = 0
+    for degree in range(3):
+        for _ in range(4):
+            mu = ext_d(random_form(chart.frame, degree, sampler, n_terms=3, coeff_degree=3))
+            if not mu:
+                continue
+            primitive = poincare_primitive(mu)
+            assert ext_d(primitive) == mu
+            assert primitive == _radial_homotopy_loop(mu)
+            checked += 1
+    assert checked >= 8
