@@ -21,10 +21,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "gen_kronecker",
     "sort_with_sign",
     "Polynomial",

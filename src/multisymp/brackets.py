@@ -12,7 +12,11 @@ The Poisson bracket of two forms with Hamilton vector fields is
 identities (derivation of d, Jacobi up to an exact term, the
 theta-corrected bracket with vanishing Jacobi sum) checked exactly in the
 test-suite.  Complementary-degree pairs (p + q = n + 1) get their scalar
-bracket through linear smearing and exact form division.
+bracket through linear smearing: each form is wedged with one wedge of
+horizontal coordinate differentials, and the Poisson bracket of the
+smeared pair, an (n-1)-form, is divided by the n-1 differentials.  That
+division has a scalar quotient, one ratio of coefficients, accepted only
+when the exact residual vanishes.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .exterior import (
     _hook_terms,
     _pair_terms,
     _wedge_terms,
-    all_index_tuples,
     eval_terms,
     ext_d,
     form_basis,
@@ -41,7 +44,6 @@ from .exterior import (
     lie_bracket,
     wedge,
 )
-from .linalg import LinearSolver
 from .observables import AOFTensor, Copolarization, NotAOF, aof_solve
 
 
@@ -62,11 +64,6 @@ class PseudobracketValue:
     n: int
     scalar: Fraction | None
     pairings: tuple[Fraction, ...] | None
-
-    def __eq__(self, other):
-        if not isinstance(other, PseudobracketValue):
-            return NotImplemented
-        return (self.p, self.n, self.scalar, self.pairings) == (other.p, other.n, other.scalar, other.pairings)
 
 
 def _sign(exponent: int) -> int:
@@ -234,12 +231,14 @@ def external_bracket(chart: Chart, f: PolyForm, g: PolyForm) -> PolyForm:
         {F, G} = -xi_G . dF  when G is; both when both are, consistently.
     """
     n = chart.n
-    xi_f = aof_solve(chart, f) if f.degree == n - 1 else NotAOF(residual=PolyForm.zero(chart.frame, n))
-    if not isinstance(xi_f, NotAOF):
-        return hook(xi_f, ext_d(g))
-    xi_g = aof_solve(chart, g) if g.degree == n - 1 else NotAOF(residual=PolyForm.zero(chart.frame, n))
-    if not isinstance(xi_g, NotAOF):
-        return -hook(xi_g, ext_d(f))
+    if f.degree == n - 1:
+        xi_f = aof_solve(chart, f)
+        if not isinstance(xi_f, NotAOF):
+            return hook(xi_f, ext_d(g))
+    if g.degree == n - 1:
+        xi_g = aof_solve(chart, g)
+        if not isinstance(xi_g, NotAOF):
+            return -hook(xi_g, ext_d(f))
     raise ValueError("external bracket needs one (n-1)-form with a Hamilton vector field")
 
 
@@ -252,7 +251,6 @@ def external_bracket(chart: Chart, f: PolyForm, g: PolyForm) -> PolyForm:
 class DivisionResult:
     quotient: PolyForm | None
     residual: PolyForm | None
-    unique: bool
 
     @property
     def divisible(self) -> bool:
@@ -260,37 +258,29 @@ class DivisionResult:
 
 
 def form_division(phi: PolyForm, divisors: Sequence[PolyForm]) -> DivisionResult:
-    """Solve  phi = a^1 ^ ... ^ a^r ^ chi  for chi, the divisors being
-    constant-coefficient 1-forms.  The quotient is unique exactly when it
-    is a scalar (degree 0); otherwise it is one solution, defined modulo
-    the ideal spanned by the divisors.  Divisibility is decided by the
-    span solver's residual, which is returned when nonzero."""
+    """Solve  phi = c a^1 ^ ... ^ a^r  for the function c, the divisors
+    being r = deg phi constant-coefficient 1-forms, so the quotient is a
+    scalar.  With W the wedge of the divisors and K its first key,
+    c = phi_K / W_K; phi is divisible exactly when the residual phi - c W
+    vanishes, and the residual is returned when it does not."""
     frame = phi.frame
-    r = len(divisors)
-    if r == 0:
-        return DivisionResult(quotient=phi, residual=None, unique=True)
+    if len(divisors) != phi.degree:
+        raise ValueError("form division needs one divisor per degree of phi (a scalar quotient)")
+    w = form_basis(frame)
     for a in divisors:
         if a.degree != 1:
             raise ValueError("divisors must be 1-forms")
         if not all(c.is_constant() for c in a.terms.values()):
             raise ValueError("divisors must have constant coefficients")
-    chi_degree = phi.degree - r
-    if chi_degree < 0:
-        raise ValueError("too many divisors for the degree of phi")
-    w = divisors[0]
-    for a in divisors[1:]:
         w = wedge(w, a)
     if not w:
         raise ValueError("divisors are linearly dependent")
-
-    chi_keys = all_index_tuples(frame.dim, chi_degree)
-    w_num = {k: c.constant_value() for k, c in w.terms.items()}
-    span = LinearSolver([_wedge_terms(w_num, {key: Fraction(1)}) for key in chi_keys])
-    solution, residual = span.solve(phi.terms, frame.poly_zero())
+    key, w_key = next(iter(w.terms.items()))
+    c = phi.terms.get(key, frame.poly_zero()) * (1 / w_key.constant_value())
+    residual = phi - w.scale(c)
     if residual:
-        return DivisionResult(quotient=None, residual=PolyForm(frame, phi.degree, residual), unique=False)
-    chi = PolyForm(frame, chi_degree, {key: x for key, x in zip(chi_keys, solution) if x})
-    return DivisionResult(quotient=chi, residual=None, unique=chi_degree == 0)
+        return DivisionResult(quotient=None, residual=residual)
+    return DivisionResult(quotient=PolyForm(frame, 0, {(): c}), residual=None)
 
 
 _SMEARINGS = 3
@@ -299,11 +289,12 @@ _SMEARINGS = 3
 def complementary_bracket(chart: Chart, f: PolyForm, g: PolyForm) -> Polynomial:
     """Scalar bracket of a (p-1)-form and a (q-1)-form with p + q = n + 1.
 
-    Both forms are smeared with wedges of horizontal coordinate
-    differentials to (n-1)-forms with Hamilton vector fields, their
-    Poisson bracket is divided by the smearing wedge, and the scalar must
-    not depend on the admissible choice of smearing coordinates (checked
-    over the first `_SMEARINGS` admissible choices).
+    Each form is smeared with one wedge of horizontal coordinate
+    differentials to an (n-1)-form with a Hamilton vector field, their
+    Poisson bracket is divided to a scalar by the n-1 differentials of
+    both smearing wedges, and the scalar must not depend on the
+    admissible choice of smearing coordinates (checked over the first
+    `_SMEARINGS` admissible choices).
     """
     n = chart.n
     p = f.degree + 1
@@ -316,20 +307,13 @@ def complementary_bracket(chart: Chart, f: PolyForm, g: PolyForm) -> Polynomial:
     results: list[tuple[tuple[str, ...], tuple[str, ...], Polynomial]] = []
     for f_names in combinations(horizontal, n - p):
         for g_names in combinations([h for h in horizontal if h not in f_names], n - q):
-            f_wedge = [form_basis(chart.frame, name) for name in f_names]
-            g_wedge = [form_basis(chart.frame, name) for name in g_names]
-            smeared_f = f
-            for a in reversed(f_wedge):
-                smeared_f = wedge(a, smeared_f)
-            smeared_g = g
-            for b in reversed(g_wedge):
-                smeared_g = wedge(b, smeared_g)
-            xi_f = aof_solve(chart, smeared_f)
-            xi_g = aof_solve(chart, smeared_g)
+            xi_f = aof_solve(chart, wedge(form_basis(chart.frame, *f_names), f))
+            xi_g = aof_solve(chart, wedge(form_basis(chart.frame, *g_names), g))
             if isinstance(xi_f, NotAOF) or isinstance(xi_g, NotAOF):
                 continue
             bracket = hook(wedge(xi_f, xi_g), chart.omega)
-            division = form_division(bracket, f_wedge + g_wedge)
+            divisors = [form_basis(chart.frame, name) for name in f_names + g_names]
+            division = form_division(bracket, divisors)
             if not division.divisible:
                 continue
             scalar = division.quotient.terms.get((), chart.frame.poly_zero())

@@ -574,18 +574,14 @@ def nondegeneracy_check(chart: Chart, seed: int = 0) -> NondegeneracyVerdict:
     the kernel is required to vanish at `_NONDEGENERACY_POINTS` seeded
     random rational points.
     """
-    if omega_is_constant(chart):
-        kernel = nullspace(contraction_matrix(chart))
-        if kernel:
-            return NondegeneracyVerdict(False, True, tuple(kernel[0]), 1)
-        return NondegeneracyVerdict(True, True, None, 1)
+    exact = omega_is_constant(chart)
     sampler = RationalSampler(seed)
-    for i in range(_NONDEGENERACY_POINTS):
-        point = sampler.point(chart.dim)
+    points = [None] if exact else [sampler.point(chart.dim) for _ in range(_NONDEGENERACY_POINTS)]
+    for checked, point in enumerate(points, 1):
         kernel = nullspace(contraction_matrix(chart, point))
         if kernel:
-            return NondegeneracyVerdict(False, True, tuple(kernel[0]), i + 1)
-    return NondegeneracyVerdict(True, False, None, _NONDEGENERACY_POINTS)
+            return NondegeneracyVerdict(False, True, tuple(kernel[0]), checked)
+    return NondegeneracyVerdict(True, exact, None, len(points))
 
 
 def validate_chart(chart: Chart) -> list[str]:

@@ -80,7 +80,6 @@ class DegenerateSystem(Exception):
 class VerticalFamily:
     """X_slot = e_{horizontal[slot]} + sum_c t[slot, c] e_c over free coords."""
 
-    chart: Chart
     horizontal: tuple[int, ...]  # coordinate indices, one per slot
     free: tuple[int, ...]  # coordinate indices shared by every slot
 
@@ -113,7 +112,7 @@ class VerticalFamily:
 
 
 def observability_family(chart: Chart, horizontal: Sequence[int]) -> VerticalFamily:
-    return VerticalFamily(chart, tuple(horizontal), chart.frame.fiber_indices())
+    return VerticalFamily(tuple(horizontal), chart.frame.fiber_indices())
 
 
 def solver_family(chart: Chart) -> VerticalFamily:
@@ -121,7 +120,7 @@ def solver_family(chart: Chart) -> VerticalFamily:
     if len(set(horizontal)) != chart.n:
         raise ValueError("degenerate horizontal frame")
     free = tuple(i for i in range(chart.dim) if i not in horizontal)
-    return VerticalFamily(chart, horizontal, free)
+    return VerticalFamily(horizontal, free)
 
 
 def contraction_form(x_terms: Terms, omega_num: Terms) -> Terms:

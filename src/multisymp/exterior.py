@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -358,15 +358,6 @@ def wedge(a: _AltTensor, b: _AltTensor) -> _AltTensor:
     return a._raw(a.frame, degree, _wedge_terms(a.terms, b.terms))
 
 
-def wedge_all(factors: Sequence[_AltTensor]) -> _AltTensor:
-    if not factors:
-        raise ValueError("need at least one factor")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = wedge(acc, f)
-    return acc
-
-
 def pair(x: PolyMultivector, mu: PolyForm) -> Polynomial:
     """Duality pairing <X, mu>; zero when the degrees differ."""
     if x.frame != mu.frame:
@@ -470,7 +461,7 @@ class DecomposableNVector:
         return len(self.factors)
 
     def expand(self) -> PolyMultivector:
-        return wedge_all(self.factors)
+        return reduce(wedge, self.factors)
 
     def replace_slot(self, slot: int, vector: PolyMultivector) -> "DecomposableNVector":
         factors = list(self.factors)

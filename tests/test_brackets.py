@@ -299,7 +299,7 @@ def test_form_division_examples():
     dx1, dx2 = form_basis(f, "q1"), form_basis(f, "q2")
     phi = wedge(dx1, dx2)
     result = form_division(phi, [dx1, dx2])
-    assert result.divisible and result.unique
+    assert result.divisible
     assert result.quotient == PolyForm(f, 0, {(): f.poly_const(1)})
     assert form_division(phi.scale(2), [dx1, dx2]).quotient.terms[()] == f.poly_const(2)
     assert form_division(wedge(dx2, dx1), [dx1, dx2]).quotient.terms[()] == f.poly_const(-1)
@@ -307,6 +307,14 @@ def test_form_division_examples():
     assert not undivisible.divisible and undivisible.residual
     with pytest.raises(ValueError):
         form_division(phi, [dx1, dx1])
+
+
+def test_form_division_needs_a_scalar_quotient():
+    """One divisor per degree of phi: dividing the Maxwell volume form by
+    one differential would leave a 3-form quotient."""
+    chart = maxwell_chart()
+    with pytest.raises(ValueError, match="scalar"):
+        form_division(chart.volume_form(), [form_basis(chart.frame, "x0")])
 
 
 def test_complementary_bracket_canonical_pair():

@@ -407,8 +407,8 @@ def reference_form_division(phi, divisors):
     chi = PolyForm(frame, phi.degree - len(divisors), {key: x for key, x in zip(chi_keys, solution) if x})
     residual = phi - wedge(w, chi)
     if residual:
-        return DivisionResult(quotient=None, residual=residual, unique=False)
-    return DivisionResult(quotient=chi, residual=None, unique=chi.degree == 0)
+        return DivisionResult(quotient=None, residual=residual)
+    return DivisionResult(quotient=chi, residual=None)
 
 
 BUILTIN_CHARTS = [
@@ -430,14 +430,38 @@ def test_span_callers_match_the_dense_reference(label):
         result = solve_contraction(chart, form)
         assert result == reference_solve_contraction(chart, form)
         solved.add(not isinstance(result, NotAOF))
-        for count in (chart.n - 1, chart.n):
-            divisors = [form_basis(frame, name) for name in chart.horizontal[:count]]
-            if divisors:
-                division = form_division(form, divisors)
-                assert division == reference_form_division(form, divisors)
-                divided.add(division.divisible)
+        divisors = [form_basis(frame, name) for name in chart.horizontal]
+        division = form_division(form, divisors)
+        assert division == reference_form_division(form, divisors)
+        divided.add(division.divisible)
     assert solved == {True, False}
     assert divided == {True, False}
+
+
+def test_form_division_by_combined_differentials_matches_the_dense_reference():
+    """Divisors that are not coordinate differentials, so that their
+    wedge W has several terms: a multiple of W divides, while a form that
+    agrees with it on W's first key and differs elsewhere does not."""
+    chart = builtin_chart("lepage-dedecker:3,1")
+    frame = chart.frame
+    dq1, dq2, dq3 = (form_basis(frame, name) for name in ("q1", "q2", "q3"))
+    divisors = [dq1 + dq2.scale(2), dq2 - dq3]
+    w = wedge(*divisors)
+    assert len(w.terms) == 3
+    c = frame.parse_poly("3/2 + q1*p123 - q4^2")
+    phi = w.scale(c)
+    division = form_division(phi, divisors)
+    assert division == reference_form_division(phi, divisors)
+    assert division.quotient == PolyForm(frame, 0, {(): c})
+    zero = form_division(PolyForm.zero(frame, 2), divisors)
+    assert zero == reference_form_division(PolyForm.zero(frame, 2), divisors)
+    assert zero.quotient == PolyForm.zero(frame, 0)
+    off = form_basis(frame, "q2", "q3").scale(frame.poly_var("p124"))
+    outside = form_basis(frame, "q1", "q4").scale(c)
+    for phi, residual in ((w.scale(c) + off, off), (outside, outside)):
+        division = form_division(phi, divisors)
+        assert division == reference_form_division(phi, divisors)
+        assert not division.divisible and division.residual == residual
 
 
 def test_copolar_membership_matches_the_dense_reference():
