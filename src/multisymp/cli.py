@@ -11,7 +11,9 @@ Subcommands:
 
 Reports are JSON with stable key ordering: identical inputs and seed
 produce byte-identical output.  Exit codes: 0 all checks pass, 1 at
-least one check failed, 2 input error.
+least one check failed, 2 input error (an unreadable input file and an
+`--output` or `--output-csv` path that cannot be written count as input
+errors).
 
 Forms read from input (form arguments, the forms stored in a report, and
 the omega, theta and hamiltonian of a chart spec file) may raise a
@@ -196,7 +198,7 @@ class Report:
 def cmd_check_chart(args) -> int:
     try:
         chart = load_chart_argument(args.chart)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     report = Report(args.seed, chart)
@@ -229,7 +231,7 @@ def cmd_observable(args) -> int:
         for flag, count, limit in (("--points", args.points, MAX_POINTS), ("--samples", args.samples, MAX_SAMPLES)):
             if not 1 <= count <= limit:
                 raise ValueError(f"{flag} must be between 1 and {limit}, got {count}")
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     report = Report(args.seed, chart)
@@ -284,7 +286,7 @@ def cmd_bracket(args) -> int:
         f = load_form_argument(chart, args.f)
         g = load_form_argument(chart, args.g)
         point = _parse_point(args.point, chart.dim) if args.kind == "pseudo" and args.point else None
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     report = Report(args.seed, chart)
@@ -334,11 +336,7 @@ def cmd_bracket(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         config = load_experiment_config(args.config)
-        if args.tolerance is not None:
-            from dataclasses import replace
-
-            config = replace(config, conserved_tolerance=float(args.tolerance))
-    except (ValueError, TypeError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, TypeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     try:
@@ -477,7 +475,7 @@ def cmd_recheck(args) -> int:
     try:
         with open(args.report, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     if not (isinstance(data, dict) and isinstance(data.get("checks"), list) and "tool_version" in data):
@@ -552,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a conservation experiment config")
     p.add_argument("config")
-    p.add_argument("--tolerance", default=None, help="override the conserved-drift tolerance")
     p.add_argument("--output")
     p.add_argument("--output-csv")
     p.set_defaults(func=cmd_simulate)
@@ -566,7 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an input file that cannot be read or an output path that cannot be written
+        sys.stderr.write(f"input error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

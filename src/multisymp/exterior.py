@@ -340,10 +340,6 @@ def vector_basis(frame: CoordinateFrame, *names: str) -> PolyMultivector:
     return PolyMultivector.from_named(frame, len(names), [(names, 1)])
 
 
-def vector_from_components(frame: CoordinateFrame, components: Mapping[str, Polynomial | Fraction | int]) -> PolyMultivector:
-    return PolyMultivector.from_named(frame, 1, [((name,), c) for name, c in components.items()])
-
-
 # ---------------------------------------------------------------------------
 # the operations
 # ---------------------------------------------------------------------------
@@ -462,11 +458,6 @@ class DecomposableNVector:
 
     def expand(self) -> PolyMultivector:
         return reduce(wedge, self.factors)
-
-    def replace_slot(self, slot: int, vector: PolyMultivector) -> "DecomposableNVector":
-        factors = list(self.factors)
-        factors[slot] = vector
-        return DecomposableNVector(tuple(factors))
 
 
 def all_index_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:

@@ -26,7 +26,14 @@ e = L - p^mu_a d_mu phi^a, where L's kinetic terms are quadratured with
 the *product of forward and backward* differences.  That estimator is
 second-order like the centered one but not identical to it, so the
 constraint H = 0 on the lift is a genuine O(dx^2 + dt^2) verification,
-not an identity of the discretization.
+not an identity of the discretization.  `legendre_lift` lifts each level
+it needs once, into one (M, dim) table in frame order, and differences
+those tables for the tangent frames.
+
+`compile_form` is the one float evaluator of forms on the lift: a 1-form
+on one field of tangent vectors, a 2-form on two.  The slice integrals
+(`slice_functional`, `functional_series`) and the pointwise dynamical law
+(`pointwise_dynamics_on_lift`) all go through it.
 """
 
 from __future__ import annotations
@@ -74,17 +81,10 @@ class FieldState:
         return self.dx * self.grid_points
 
 
-def _laplacian(phi: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(phi, -1, axis=-1) - 2.0 * phi + np.roll(phi, 1, axis=-1)) / dx**2
-
-
-def _v_prime(state_s: np.ndarray, mass2: float, coupling: float) -> np.ndarray:
-    return mass2 + 2.0 * coupling * state_s
-
-
 def acceleration(phi: np.ndarray, dx: float, mass2: float, coupling: float) -> np.ndarray:
     s = 0.5 * (phi[0] ** 2 + phi[1] ** 2)
-    return _laplacian(phi, dx) - _v_prime(s, mass2, coupling) * phi
+    laplacian = (np.roll(phi, -1, axis=-1) - 2.0 * phi + np.roll(phi, 1, axis=-1)) / dx**2
+    return laplacian - (mass2 + 2.0 * coupling * s) * phi
 
 
 class _Level(NamedTuple):
@@ -306,48 +306,25 @@ def legendre_lift(history: FieldHistory, chart: Chart, step_indices: Sequence[in
         if not 1 <= j <= total - 2:
             raise ValueError(f"step {j} outside the interior range")
     names = chart.frame.names
-    m = history.phi.shape[2]
-    dim = chart.dim
-    t_count = len(steps)
-    points = np.zeros((t_count, m, dim))
-    frames_t = np.zeros((t_count, m, dim))
-    frames_x = np.zeros((t_count, m, dim))
-    h_res = np.zeros((t_count, m))
-
-    fields_cache: dict[int, dict[str, np.ndarray]] = {}
-
-    def fields(j: int) -> dict[str, np.ndarray]:
-        if j not in fields_cache:
-            fields_cache[j] = _coords_fields(history, j)
-        return fields_cache[j]
-
-    h_poly = chart.hamiltonian
-    compiled_h = compile_polynomial(h_poly, names) if h_poly is not None else None
-
-    for row, j in enumerate(steps):
-        here = fields(j)
-        for col, name in enumerate(names):
-            points[row, :, col] = here[name]
-        # time frame: d/dx0 of every lifted coordinate (centered in time)
-        if 2 <= j <= total - 3:
-            plus, minus = fields(j + 1), fields(j - 1)
-            for col, name in enumerate(names):
-                if name == "x0":
-                    frames_t[row, :, col] = 1.0
-                elif name == "x1":
-                    frames_t[row, :, col] = 0.0
-                else:
-                    frames_t[row, :, col] = (plus[name] - minus[name]) / (2.0 * history.dt)
-        # space frame: centered in x
-        for col, name in enumerate(names):
-            if name == "x1":
-                frames_x[row, :, col] = 1.0
-            elif name == "x0":
-                frames_x[row, :, col] = 0.0
-            else:
-                arr = here[name]
-                frames_x[row, :, col] = (np.roll(arr, -1) - np.roll(arr, 1)) / (2.0 * history.dx)
-        if compiled_h is not None:
+    # the time frame is centered, so it needs both neighbouring levels lifted
+    inner = [row for row, j in enumerate(steps) if 2 <= j <= total - 3]
+    levels = set(steps).union(*({steps[row] - 1, steps[row] + 1} for row in inner))
+    table = {}  # level -> (M, dim) lifted coordinates, in frame order
+    for k in sorted(levels):
+        fields = _coords_fields(history, k)
+        table[k] = np.stack([fields[name] for name in names], axis=-1)
+    points = np.stack([table[j] for j in steps]) if steps else np.zeros((0, history.phi.shape[2], chart.dim))
+    frames_t = np.zeros_like(points)
+    for row in inner:
+        frames_t[row] = (table[steps[row] + 1] - table[steps[row] - 1]) / (2.0 * history.dt)
+    frames_x = (np.roll(points, -1, axis=1) - np.roll(points, 1, axis=1)) / (2.0 * history.dx)
+    t_col, x_col = chart.frame.index("x0"), chart.frame.index("x1")
+    frames_t[inner, :, t_col], frames_t[inner, :, x_col] = 1.0, 0.0
+    frames_x[..., t_col], frames_x[..., x_col] = 0.0, 1.0
+    h_res = np.zeros(points.shape[:2])
+    if chart.hamiltonian is not None:
+        compiled_h = compile_polynomial(chart.hamiltonian, names)
+        for row in range(len(steps)):
             h_res[row] = compiled_h(points[row].T)
     return LiftedCurve(
         chart=chart,
@@ -385,32 +362,24 @@ def compile_polynomial(poly: Polynomial, names: Sequence[str]) -> Callable[[np.n
     return evaluate
 
 
-def compile_one_form(form: PolyForm) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Evaluator of a 1-form on a field of tangent vectors."""
-    if form.degree != 1:
-        raise ValueError("expected a 1-form")
+def compile_form(form: PolyForm, degree: int) -> Callable[..., np.ndarray]:
+    """Evaluator of a `degree`-form, degree 1 or 2, on as many fields of
+    tangent vectors, each of shape (dim, ...) like `coords`."""
+    if form.degree != degree:
+        raise ValueError(f"expected a {degree}-form, got degree {form.degree}")
+    if degree == 1:
+        def value(key, v):
+            return v[key[0]]
+    else:
+        def value(key, u, v):
+            return u[key[0]] * v[key[1]] - u[key[1]] * v[key[0]]
     names = form.frame.names
-    pieces = [((k[0]), compile_polynomial(c, names)) for k, c in form.terms.items()]
+    pieces = [(key, compile_polynomial(c, names)) for key, c in form.terms.items()]
 
-    def evaluate(coords: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    def evaluate(coords: np.ndarray, *vectors: np.ndarray) -> np.ndarray:
         total = np.zeros(coords.shape[1:])
-        for idx, coeff in pieces:
-            total += coeff(coords) * vectors[idx]
-        return total
-
-    return evaluate
-
-
-def compile_two_form(form: PolyForm) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    if form.degree != 2:
-        raise ValueError("expected a 2-form")
-    names = form.frame.names
-    pieces = [((k[0], k[1]), compile_polynomial(c, names)) for k, c in form.terms.items()]
-
-    def evaluate(coords: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        total = np.zeros(coords.shape[1:])
-        for (i, j), coeff in pieces:
-            total += coeff(coords) * (u[i] * v[j] - u[j] * v[i])
+        for key, coeff in pieces:
+            total += coeff(coords) * value(key, *vectors)
         return total
 
     return evaluate
@@ -421,7 +390,7 @@ def slice_functional(curve: LiftedCurve, form: PolyForm, row: int) -> float:
     recorded row: evaluate on the spatial tangent frame, midpoint rule."""
     if not 0 <= row < len(curve.step_indices):
         raise ValueError(f"row {row} outside the recorded range")
-    evaluator = compile_one_form(form)
+    evaluator = compile_form(form, 1)
     coords = curve.points[row].T  # (dim, M)
     tangent = curve.frames_x[row].T
     return float(evaluator(coords, tangent).sum() * curve.dx)
@@ -444,29 +413,22 @@ def slice_functional_at(curve: LiftedCurve, form: PolyForm, slice_) -> float:
 
 
 def functional_series(curve: LiftedCurve, form: PolyForm) -> np.ndarray:
-    evaluator = compile_one_form(form)
+    evaluator = compile_form(form, 1)
     out = np.empty(len(curve.step_indices))
     for row in range(len(curve.step_indices)):
         out[row] = evaluator(curve.points[row].T, curve.frames_x[row].T).sum() * curve.dx
     return out
 
 
-def pointwise_dynamics_on_lift(
-    curve: LiftedCurve,
-    chart: Chart,
-    observable: PolyForm,
-    bracket: Polynomial | None = None,
-) -> dict[str, float]:
+def pointwise_dynamics_on_lift(curve: LiftedCurve, chart: Chart, observable: PolyForm) -> dict[str, float]:
     """Residual of the pointwise dynamical law on the lifted frame:
     dF(X_t, X_x) must match {H, F} * vol(X_t, X_x); both sides are
     discretizations so the gap decays at second order."""
     from .brackets import pseudobracket_function
 
-    if bracket is None:
-        bracket = pseudobracket_function(chart, observable)
-    df = compile_two_form(ext_d(observable))
-    vol = compile_two_form(chart.volume_form())
-    br = compile_polynomial(bracket, chart.frame.names)
+    df = compile_form(ext_d(observable), 2)
+    vol = compile_form(chart.volume_form(), 2)
+    br = compile_polynomial(pseudobracket_function(chart, observable), chart.frame.names)
     worst = 0.0
     total = 0
     # interior rows only: the time frame needs both neighbours lifted
@@ -606,7 +568,8 @@ def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
     * the total charge integral (conserved for any coupling);
     * the test-profile functional paired with a simultaneously evolved
       linear solution U (conserved exactly when the field itself is
-      linear, drifting once the coupling is switched on).
+      linear, drifting once the coupling is switched on);
+    * the energy, reported only when the expectations name it.
     """
     state = plane_wave_state(
         config.grid_points, config.length, config.cfl, config.field_modes, config.mass2, config.coupling
@@ -643,41 +606,20 @@ def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         energy[i] = float(density.sum() * dx)
 
-    reports = [
-        FunctionalReport(
-            name="charge",
-            initial=float(charge[0]),
-            max_drift=relative_drift(charge),
-            conserved=relative_drift(charge) <= config.conserved_tolerance,
-            tolerance=config.conserved_tolerance,
-        ),
-        FunctionalReport(
-            name="smeared",
-            initial=float(smeared[0]),
-            max_drift=relative_drift(smeared),
-            conserved=relative_drift(smeared) <= config.smeared_tolerance,
-            tolerance=config.smeared_tolerance,
-        ),
-    ]
-    if config.expectations and "energy" in config.expectations:
-        reports.append(
-            FunctionalReport(
-                name="energy",
-                initial=float(energy[0]),
-                max_drift=relative_drift(energy),
-                conserved=relative_drift(energy) <= config.conserved_tolerance,
-                tolerance=config.conserved_tolerance,
-            )
-        )
-    matches = True
-    if config.expectations:
-        for rep in reports:
-            if rep.name in config.expectations and config.expectations[rep.name] != rep.conserved:
-                matches = False
+    series = {"charge": charge, "smeared": smeared, "energy": energy}
+    expectations = config.expectations or {}
+    tolerances = {"charge": config.conserved_tolerance, "smeared": config.smeared_tolerance}
+    if "energy" in expectations:
+        tolerances["energy"] = config.conserved_tolerance
+    reports = []
+    for name, tolerance in tolerances.items():
+        drift = relative_drift(series[name])
+        reports.append(FunctionalReport(name, float(series[name][0]), drift, drift <= tolerance, tolerance))
+    matches = all(expectations.get(rep.name, rep.conserved) == rep.conserved for rep in reports)
     return ExperimentResult(
         config=config,
         functionals=reports,
-        series={"charge": charge, "smeared": smeared, "energy": energy},
+        series=series,
         times=times,
         matches_expectations=matches,
     )

@@ -27,7 +27,6 @@ from .charts import Chart, contraction_columns, omega_is_constant
 from .dynamics import of_sampling_test, OFVerdict
 from .exterior import (
     CoordKind,
-    CoordinateFrame,
     PolyForm,
     PolyMultivector,
     ext_d,
@@ -433,12 +432,8 @@ class AOFTensor:
     def generator_vectors(self) -> list[tuple[PolyForm, PolyMultivector]]:
         n = self.copol.chart.n
         if self.p == n:
-            return [(form_scalar_one(self.copol.chart.frame), self.vectors[0])]
+            return [(form_basis(self.copol.chart.frame), self.vectors[0])]
         return list(zip(self.copol.degree(n - self.p), self.vectors))
-
-
-def form_scalar_one(frame: CoordinateFrame) -> PolyForm:
-    return PolyForm(frame, 0, {(): frame.poly_const(1)})
 
 
 def aof_tensor(chart: Chart, copol: Copolarization, observable: PolyForm) -> AOFTensor | NotAOF:
@@ -449,7 +444,7 @@ def aof_tensor(chart: Chart, copol: Copolarization, observable: PolyForm) -> AOF
         raise ValueError("observable degree out of range")
     df = ext_d(observable)
     if p == chart.n:
-        phis: Sequence[PolyForm] = [form_scalar_one(chart.frame)]
+        phis: Sequence[PolyForm] = [form_basis(chart.frame)]
     else:
         phis = copol.degree(chart.n - p)
     vectors = []
@@ -507,11 +502,9 @@ def gauged_charge_form(chart: Chart, weight: Polynomial) -> PolyForm:
 
         w(x) (p^mu_1 phi2 - p^mu_2 phi1) vol_mu - (1/2) p^{mu nu} dw ^ vol_{mu nu}.
     """
-    from .exterior import ext_d as _d
-
     frame = chart.frame
     out = charge_current_form(chart, weight)
-    dw = _d(PolyForm(frame, 0, {(): weight}))
+    dw = ext_d(PolyForm(frame, 0, {(): weight}))
     half_p_vol = PolyForm.zero(frame, chart.n - 2)
     for mu, nu in combinations(range(chart.n), 2):
         half_p_vol = half_p_vol + chart.volume_contraction(f"x{mu}", f"x{nu}").scale(frame.poly_var(f"p{mu}{nu}"))

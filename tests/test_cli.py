@@ -183,6 +183,26 @@ def test_simulate_bad_config_is_input_error(tmp_path):
     assert main(["simulate", str(path)]) == 2
 
 
+def test_simulate_reports_a_failed_expectation(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"coupling": 0.5, "crossing_times": 2.0, "expectations": {"smeared": True}}))
+    code, report = run(capsys, "simulate", str(path))
+    assert code == 1
+    status = {c["check_id"]: c["status"] for c in report["checks"]}
+    assert status == {"functional:charge": "pass", "functional:smeared": "fail"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-chart", "ddw:2,1", "--output"],
+    ["simulate", str(SCRIPTS / "charge_conservation.json"), "--output-csv"],
+])
+def test_unwritable_output_is_input_error(capsys, tmp_path, argv):
+    assert main(argv + [str(tmp_path / "missing" / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")
+
+
 def test_input_error_unknown_chart():
     assert main(["check-chart", "nope:1,1"]) == 2
 

@@ -285,9 +285,49 @@ def test_frame_budget_boundary():
 
 
 def test_functional_series_matches_experiment_charge():
+    """The charge form's slice integrals on the lift of the experiment's own
+    run, at its recorded rows, reproduce the experiment's charge series."""
     config = ExperimentConfig(coupling=0.0, crossing_times=0.5, record_stride=16)
     result = conservation_experiment(config)
     assert relative_drift(result.series["charge"]) <= 1e-6
+    state = plane_wave_state(config.grid_points, config.length, config.cfl, config.field_modes,
+                             config.mass2, config.coupling)
+    chart = scalar_field_chart(2, V_MASS)
+    curve = legendre_lift(simulate(state, config.n_steps), chart,
+                          range(1, config.n_steps, config.record_stride))
+    series = functional_series(curve, charge_current_form(chart))
+    np.testing.assert_allclose(series, result.series["charge"], rtol=1e-12)
+
+
+def test_energy_is_reported_when_expected():
+    """The linear field's energy drifts at second order only: about 1.5e-8
+    over two crossings, well inside the conserved tolerance."""
+    config = ExperimentConfig(coupling=0.0, crossing_times=2.0, expectations={"charge": True, "energy": True})
+    result = conservation_experiment(config)
+    assert [f.name for f in result.functionals] == ["charge", "smeared", "energy"]
+    energy = result.functionals[2]
+    assert energy.tolerance == config.conserved_tolerance
+    assert energy.max_drift == pytest.approx(1.5e-8, rel=0.05)
+    assert energy.conserved and result.matches_expectations
+
+
+def test_a_failed_expectation_does_not_match():
+    config = ExperimentConfig(coupling=0.5, crossing_times=2.0, expectations={"smeared": True})
+    result = conservation_experiment(config)
+    assert [f.name for f in result.functionals] == ["charge", "smeared"]
+    assert not result.functionals[1].conserved
+    assert not result.matches_expectations
+
+
+def test_one_form_evaluators_refuse_a_two_form():
+    state = plane_wave_state(16, LENGTH, 0.45, [Mode(1.0, 1, 0.0)], 1.0)
+    chart = scalar_field_chart(2, V_MASS)
+    curve = legendre_lift(simulate(state, 6), chart, [2, 3])
+    two_form = form_basis(chart.frame, "x0", "x1")
+    with pytest.raises(ValueError):
+        slice_functional(curve, two_form, 0)
+    with pytest.raises(ValueError):
+        functional_series(curve, two_form)
 
 
 # -- pointwise dynamics on the lift --------------------------------------------------
