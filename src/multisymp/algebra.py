@@ -69,10 +69,11 @@ class Polynomial:
 
     Immutable, and callers rely on it: an operation may return one of its
     operands (`p * 1` is `p`), so no code may mutate `terms` or
-    `variables` after construction.
+    `variables` after construction.  That is also why the hash is
+    computed once, on first use, and kept.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -227,7 +228,11 @@ class Polynomial:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.variables, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.variables, frozenset(self.terms.items())))
+            return self._hash
 
     # -- calculus and evaluation ---------------------------------------
 
@@ -442,18 +447,29 @@ class RationalSampler:
     Numerators range over [-9, 9] and denominators over {1, 2, 3}: small
     enough that exact arithmetic stays cheap, rich enough to break any
     accidental alignment.  Identical seeds reproduce identical streams.
-    Draws come from a table of the 57 (numerator, denominator) pairs,
-    indexed by the same `randint` and `choice` draws, so no `Fraction` is
-    built per draw.
+    Each draw is a numerator index in [0, 19) and a denominator index in
+    [0, 3), read straight from `getrandbits` by redrawing out-of-range
+    values, into a table of the 57 pairs, so no `Fraction` is built per
+    draw.  This is how CPython's `randint(-9, 9)` and `choice((1, 2, 3))`
+    draw, so the values and the generator state after every draw are
+    theirs (a test pins this).
     """
 
-    _RATIONALS = {(n, d): Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 3)}
+    _RATIONALS = tuple(tuple(Fraction(n, d) for d in (1, 2, 3)) for n in range(-9, 10))
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
+        self._bits = self._rng.getrandbits
 
     def rational(self) -> Fraction:
-        return self._RATIONALS[self._rng.randint(-9, 9), self._rng.choice((1, 2, 3))]
+        bits = self._bits
+        n = bits(5)
+        while n >= 19:
+            n = bits(5)
+        d = bits(2)
+        while d == 3:
+            d = bits(2)
+        return self._RATIONALS[n][d]
 
     def nonzero(self) -> Fraction:
         while True:

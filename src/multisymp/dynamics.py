@@ -33,8 +33,10 @@ Every computing path that contracts or pairs a decomposable n-vector
 given by its factors goes through the one minor routine
 (`OmegaContraction.of_factors`, `decomposable_pairing`, both over
 `linalg.sparse_minor`), whose factor entries may be `Fraction`, `int` or
-`Polynomial`.  The full wedge expansion stays in the checks that must be
-independent of that route (`HamiltonianSolution.verify`,
+`Polynomial`.  Only the contractions of coordinate unit n-vectors, the
+columns of a family's linear part, are read straight off the plan that
+`OmegaContraction` keeps.  The full wedge expansion stays in the checks
+that must be independent of that route (`HamiltonianSolution.verify`,
 `recheck_of_counterexample`), in `plucker_check`, and in
 `brackets.dynamics_relation_check`, which takes interior products of the
 expanded n-vector.
@@ -49,7 +51,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .algebra import Polynomial, RationalSampler
+from .algebra import Polynomial, RationalSampler, sort_with_sign
 from .charts import Chart
 from .exterior import (
     DecomposableNVector,
@@ -136,9 +138,10 @@ class OmegaContraction:
         <X ^ e_j, Omega> = (-1)^n <X, e_j . Omega>,
 
     the sum of (-1)^n * c * det(X on L) over the terms c dx^L of
-    e_j . Omega.  The plan holds those terms per j, taken from the hook
-    kernel once per Omega, with j in order of first appearance in
-    Omega's keys.
+    e_j . Omega.  The plan holds those terms per j, as L -> (-1)^n c,
+    taken from the hook kernel once per Omega, with j in order of first
+    appearance in Omega's keys.  `key` is the evaluated Omega as a
+    hashable value, which names every kernel built from the plan.
 
     The factors become sparse rows once per call.  A minor with a column
     absent from every factor is zero and is never expanded; the others go
@@ -150,8 +153,9 @@ class OmegaContraction:
     """
 
     def __init__(self, omega_num: Terms):
-        self.plan: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {
-            j: [(rest, -c if len(rest) % 2 else c) for rest, c in _hook_terms({(j,): 1}, omega_num).items()]
+        self.key = frozenset(omega_num.items())
+        self.plan: dict[int, dict[tuple[int, ...], Fraction]] = {
+            j: {rest: -c if len(rest) % 2 else c for rest, c in _hook_terms({(j,): 1}, omega_num).items()}
             for j in dict.fromkeys(j for key in omega_num for j in key)
         }
 
@@ -161,7 +165,7 @@ class OmegaContraction:
         out: Terms = {}
         for j, entries in self.plan.items():
             acc = None
-            for rest, coeff in entries:
+            for rest, coeff in entries.items():
                 if not present.issuperset(rest):
                     continue
                 minor = sparse_minor(rows, rest, memo)
@@ -188,7 +192,7 @@ class OmegaContraction:
         horizontal = set(family.horizontal)
         free = set(family.free)
         for entries in self.plan.values():
-            for rest, _ in entries:
+            for rest in entries:
                 free_legs = sum(c in free for c in rest)
                 if free_legs >= 2 and all(c in free or c in horizontal for c in rest):
                     return False
@@ -205,39 +209,46 @@ def _factor_rows(factors: Sequence[Terms]) -> tuple[list[dict[int, Fraction]], s
 def _linear_columns(family: VerticalFamily, omega: OmegaContraction) -> list[Terms]:
     """The linear part of the family's contraction map, one column per
     parameter (slot, c).  The wedge is linear in each factor, so moving
-    t[slot, c] from 0 to 1 adds exactly the contraction of the horizontal
-    factors with the slot-th one replaced by e_c."""
-    horizontal = [{(h,): Fraction(1)} for h in family.horizontal]
-    return [
-        omega.of_factors(horizontal[:slot] + [{(c,): Fraction(1)}] + horizontal[slot + 1 :])
-        for slot, c in family.params
-    ]
+    t[slot, c] from 0 to 1 adds exactly the contraction of the unit
+    n-vector e_K, K the horizontal legs with the slot-th one replaced by
+    c.  Its minor on L is the sign of the permutation sorting K when L is
+    sorted(K), and zero otherwise, so component j is the plan entry of j
+    on sorted(K) times that sign: a lookup, not a minor."""
+    columns = []
+    for slot, c in family.params:
+        rest, sign = sort_with_sign(family.horizontal[:slot] + (c,) + family.horizontal[slot + 1 :])
+        columns.append({(j,): sign * entries[rest] for j, entries in omega.plan.items() if rest in entries})
+    return columns
 
 
-_FAMILY_CACHE: dict[tuple, tuple[Chart, list[tuple[Fraction, ...]], bool]] = {}
+# Bounded without eviction order: a full cache is cleared before the next
+# insert, so every miss still grows or resets its length.
+_CACHE_LIMIT = 4096
+_FAMILY_CACHE: dict[tuple, tuple[list[tuple[Fraction, ...]], bool]] = {}
 
 
 def _family_step_data(
     chart: Chart,
     family: VerticalFamily,
-    point: tuple[Fraction, ...],
     omega: OmegaContraction,
 ) -> tuple[list[tuple[Fraction, ...]], bool]:
     """Kernel directions of the linear part of the family's contraction
     map, and the exact certificate that the map is affine
-    (`OmegaContraction.affine_on`), cached across candidate forms (they
-    depend on the chart point only).  Keyed by chart identity; the cached
-    reference keeps the id alive."""
-    key = (id(chart), family.horizontal, point)
+    (`OmegaContraction.affine_on`).  Both depend on the family and the
+    evaluated Omega only, so they are cached under those across candidate
+    forms, points and charts: a constant Omega computes each family once."""
+    key = (chart.dim, family.horizontal, family.free, omega.key)
     hit = _FAMILY_CACHE.get(key)
     if hit is not None:
-        return hit[1], hit[2]
+        return hit
+    zero = Fraction(0)
     columns = _linear_columns(family, omega)
-    matrix = [[col.get((i,), Fraction(0)) for col in columns] for i in range(chart.dim)]
-    kernel = [tuple(v) for v in nullspace(matrix)]
-    affine = omega.affine_on(family)
-    _FAMILY_CACHE[key] = (chart, kernel, affine)
-    return kernel, affine
+    matrix = [[col.get((i,), zero) for col in columns] for i in range(chart.dim)]
+    data = [tuple(v) for v in nullspace(matrix)], omega.affine_on(family)
+    if len(_FAMILY_CACHE) >= _CACHE_LIMIT:
+        _FAMILY_CACHE.clear()
+    _FAMILY_CACHE[key] = data
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +570,7 @@ def of_sampling_test(
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
         family = observability_family(chart, horizontal)
         nparams = len(family.params)
-        kernel, affine = _family_step_data(chart, family, point, omega)
+        kernel, affine = _family_step_data(chart, family, omega)
         if not kernel:
             continue
         if not affine:

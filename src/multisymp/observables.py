@@ -53,25 +53,31 @@ class NotAOF:
         return False
 
 
-_SOLVER_CACHE: dict[int, tuple[Chart, LinearSolver]] = {}
+_CACHE_LIMIT = 4096  # a full cache is cleared before the next insert
+_SOLVER_CACHE: dict[tuple, LinearSolver] = {}
 
 
 def contraction_solver(chart: Chart) -> LinearSolver:
-    """The span of the contractions e_j . Omega, cached per chart (constant
-    Omega makes it global; nondegeneracy makes the columns independent and
-    the Hamilton vector field unique).  Solutions are checked against the
-    full equation by the span solver's residual, which is where
-    inconsistency shows up."""
-    key = id(chart)
-    hit = _SOLVER_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
+    """The span of the contractions e_j . Omega, cached by the coordinate
+    names and Omega (constant Omega makes it global; nondegeneracy makes
+    the columns independent and the Hamilton vector field unique), so
+    charts built apart with the same content share it.  The key keeps
+    Omega's term order, which fixes the solver's row choice and the key
+    order of its residuals.  Solutions are checked against the full
+    equation by the span solver's residual, which is where inconsistency
+    shows up."""
+    key = (chart.frame.names, tuple(chart.omega.terms.items()))
+    span = _SOLVER_CACHE.get(key)
+    if span is not None:
+        return span
     if not omega_is_constant(chart):
         raise ValueError("Hamilton vector solving needs a constant-coefficient Omega")
     span = LinearSolver(contraction_columns(chart))
     if span.rank < chart.frame.dim:
         raise ValueError("Omega is degenerate; Hamilton vector fields are not unique")
-    _SOLVER_CACHE[key] = (chart, span)
+    if len(_SOLVER_CACHE) >= _CACHE_LIMIT:
+        _SOLVER_CACHE.clear()
+    _SOLVER_CACHE[key] = span
     return span
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -220,6 +221,32 @@ def test_sampler_is_deterministic():
         value = a.rational()
         assert -9 <= value.numerator <= 9 or abs(value.numerator) <= 9 * 3
         assert value.denominator in (1, 2, 3)
+
+
+def test_sampler_draws_are_those_of_randint_and_choice():
+    """`rational`, `nonzero` and `point` read `getrandbits` directly; the
+    values and the generator state after them are those of CPython's
+    `randint(-9, 9)` and `choice((1, 2, 3))`, with the other draws of the
+    same generator interleaved."""
+    for seed in range(200):
+        sampler = RationalSampler(seed)
+        reference = random.Random(seed)
+
+        def rational():
+            return Fraction(reference.randint(-9, 9), reference.choice((1, 2, 3)))
+
+        def nonzero():
+            while True:
+                value = rational()
+                if value:
+                    return value
+
+        for _ in range(3):
+            assert [sampler.rational() for _ in range(20)] == [rational() for _ in range(20)]
+            assert [sampler.nonzero() for _ in range(10)] == [nonzero() for _ in range(10)]
+            assert sampler.point(7) == tuple(rational() for _ in range(7))
+            assert sampler.integer(0, 5) == reference.randint(0, 5)
+        assert sampler._rng.getstate() == reference.getstate()
 
 
 # -- sympy oracle for Polynomial arithmetic -----------------------------------

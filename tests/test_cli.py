@@ -32,6 +32,30 @@ def test_check_chart_reports_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_observable_reports_are_byte_identical_with_warm_caches(monkeypatch, tmp_path):
+    """The second run of one command reads every family kernel and the
+    contraction solver from the caches the first run filled."""
+    from multisymp import dynamics, observables
+
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(observables, "_SOLVER_CACHE", {})
+
+    def sizes():
+        return len(dynamics._FAMILY_CACHE), len(observables._SOLVER_CACHE)
+
+    def report(chart, form, code):
+        path = tmp_path / "report.json"
+        assert main(["--seed", "5", "observable", chart, "--form", form, "--output", str(path)]) == code
+        return path.read_bytes()
+
+    for case in [("ddw:3,2", "@volume-primitive", 0), ("lepage-dedecker:2,3", _NOT_OF_FORM, 1)]:
+        before = sizes()
+        cold = report(*case)
+        filled = sizes()
+        assert report(*case) == cold
+        assert filled[0] > before[0] and filled[1] == before[1] + 1 and sizes() == filled
+
+
 def test_check_chart_degenerate_spec_fails(capsys, tmp_path):
     from multisymp.charts import Chart, chart_to_spec, lepage_dedecker_split_chart
     from multisymp.exterior import form_basis, wedge

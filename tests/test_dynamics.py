@@ -45,7 +45,7 @@ from multisymp.exterior import (
     vector_basis,
 )
 from multisymp.exterior import _hook_terms, _pair_terms, _wedge_terms
-from multisymp.linalg import RowBasis
+from multisymp.linalg import RowBasis, nullspace
 
 V_MASS = Polynomial(("s",), {(1,): Fraction(1)})
 
@@ -288,6 +288,98 @@ def test_direct_columns_equal_probe_differences(label):
             assert column == {k: v for k, v in difference.items() if v}
 
 
+BUILTIN_LABELS = CLI_CORPUS_CHARTS + [
+    "lepage-dedecker:1,1", "lepage-dedecker:2,1", "lepage-dedecker:3,1", "ddw:2,1", "scalar:3",
+]
+
+
+def _unit_factor_columns(family, omega):
+    """The linear part as contractions of unit factors by minors: column
+    (slot, c) is `of_factors` of the horizontal unit factors with the
+    slot-th one replaced by e_c."""
+    horizontal = [{(h,): Fraction(1)} for h in family.horizontal]
+    return [
+        omega.of_factors(horizontal[:slot] + [{(c,): Fraction(1)}] + horizontal[slot + 1 :])
+        for slot, c in family.params
+    ]
+
+
+def _fresh_kernel(chart, family, omega):
+    columns = _unit_factor_columns(family, omega)
+    matrix = [[col.get((i,), Fraction(0)) for col in columns] for i in range(chart.dim)]
+    return [tuple(v) for v in nullspace(matrix)]
+
+
+@pytest.mark.parametrize("label", BUILTIN_LABELS)
+def test_columns_read_off_omega_equal_the_unit_factor_contractions(label):
+    """Equal values of equal types, in the same key order (the reprs)."""
+    chart = builtin_chart(label)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, RationalSampler(67).point(chart.dim)))
+    for family in _observability_families(chart):
+        assert repr(_linear_columns(family, omega)) == repr(_unit_factor_columns(family, omega))
+
+
+def test_family_kernels_are_shared_across_points_and_charts(monkeypatch):
+    """Maxwell's Omega is constant: two charts built apart, at 16 points
+    each, compute each of the 70 family kernels once, and a hit at a new
+    point equals a fresh kernel there."""
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+    sampler = RationalSampler(83)
+    for chart in (builtin_chart("maxwell"), builtin_chart("maxwell")):
+        families = _observability_families(chart)
+        for _ in range(16):
+            omega = OmegaContraction(eval_terms(chart.omega.terms, sampler.point(chart.dim)))
+            for family in families:
+                _family_step_data(chart, family, omega)
+    assert len(families) == len(dynamics._FAMILY_CACHE) == 70
+    omega = OmegaContraction(eval_terms(chart.omega.terms, sampler.point(chart.dim)))
+    for family in families:
+        assert _family_step_data(chart, family, omega) == (_fresh_kernel(chart, family, omega), omega.affine_on(family))
+    assert len(dynamics._FAMILY_CACHE) == 70
+
+
+def test_family_kernels_follow_a_non_constant_omega(monkeypatch):
+    """Omega scaled by 1 + q1: points with different q1 evaluate it
+    differently and get their own entries; a point with the same q1 but
+    other coordinates changed hits."""
+    from dataclasses import replace
+
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+    chart = builtin_chart("lepage-dedecker:2,2")
+    f = chart.frame
+    scaled = replace(chart, name="scaled", omega=chart.omega.scale(f.poly_const(1) + f.poly_var("q1")), theta=None)
+    families = _observability_families(scaled)
+    q1 = f.index("q1")
+    base = RationalSampler(89).point(f.dim)
+    moved = tuple(v + 1 for v in base)
+    same_q1 = tuple(base[q1] if i == q1 else v for i, v in enumerate(moved))
+    sizes = []
+    for point in (base, moved, same_q1):
+        omega = OmegaContraction(eval_terms(scaled.omega.terms, point))
+        for family in families:
+            assert _family_step_data(scaled, family, omega) == (
+                _fresh_kernel(scaled, family, omega), omega.affine_on(family)
+            )
+        sizes.append(len(dynamics._FAMILY_CACHE))
+    assert sizes == [len(families), 2 * len(families), 2 * len(families)]
+
+
+def test_a_full_family_cache_is_cleared_before_the_next_insert(monkeypatch):
+    """Every miss grows the cache or resets it to one entry, so a miss never
+    leaves its length unchanged."""
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+    monkeypatch.setattr(dynamics, "_CACHE_LIMIT", 3)
+    chart = builtin_chart("lepage-dedecker:2,3")
+    omega = OmegaContraction(eval_terms(chart.omega.terms, RationalSampler(97).point(chart.dim)))
+    families = _observability_families(chart)[:5]
+    sizes = []
+    for family in families:
+        _family_step_data(chart, family, omega)
+        sizes.append(len(dynamics._FAMILY_CACHE))
+    assert sizes == [1, 2, 3, 1, 2]
+    assert [key[1] for key in dynamics._FAMILY_CACHE] == [family.horizontal for family in families[3:]]
+
+
 def _full_factor_sampler(chart, a, point, sample_count, seed):
     """The sampler loop as it was before pairings were restricted to the
     form's support: every sample builds the full factors and evaluates
@@ -301,7 +393,7 @@ def _full_factor_sampler(chart, a, point, sample_count, seed):
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
         family = observability_family(chart, horizontal)
         nparams = len(family.params)
-        kernel, affine = _family_step_data(chart, family, point, omega)
+        kernel, affine = _family_step_data(chart, family, omega)
         if not kernel:
             continue
         if not affine:
@@ -371,7 +463,7 @@ def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatc
     a_num = eval_terms(form.terms, point)
     horizontal = next(combinations(chart.frame.base_indices(), chart.n))
     family = observability_family(chart, horizontal)
-    kernel, _ = _family_step_data(chart, family, point, OmegaContraction(eval_terms(chart.omega.terms, point)))
+    kernel, _ = _family_step_data(chart, family, OmegaContraction(eval_terms(chart.omega.terms, point)))
     # the draws of the first sample, in the sampler's order
     draws = RationalSampler(0)
     base_params = tuple(draws.rational() for _ in family.params)

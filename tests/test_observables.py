@@ -28,6 +28,7 @@ from multisymp.observables import (
     algebraic_copolarization,
     charge_current_form,
     classify_aof,
+    contraction_solver,
     copolar_membership,
     gauged_charge_field,
     gauged_charge_form,
@@ -96,6 +97,22 @@ def test_gauged_charge_field_matches_printed_formula():
 
 
 # -- the OF / AOF dichotomy -------------------------------------------------------
+
+
+def test_contraction_solvers_are_shared_by_content_and_bounded(monkeypatch):
+    """Charts built apart with the same coordinates and Omega share one
+    solver; a full cache is cleared before the next insert."""
+    from multisymp import observables
+
+    monkeypatch.setattr(observables, "_SOLVER_CACHE", {})
+    monkeypatch.setattr(observables, "_CACHE_LIMIT", 2)
+    first = contraction_solver(lepage_dedecker_chart(2, 2))
+    assert contraction_solver(lepage_dedecker_chart(2, 2)) is first
+    assert contraction_solver(scalar_field_chart(2, V_MASS)) is not first
+    assert contraction_solver(ddw_chart(2, 2)) is not first
+    assert len(observables._SOLVER_CACHE) == 1
+    assert contraction_solver(lepage_dedecker_chart(2, 2)) is not first
+    assert len(observables._SOLVER_CACHE) == 2
 
 
 def test_witness_is_observable_but_not_algebraic():
