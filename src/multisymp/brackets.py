@@ -166,33 +166,56 @@ def _hamilton_field(chart: Chart, observable: PolyForm) -> PolyMultivector:
     return xi
 
 
+def _check_theta(chart: Chart) -> None:
+    if chart.theta is None:
+        raise ValueError("theta bracket needs the chart primitive theta")
+
+
+def _poisson_of_fields(chart: Chart, xi_f: PolyMultivector, xi_g: PolyMultivector) -> PolyForm:
+    """{F, G} from the solved fields."""
+    return hook(wedge(xi_f, xi_g), chart.omega)
+
+
+def _theta_of_fields(
+    chart: Chart, f: PolyForm, xi_f: PolyMultivector, g: PolyForm, xi_g: PolyMultivector
+) -> PolyForm:
+    """{F, G}_theta from the forms and their solved fields; one wedge."""
+    xi_fg = wedge(xi_f, xi_g)
+    correction = hook(xi_f, g) - hook(xi_g, f) + hook(xi_fg, chart.theta)
+    return hook(xi_fg, chart.omega) + ext_d(correction)
+
+
 def poisson_bracket(chart: Chart, f: PolyForm, g: PolyForm) -> PolyForm:
     """{F, G} = xi_F ^ xi_G . Omega, an (n-1)-form with Hamilton field
     [xi_F, xi_G]."""
-    xi_f = _hamilton_field(chart, f)
-    xi_g = _hamilton_field(chart, g)
-    return hook(wedge(xi_f, xi_g), chart.omega)
+    return _poisson_of_fields(chart, _hamilton_field(chart, f), _hamilton_field(chart, g))
 
 
 def bracket_field_identity_defect(chart: Chart, f: PolyForm, g: PolyForm) -> PolyForm:
     """d{F, G} + [xi_F, xi_G] . Omega, identically zero."""
     xi_f = _hamilton_field(chart, f)
     xi_g = _hamilton_field(chart, g)
-    return ext_d(hook(wedge(xi_f, xi_g), chart.omega)) + hook(lie_bracket(xi_f, xi_g), chart.omega)
+    return ext_d(_poisson_of_fields(chart, xi_f, xi_g)) + hook(lie_bracket(xi_f, xi_g), chart.omega)
 
 
 def jacobi_defect(chart: Chart, f: PolyForm, g: PolyForm, h: PolyForm) -> PolyForm:
     """Cyclic sum {{F,G},H} + {{G,H},F} + {{H,F},G} minus the exact term
-    d(xi_F ^ xi_G ^ xi_H . Omega); identically zero."""
+    d(xi_F ^ xi_G ^ xi_H . Omega); identically zero.
+
+    Six Hamilton fields are solved, once each: those of F, G, H and of
+    the three inner brackets.  The exact term wedges xi_H onto the
+    xi_F ^ xi_G that {F, G} already built."""
+    xi_f, xi_g, xi_h = (_hamilton_field(chart, form) for form in (f, g, h))
+    xi_fg = wedge(xi_f, xi_g)
+    fg = hook(xi_fg, chart.omega)
+    gh = _poisson_of_fields(chart, xi_g, xi_h)
+    hf = _poisson_of_fields(chart, xi_h, xi_f)
     cyclic = (
-        poisson_bracket(chart, poisson_bracket(chart, f, g), h)
-        + poisson_bracket(chart, poisson_bracket(chart, g, h), f)
-        + poisson_bracket(chart, poisson_bracket(chart, h, f), g)
+        _poisson_of_fields(chart, _hamilton_field(chart, fg), xi_h)
+        + _poisson_of_fields(chart, _hamilton_field(chart, gh), xi_f)
+        + _poisson_of_fields(chart, _hamilton_field(chart, hf), xi_g)
     )
-    xi_f = _hamilton_field(chart, f)
-    xi_g = _hamilton_field(chart, g)
-    xi_h = _hamilton_field(chart, h)
-    exact = ext_d(hook(wedge(wedge(xi_f, xi_g), xi_h), chart.omega))
+    exact = ext_d(hook(wedge(xi_fg, xi_h), chart.omega))
     return cyclic - exact
 
 
@@ -206,20 +229,23 @@ def theta_bracket(chart: Chart, f: PolyForm, g: PolyForm) -> PolyForm:
     (asserted exactly over random triples in the test-suite); flipping
     the two single-field terms breaks it.
     """
-    if chart.theta is None:
-        raise ValueError("theta bracket needs the chart primitive theta")
-    xi_f = _hamilton_field(chart, f)
-    xi_g = _hamilton_field(chart, g)
-    base = hook(wedge(xi_f, xi_g), chart.omega)
-    correction = hook(xi_f, g) - hook(xi_g, f) + hook(wedge(xi_f, xi_g), chart.theta)
-    return base + ext_d(correction)
+    _check_theta(chart)
+    return _theta_of_fields(chart, f, _hamilton_field(chart, f), g, _hamilton_field(chart, g))
 
 
 def theta_jacobi_sum(chart: Chart, f: PolyForm, g: PolyForm, h: PolyForm) -> PolyForm:
+    """Cyclic sum {{F,G}_theta,H}_theta + {{G,H}_theta,F}_theta +
+    {{H,F}_theta,G}_theta; identically zero.  Six Hamilton fields are
+    solved, once each: those of F, G, H and of the three inner brackets."""
+    _check_theta(chart)
+    xi_f, xi_g, xi_h = (_hamilton_field(chart, form) for form in (f, g, h))
+    fg = _theta_of_fields(chart, f, xi_f, g, xi_g)
+    gh = _theta_of_fields(chart, g, xi_g, h, xi_h)
+    hf = _theta_of_fields(chart, h, xi_h, f, xi_f)
     return (
-        theta_bracket(chart, theta_bracket(chart, f, g), h)
-        + theta_bracket(chart, theta_bracket(chart, g, h), f)
-        + theta_bracket(chart, theta_bracket(chart, h, f), g)
+        _theta_of_fields(chart, fg, _hamilton_field(chart, fg), h, xi_h)
+        + _theta_of_fields(chart, gh, _hamilton_field(chart, gh), f, xi_f)
+        + _theta_of_fields(chart, hf, _hamilton_field(chart, hf), g, xi_g)
     )
 
 

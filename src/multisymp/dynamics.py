@@ -30,12 +30,14 @@ non-selected directions and the polynomial system is reduced by
 substituting one affine equation at a time.
 
 Every computing path that contracts or pairs a decomposable n-vector
-given by its factors goes through the one minor routine
-(`OmegaContraction.of_factors`, `decomposable_pairing`, both over
-`linalg.sparse_minor`), whose factor entries may be `Fraction`, `int` or
-`Polynomial`.  Only the contractions of coordinate unit n-vectors, the
-columns of a family's linear part, are read straight off the plan that
-`OmegaContraction` keeps.  The full wedge expansion stays in the checks
+given by its factors goes through the one minor routine,
+`linalg.sparse_minor`, whose factor entries may be `Fraction`, `int` or
+`Polynomial`: through `OmegaContraction.of_factors` and
+`decomposable_pairing`, except where a factor is a coordinate unit
+vector.  Those contractions are read off the plan that
+`OmegaContraction` keeps: the columns of a family's linear part (all
+factors unit, a lookup) and the pseudofiber rows (one unit factor,
+(n-1)-minors of the others).  The full wedge expansion stays in the checks
 that must be independent of that route (`HamiltonianSolution.verify`,
 `recheck_of_counterexample`), in `plucker_check`, and in
 `brackets.dynamics_relation_check`, which takes interior products of the
@@ -149,7 +151,9 @@ class OmegaContraction:
     the different components share their smaller sub-minors.  The factor
     entries may be `Fraction`, `int` or `Polynomial`: the components come
     back in that ring, which is how the Hamilton solver contracts its
-    symbolic factors, and how the pseudofiber rows contract unit vectors.
+    symbolic factors.  Contractions with a coordinate unit factor are read
+    off the plan instead: whole unit n-vectors by `_linear_columns`, one
+    unit factor among general ones by `pseudofiber_directions`.
     """
 
     def __init__(self, omega_num: Terms):
@@ -743,19 +747,42 @@ def pseudofiber_directions(
     along representatives of the solution family: vectors xi whose
     contraction with Omega kills every slot-deformation of every
     representative.  Adding representatives can only shrink the result.
+
     The row of the deformation e_c ^ (other factors) is its contraction
-    into Omega, taken from the factors by minors."""
+    into Omega.  Expanded along the unit factor, its minor on L is
+    (-1)^pos times the (n-1)-minor of the other factors on L without its
+    pos-th column c, so one sweep of the `OmegaContraction` plan builds
+    the rows of every c for one slot, with one `sparse_minor` memo.  The
+    rows depend on the other factors only, so a sweep over other factors
+    already swept is skipped, and so is a row that was already added:
+    neither can change the basis."""
     dim = chart.dim
-    omega = OmegaContraction(solution.omega_num)
+    plan = OmegaContraction(solution.omega_num).plan
     basis = RowBasis(dim)
+    added: set[tuple] = set()
+    swept: set[tuple] = set()
     for coeffs in _representative_schedule(len(solution.kernel), doubled):
         factors = solution.factors(coeffs)
         for slot in range(chart.n):
-            others = factors[:slot] + factors[slot + 1 :]
-            for c in range(dim):
-                image = omega.of_factors([{(c,): 1}] + others)
-                row = [image.get((j,), 0) for j in range(dim)]
-                if any(row):
+            rows, present = _factor_rows(factors[:slot] + factors[slot + 1 :])
+            others = tuple(frozenset(row.items()) for row in rows)
+            if others in swept:
+                continue
+            swept.add(others)
+            memo: dict = {}
+            images = [[0] * dim for _ in range(dim)]
+            for j, entries in plan.items():
+                for rest, coeff in entries.items():
+                    for pos, c in enumerate(rest):
+                        columns = rest[:pos] + rest[pos + 1 :]
+                        if not present.issuperset(columns):
+                            continue
+                        minor = sparse_minor(rows, columns, memo)
+                        if minor:
+                            images[c][j] += -coeff * minor if pos % 2 else coeff * minor
+            for row in map(tuple, images):
+                if any(row) and row not in added:
+                    added.add(row)
                     basis.add(row)
                     if basis.rank == dim:
                         return []

@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_aof
+from multisymp import brackets
 from multisymp.algebra import Polynomial, RationalSampler
 from multisymp.brackets import (
     NotDefined,
@@ -238,6 +240,86 @@ def test_theta_bracket_properties():
         difference = theta_bracket(chart, f_form, g_form) - poisson_bracket(chart, f_form, g_form)
         assert not ext_d(difference)  # the correction is exact
         assert not theta_jacobi_sum(chart, f_form, g_form, h_form)
+
+
+def reference_jacobi_defect(chart, f, g, h):
+    """jacobi_defect as nested poisson_bracket calls, solving each field
+    anew for every bracket and for the exact term."""
+    cyclic = (
+        poisson_bracket(chart, poisson_bracket(chart, f, g), h)
+        + poisson_bracket(chart, poisson_bracket(chart, g, h), f)
+        + poisson_bracket(chart, poisson_bracket(chart, h, f), g)
+    )
+    xi_f, xi_g, xi_h = (aof_solve(chart, form) for form in (f, g, h))
+    return cyclic - ext_d(hook(wedge(wedge(xi_f, xi_g), xi_h), chart.omega))
+
+
+def reference_theta_jacobi_sum(chart, f, g, h):
+    return (
+        theta_bracket(chart, theta_bracket(chart, f, g), h)
+        + theta_bracket(chart, theta_bracket(chart, g, h), f)
+        + theta_bracket(chart, theta_bracket(chart, h, f), g)
+    )
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counted(chart, form):
+        calls.append(form)
+        return aof_solve(chart, form)
+
+    monkeypatch.setattr(brackets, "aof_solve", counted)
+    return calls
+
+
+# One form without a Hamilton vector field per chart.
+_NOT_AOF = {"lepage-dedecker:2,1": ("q1", "p12"), "ddw:2,2": ("y2", "y1")}
+
+
+@pytest.mark.parametrize("chart", [lepage_dedecker_chart(2, 1), ddw_chart(2, 2)], ids=lambda c: c.name)
+@pytest.mark.parametrize(
+    "identity, reference",
+    [(jacobi_defect, reference_jacobi_defect), (theta_jacobi_sum, reference_theta_jacobi_sum)],
+    ids=["jacobi", "theta-jacobi"],
+)
+def test_jacobi_identities_solve_each_distinct_form_once(monkeypatch, chart, identity, reference):
+    """Six Hamilton fields per triple (F, G, H and the three inner
+    brackets), and the same form, term for term, as the nested brackets."""
+    sampler = RationalSampler(211)
+    for _ in range(3):
+        triple = [random_aof(chart, sampler) for _ in range(3)]
+        expected = reference(chart, *triple)
+        calls = _count_solves(monkeypatch)
+        result = identity(chart, *triple)
+        monkeypatch.undo()
+        assert len(calls) == 6
+        assert result == expected and repr(result) == repr(expected)
+        assert list(result.terms) == list(expected.terms)
+    differential, coeff = _NOT_AOF[chart.name]
+    frame = chart.frame
+    not_aof = form_basis(frame, differential).scale(frame.poly_var(coeff))
+    for position in range(3):
+        triple = [random_aof(chart, sampler) for _ in range(3)]
+        triple[position] = not_aof
+        with pytest.raises(ValueError) as reference_error:
+            reference(chart, *triple)
+        with pytest.raises(ValueError) as error:
+            identity(chart, *triple)
+        assert str(error.value) == str(reference_error.value)
+
+
+def test_theta_brackets_need_theta_before_any_solve(monkeypatch):
+    chart = lepage_dedecker_chart(2, 1)
+    sampler = RationalSampler(223)
+    f_form, g_form, h_form = (random_aof(chart, sampler) for _ in range(3))
+    bare = dataclasses.replace(chart, theta=None)
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="primitive theta"):
+        theta_bracket(bare, f_form, g_form)
+    with pytest.raises(ValueError, match="primitive theta"):
+        theta_jacobi_sum(bare, f_form, g_form, h_form)
+    assert calls == []
 
 
 # -- external bracket -----------------------------------------------------------------

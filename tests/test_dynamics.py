@@ -610,6 +610,32 @@ def test_pseudofiber_directions_match_the_wedge_and_pair_rows(label):
     assert found or label == "scalar:2"
 
 
+@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("vertical_only", [True, False])
+def test_pseudofiber_directions_add_each_distinct_row_once(monkeypatch, doubled, vertical_only):
+    """Also the reference on a Hamiltonian that is not vertical-only:
+    there a wrong sign in the rows changes the directions, which on the
+    vertical-only Hamiltonians of the test above it does not."""
+    chart = lepage_dedecker_chart(2, 2)
+    sampler = RationalSampler(47)
+    point = sampler.point(chart.dim)
+    h = frame_compatible_hamiltonian(chart, sampler, point, vertical_only=vertical_only)
+    sol = hamiltonian_nvector_solve(chart, h, point)
+    expected = reference_pseudofiber_directions(chart, sol, doubled)
+    added = []
+    add = RowBasis.add
+
+    def recording(self, row):
+        added.append(tuple(row))
+        return add(self, row)
+
+    monkeypatch.setattr(RowBasis, "add", recording)
+    directions = pseudofiber_directions(chart, sol, doubled=doubled)
+    monkeypatch.undo()
+    assert directions == expected and directions
+    assert added and len(added) == len(set(added))
+
+
 def test_pseudofiber_integrand_vanishes():
     chart = lepage_dedecker_chart(2, 2)
     f = chart.frame
