@@ -25,6 +25,7 @@ physics charts index space-time from 0, abstract charts from 1.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from hashlib import sha256
@@ -636,28 +637,26 @@ def chart_from_spec(spec: Mapping) -> Chart:
     )
 
 
-def builtin_chart(label: str) -> Chart:
-    """Resolve `name:params` labels used by the command line.
+_BUILTIN_LABELS = "lepage-dedecker:n,k, lepage-dedecker-split:n,k, ddw:n,k, maxwell, scalar:n, scalar:n,gauged"
+_LABEL = re.compile(r"(lepage-dedecker|lepage-dedecker-split|ddw):([0-9]+),([0-9]+)|maxwell|scalar:([0-9]+)(,gauged)?")
 
-    Supported: lepage-dedecker:n,k  lepage-dedecker-split:n,k  ddw:n,k
+
+def builtin_chart(label: str) -> Chart:
+    """Resolve the labels used by the command line, n and k decimal:
+
+    lepage-dedecker:n,k  lepage-dedecker-split:n,k  ddw:n,k
     maxwell  scalar:n  scalar:n,gauged  (scalar uses V(s) = s, unit mass).
+
+    Any other label raises ValueError naming these forms.
     """
-    head, _, tail = label.partition(":")
-    if head == "lepage-dedecker":
-        n, k = (int(x) for x in tail.split(","))
-        return lepage_dedecker_chart(n, k)
-    if head == "lepage-dedecker-split":
-        n, k = (int(x) for x in tail.split(","))
-        return lepage_dedecker_split_chart(n, k)
-    if head == "ddw":
-        n, k = (int(x) for x in tail.split(","))
-        return ddw_chart(n, k)
-    if head == "maxwell":
+    match = _LABEL.fullmatch(label)
+    if match is None:
+        raise ValueError(f"unknown chart label {label!r}; the built-in charts are {_BUILTIN_LABELS}")
+    family, n, k, scalar_n, gauged = match.groups()
+    if family is not None:
+        build = {"lepage-dedecker": lepage_dedecker_chart, "lepage-dedecker-split": lepage_dedecker_split_chart,
+                 "ddw": ddw_chart}[family]
+        return build(int(n), int(k))
+    if scalar_n is None:
         return maxwell_chart()
-    if head == "scalar":
-        parts = tail.split(",") if tail else ["2"]
-        n = int(parts[0])
-        gauged = "gauged" in parts[1:]
-        potential = Polynomial(("s",), {(1,): Fraction(1)})
-        return scalar_field_chart(n, potential, gauged=gauged)
-    raise ValueError(f"unknown chart label {label!r}")
+    return scalar_field_chart(int(scalar_n), Polynomial(("s",), {(1,): Fraction(1)}), gauged=gauged is not None)

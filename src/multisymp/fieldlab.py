@@ -8,16 +8,22 @@ phi = phi1 + i phi2 on a periodic spatial lattice evolves under
 
 (quartic self-interaction; the U(1) phase symmetry survives the
 nonlinearity, which is exactly what the conservation experiments probe).
-The integrator is the standard three-level leapfrog: second order,
-time-reversible, and exactly charge-conserving up to round-off.
+The integrator is the standard three-level leapfrog: second order and
+time-reversible.  For any phase-invariant potential it conserves
+C^{n+1/2} = sum over the lattice of phi^{n+1} x phi^n (the cross product
+phi1^{n+1} phi2^n - phi2^{n+1} phi1^n) exactly in exact arithmetic, and
+the reported centered charge at level j is (C^{j+1/2} + C^{j-1/2}) dx / 2dt;
+in floats its drift is round-off.
 
-`kg_step` is the one stepping kernel.  It advances any number of levels
-in place, in ghost-padded buffers with preallocated scratch, optionally
-writing every level into a caller's frame array; `simulate` records a
-trajectory through it and `reversibility_error` runs it forwards and,
-with the levels swapped, backwards.  Its results are bit-identical to the
-plain one-level `np.roll` expression (same IEEE operations in the same
-order), so recorded runs and their digests do not depend on the kernel.
+`kg_step` is the one stepping kernel.  It advances one run, or a stack of
+runs sharing dx, dt and M, any number of levels in ghost-padded buffers
+with preallocated scratch, optionally writing every level into a caller's
+frame array; `simulate` records a trajectory through it (the conservation
+experiment records the field and its linear test solution as one stack)
+and `reversibility_error` runs it forwards and, with the levels swapped,
+backwards.  Each run's results are bit-identical to the plain one-level
+`np.roll` expression (same IEEE operations in the same order), so
+recorded runs and their digests do not depend on the kernel or the stack.
 
 Lifting a discrete solution into the scalar-field chart uses centered
 differences for the momenta p^mu_a = eta^{mu nu} d_nu phi^a and fixes the
@@ -56,25 +62,28 @@ CFL_BOUND = 0.9
 
 @dataclass
 class FieldState:
-    """Two consecutive field levels on the periodic lattice."""
+    """Two consecutive field levels on the periodic lattice: one run, with
+    phi of shape (2, M), or a stack of R runs sharing dx, dt, M and the
+    clock, with phi of shape (R, 2, M) and mass2, coupling scalars or one
+    value per run."""
 
     dx: float
     dt: float
     time: float
-    phi: np.ndarray  # shape (2, M): current level
-    phi_prev: np.ndarray  # shape (2, M): previous level
-    mass2: float = 1.0
-    coupling: float = 0.0
+    phi: np.ndarray  # shape (2, M) or (R, 2, M): current level
+    phi_prev: np.ndarray  # same shape: previous level
+    mass2: float | np.ndarray = 1.0
+    coupling: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.phi.shape != self.phi_prev.shape or self.phi.ndim != 2 or self.phi.shape[0] != 2:
-            raise ValueError("field arrays must have shape (2, M)")
+        if self.phi.shape != self.phi_prev.shape or self.phi.ndim not in (2, 3) or self.phi.shape[-2] != 2:
+            raise ValueError("field arrays must have shape (2, M) or (R, 2, M)")
         if self.dt > CFL_BOUND * self.dx:
             raise ValueError(f"time step {self.dt} violates the CFL bound {CFL_BOUND} * {self.dx}")
 
     @property
     def grid_points(self) -> int:
-        return self.phi.shape[1]
+        return self.phi.shape[-1]
 
     @property
     def length(self) -> float:
@@ -88,80 +97,88 @@ def acceleration(phi: np.ndarray, dx: float, mass2: float, coupling: float) -> n
 
 
 class _Level(NamedTuple):
-    """One field level in kg_step's buffer: the rows phi1 and phi2, each
-    with a ghost value on either side, laid end to end, and views into it."""
+    """One level of R runs in kg_step's buffer, component-major: every
+    run's phi1 row, then every run's phi2 row, each row with a ghost value
+    on either side, laid end to end; and views into it."""
 
-    buf: np.ndarray  # shape (2 (M + 2),)
-    span: np.ndarray  # buf[1:-1]: both rows, with the two ghosts between them
+    buf: np.ndarray  # shape (2 R (M + 2),)
+    span: np.ndarray  # buf[1:-1]: every row, with the ghosts between them
     right: np.ndarray  # buf[2:]: right neighbours of span
     left: np.ndarray  # buf[:-2]: left neighbours of span
-    rows: tuple[np.ndarray, np.ndarray]  # the M values of each row
-    field: np.ndarray  # shape (2, M) view of the rows
+    halves: tuple[np.ndarray, np.ndarray]  # the phi1 rows and the phi2 rows
+    ghosts: tuple[np.ndarray, ...]  # left ghosts, last values, right ghosts, first values
+    field: np.ndarray  # view of the rows in the state's shape
 
     @classmethod
-    def of(cls, values, width: int) -> "_Level":
-        buf = np.zeros(2 * width)
-        field = buf.reshape(2, width)[:, 1:-1]
+    def of(cls, values, shape: tuple[int, ...]) -> "_Level":
+        m, runs = shape[-1], math.prod(shape[:-2])
+        buf = np.zeros(2 * runs * (m + 2))
+        rows = buf.reshape(2 * runs, m + 2)
+        field = rows.reshape(2, runs, m + 2)[:, :, 1:-1].swapaxes(0, 1).reshape(shape)
         field[...] = values
-        m = width - 2
-        return cls(buf, buf[1:-1], buf[2:], buf[:-2], (buf[1 : m + 1], buf[width + 1 : width + m + 1]), field)
+        half = runs * (m + 2)
+        ghosts = rows[:, 0], rows[:, m], rows[:, m + 1], rows[:, 1]
+        return cls(buf, buf[1:-1], buf[2:], buf[:-2], (buf[:half], buf[half:]), ghosts, field)
 
 
 def kg_step(state: FieldState, n_steps: int = 1, frames: np.ndarray | None = None) -> FieldState:
-    """Advance `n_steps` leapfrog levels; when `frames` (shape
-    (n_steps, 2, M)) is given, level j+1 is written into frames[j].
-    Stepping with the two levels swapped walks the trajectory backwards,
-    which is the reversibility test.  The input state is not modified.
+    """Advance `n_steps` leapfrog levels of one run or of a stack; when
+    `frames` (shape (n_steps,) + phi.shape) is given, level j+1 is written
+    into frames[j].  Stepping with the two levels swapped walks the
+    trajectory backwards, which is the reversibility test.  The input state
+    is not modified.
 
-    The levels rotate through three float64 buffers, each the two
-    components as ghost-padded rows of M + 2 values laid end to end.  The
-    four ghost values are refreshed from the periodic neighbours each
-    step, so one contiguous span covers both rows and the shifted spans
-    are the neighbours; every intermediate goes into preallocated scratch
-    and a step allocates nothing.  Every lattice value sees the IEEE
-    operations of the plain expression, in its order,
+    The levels rotate through three float64 buffers (`_Level`).  The ghost
+    values are refreshed from the periodic neighbours each step, so one
+    contiguous span covers every row and the shifted spans are the
+    neighbours; mass2 and 2 coupling are spread to one value per element
+    of a component half, so every level is the same 15 one-dimensional
+    ufunc calls whatever the number of runs, into preallocated scratch.
+    Every lattice value sees the IEEE operations of the plain expression,
+    in its order,
 
         next = (2 phi - prev) + dt^2 * ((((right - 2 phi) + left) / dx^2)
                                         - (mass2 + (2 coupling) s) phi),
         s = 0.5 (phi1^2 + phi2^2),
 
-    and the time advances by repeated `+ dt`, so the result is
-    bit-identical to stepping one level at a time with that expression.
+    and the time advances by repeated `+ dt`, so each run is bit-identical
+    to stepping it alone, one level at a time, with that expression.
     """
     if state.dt > CFL_BOUND * state.dx:
         raise ValueError("CFL bound violated")
-    m = state.grid_points
+    shape = state.phi.shape
     if n_steps < 0:
         raise ValueError(f"cannot take {n_steps} steps")
-    if frames is not None and frames.shape != (n_steps, 2, m):
-        raise ValueError(f"frames have shape {frames.shape}, expected {(n_steps, 2, m)}")
-    width = m + 2  # row r holds its ghosts at r*width and r*width + m + 1
-    prev, cur, nxt = _Level.of(state.phi_prev, width), _Level.of(state.phi, width), _Level.of(0.0, width)
-    # scratch over the span of both rows; its two slots between the rows feed
-    # only the next level's ghosts, which the next refresh overwrites
-    two_phi, lap, squares, v_phi = (np.zeros(2 * width - 2) for _ in range(4))
-    squares_rows = squares[:m], squares[width : width + m]
-    v_rows = v_phi[:m], v_phi[width : width + m]
-    s = np.empty(m)
+    if frames is not None and frames.shape != (n_steps, *shape):
+        raise ValueError(f"frames have shape {frames.shape}, expected {(n_steps, *shape)}")
+    prev, cur, nxt = _Level.of(state.phi_prev, shape), _Level.of(state.phi, shape), _Level.of(0.0, shape)
+    runs, width = math.prod(shape[:-2]), shape[-1] + 2
+    half = runs * width  # the phi1 rows; the phi2 rows follow
+    mass2, two_coupling = (np.repeat(np.broadcast_to(v, runs), width)
+                           for v in (state.mass2, 2.0 * np.asarray(state.coupling, dtype=float)))
+    # scratch: two_phi and lap over the span, the squares and V'(s) phi over
+    # the whole buffer, s over a half; the slots of the ghosts feed only the
+    # next level's ghosts, which the next refresh overwrites
+    two_phi, lap = np.zeros(2 * half - 2), np.zeros(2 * half - 2)
+    squares, v_phi, s = np.zeros(2 * half), np.zeros(2 * half), np.zeros(half)
+    squares_halves, v_halves, v_span = (squares[:half], squares[half:]), (v_phi[:half], v_phi[half:]), v_phi[1:-1]
     dx2, dt, dt2 = state.dx**2, state.dt, state.dt**2
-    mass2, two_coupling = state.mass2, 2.0 * state.coupling
     time = state.time
     for j in range(n_steps):
-        buf = cur.buf
-        buf[0], buf[m + 1] = buf[m], buf[1]
-        buf[width], buf[width + m + 1] = buf[width + m], buf[width + 1]
+        left, last, right, first = cur.ghosts
+        left[...], right[...] = last, first
         np.multiply(2.0, cur.span, out=two_phi)
         np.subtract(cur.right, two_phi, out=lap)
         np.add(lap, cur.left, out=lap)
         np.divide(lap, dx2, out=lap)
-        np.square(cur.span, out=squares)
-        np.add(squares_rows[0], squares_rows[1], out=s)
+        np.square(cur.buf, out=squares)
+        np.add(*squares_halves, out=s)
         np.multiply(0.5, s, out=s)
         np.multiply(two_coupling, s, out=s)
         np.add(mass2, s, out=s)
-        np.multiply(s, cur.rows[0], out=v_rows[0])
-        np.multiply(s, cur.rows[1], out=v_rows[1])
-        np.subtract(lap, v_phi, out=lap)
+        np.multiply(s, cur.halves[0], out=v_halves[0])
+        np.multiply(s, cur.halves[1], out=v_halves[1])
+        np.subtract(lap, v_span, out=lap)
         np.multiply(dt2, lap, out=lap)
         np.subtract(two_phi, prev.span, out=two_phi)
         np.add(two_phi, lap, out=nxt.span)
@@ -213,14 +230,15 @@ def plane_wave_state(
 
 @dataclass
 class FieldHistory:
-    """Recorded trajectory: phi[j] is the field at time times[j]."""
+    """Recorded trajectory: phi[j] is the field at time times[j]; for a
+    stack, phi[:, k] is run k's trajectory."""
 
     dx: float
     dt: float
     times: np.ndarray
-    phi: np.ndarray  # shape (T, 2, M)
-    mass2: float
-    coupling: float
+    phi: np.ndarray  # shape (T, 2, M), or (T, R, 2, M) for a stack
+    mass2: float | np.ndarray
+    coupling: float | np.ndarray
 
     @property
     def steps(self) -> int:
@@ -228,7 +246,7 @@ class FieldHistory:
 
 
 def simulate(state: FieldState, n_steps: int) -> FieldHistory:
-    frames = np.empty((n_steps + 1, 2, state.grid_points))
+    frames = np.empty((n_steps + 1, *state.phi.shape))
     frames[0] = state.phi
     kg_step(state, n_steps, frames[1:])
     # a cumulative sum adds in sequence, so times[j] is t0 + dt + ... + dt
@@ -556,14 +574,21 @@ class ExperimentResult:
         }
 
 
+# recorded rows that conservation_experiment reduces at once.  A chunk
+# holds about seven temporaries of chunk x 2 x M floats, under 0.5 MB at
+# M = 256, so the run's peak memory stays that of its frames, and 711
+# rows take 45 iterations instead of 711.
+_SERIES_CHUNK = 16
+
+
 def relative_drift(series: np.ndarray) -> float:
     scale = max(abs(float(series[0])), 1e-12)
     return float(np.max(np.abs(series - series[0]))) / scale
 
 
 def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the field, lift it, and classify each functional as conserved
-    or drifting:
+    """Step the field and a linear solution U as one stack, and classify
+    each functional of the recorded rows as conserved or drifting:
 
     * the total charge integral (conserved for any coupling);
     * the test-profile functional paired with a simultaneously evolved
@@ -571,42 +596,44 @@ def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
       linear, drifting once the coupling is switched on);
     * the energy, reported only when the expectations name it.
     """
-    state = plane_wave_state(
-        config.grid_points, config.length, config.cfl, config.field_modes, config.mass2, config.coupling
-    )
-    test_state = plane_wave_state(
-        config.grid_points, config.length, config.cfl, config.test_modes, config.mass2, 0.0
+    state, test_state = (
+        plane_wave_state(config.grid_points, config.length, config.cfl, modes, config.mass2, coupling)
+        for modes, coupling in ((config.field_modes, config.coupling), (config.test_modes, 0.0))
     )
     n_steps = config.n_steps
     if n_steps < 2:
         raise ValueError(f"a run of {n_steps} steps records no row; it needs at least 2")
-    history = simulate(state, n_steps)
-    test_history = simulate(test_state, n_steps)
-
-    rows = list(range(1, n_steps, config.record_stride))
+    # both runs share dx, dt and M, so they step as one stack
+    stack = replace(state, phi=np.stack([state.phi, test_state.phi]),
+                    phi_prev=np.stack([state.phi_prev, test_state.phi_prev]),
+                    mass2=np.array([config.mass2] * 2), coupling=np.array([config.coupling, 0.0]))
+    history = simulate(stack, n_steps)
+    phi, u = history.phi[:, 0], history.phi[:, 1]  # views, (T, 2, M) each
     dt, dx = history.dt, history.dx
-    phi = history.phi
-    u = test_history.phi
+    rows = np.arange(1, n_steps, config.record_stride)
     times = history.times[rows]
 
-    charge = np.empty(len(rows))
-    smeared = np.empty(len(rows))
-    energy = np.empty(len(rows))
-    for i, j in enumerate(rows):
-        dtphi = (phi[j + 1] - phi[j - 1]) / (2.0 * dt)
-        dtu = (u[j + 1] - u[j - 1]) / (2.0 * dt)
-        charge[i] = float((dtphi[0] * phi[j][1] - dtphi[1] * phi[j][0]).sum() * dx)
-        smeared[i] = float(((u[j] * dtphi).sum(axis=0) - (dtu * phi[j]).sum(axis=0)).sum() * dx)
+    series = {name: np.empty(len(rows)) for name in ("charge", "smeared", "energy")}
+    # the rows reduce in chunks: each row's sum over the lattice is the
+    # per-row sum, and the component sums are one add per value
+    for start in range(0, len(rows), _SERIES_CHUNK):
+        out = slice(start, start + _SERIES_CHUNK)
+        first, stop = rows[start], rows[out][-1] + 1
+        at, before, after = (slice(first + d, stop + d, config.record_stride) for d in (0, -1, 1))
+        p = phi[at]
+        dtphi = (phi[after] - phi[before]) / (2.0 * dt)
+        dtu = (u[after] - u[before]) / (2.0 * dt)
+        series["charge"][out] = (dtphi[:, 0] * p[:, 1] - dtphi[:, 1] * p[:, 0]).sum(axis=-1) * dx
+        series["smeared"][out] = ((u[at] * dtphi).sum(axis=1) - (dtu * p).sum(axis=1)).sum(axis=-1) * dx
         # the time-time stress component, reported as data only (the scheme
         # conserves it to second order, not exactly)
-        dxphi = (np.roll(phi[j], -1, axis=-1) - np.roll(phi[j], 1, axis=-1)) / (2.0 * dx)
-        s = 0.5 * (phi[j][0] ** 2 + phi[j][1] ** 2)
-        density = 0.5 * ((dtphi**2).sum(axis=0) + (dxphi**2).sum(axis=0)) + (
+        dxphi = (np.roll(p, -1, axis=-1) - np.roll(p, 1, axis=-1)) / (2.0 * dx)
+        s = 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2)
+        density = 0.5 * ((dtphi**2).sum(axis=1) + (dxphi**2).sum(axis=1)) + (
             config.mass2 * s + config.coupling * s**2
         )
-        energy[i] = float(density.sum() * dx)
+        series["energy"][out] = density.sum(axis=-1) * dx
 
-    series = {"charge": charge, "smeared": smeared, "energy": energy}
     expectations = config.expectations or {}
     tolerances = {"charge": config.conserved_tolerance, "smeared": config.smeared_tolerance}
     if "energy" in expectations:

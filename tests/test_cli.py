@@ -231,6 +231,24 @@ def test_input_error_unknown_chart():
     assert main(["check-chart", "nope:1,1"]) == 2
 
 
+@pytest.mark.parametrize("label", ["maxwell:3", "scalar:2,bogus", "scalar:", "ddw:2", "ddw:2,2,2",
+                                   "lepage-dedecker:a,b"])
+def test_malformed_chart_labels_are_input_errors(label):
+    """A chart label that is not one of the documented forms is refused with
+    one line naming them; `maxwell:3` and `scalar:2,bogus` used to run as
+    `maxwell` and `scalar:2`.  Run as a subprocess under a timeout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "multisymp", "check-chart", label],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
+    assert f"unknown chart label {label!r}" in done.stderr
+    assert "lepage-dedecker:n,k, lepage-dedecker-split:n,k, ddw:n,k, maxwell, scalar:n, scalar:n,gauged" in done.stderr
+
+
 def test_observable_point_of_wrong_length_is_input_error(capsys):
     code = main(["observable", "ddw:2,2", "--form", '{"degree": 1}', "--point", "1,2"])
     err = capsys.readouterr().err

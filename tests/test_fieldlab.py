@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from multisymp.fieldlab import (
     kg_step,
     legendre_lift,
     lift_residual_orders,
+    load_experiment_config,
     plane_wave_state,
     pointwise_dynamics_on_lift,
     relative_drift,
@@ -84,12 +86,38 @@ def test_kernel_is_bit_identical_to_the_reference_stepper(grid, coupling):
     assert state.phi.tobytes() == phi.tobytes() and state.phi_prev.tobytes() == phi_prev.tobytes()
 
 
+@pytest.mark.parametrize("grid", [1, 2, 3, 64])
+def test_a_stack_steps_each_run_as_if_alone(grid):
+    """Runs with couplings 0 and 1/2 and different masses, stepped as one
+    stack, give each run's levels, times and frames bit for bit."""
+    runs = [plane_wave_state(grid, LENGTH, 0.1, modes, mass2, coupling) for modes, mass2, coupling in [
+        ([Mode(1.0, 1, 0.0), Mode(0.4, 2, 1.1)], 1.0, 0.5),
+        ([Mode(1.0, 1, 0.4)], 1.0, 0.0),
+        ([Mode(0.7, 2, 0.3)], 0.25, 0.5),
+    ]]
+    stack = replace(runs[0], phi=np.stack([r.phi for r in runs]), phi_prev=np.stack([r.phi_prev for r in runs]),
+                    mass2=np.array([r.mass2 for r in runs]), coupling=np.array([r.coupling for r in runs]))
+    for n in (0, 1, 2, 100):
+        stepped, history = kg_step(stack, n), simulate(stack, n)
+        assert history.phi.shape == (n + 1, 3, 2, grid)
+        for k, run in enumerate(runs):
+            alone, alone_history = kg_step(run, n), simulate(run, n)
+            assert stepped.phi[k].tobytes() == alone.phi.tobytes()
+            assert stepped.phi_prev[k].tobytes() == alone.phi_prev.tobytes()
+            assert stepped.time == alone.time
+            assert history.phi[:, k].tobytes() == alone_history.phi.tobytes()
+            assert history.times.tobytes() == alone_history.times.tobytes()
+
+
 def test_kg_step_rejects_bad_step_counts_and_frames():
     state = plane_wave_state(8, LENGTH, 0.45, [Mode(1.0, 1, 0.0)], 1.0)
     with pytest.raises(ValueError):
         kg_step(state, -1)
     with pytest.raises(ValueError):
         kg_step(state, 3, np.empty((2, 2, 8)))
+    stack = replace(state, phi=np.stack([state.phi] * 2), phi_prev=np.stack([state.phi_prev] * 2))
+    with pytest.raises(ValueError):
+        kg_step(stack, 3, np.empty((3, 2, 8)))
 
 
 def test_zero_field_stays_zero():
@@ -282,6 +310,51 @@ def test_frame_budget_boundary():
     assert (fits.n_steps + 1) * 2 * 256 * 8 == FRAME_BYTES_LIMIT
     with pytest.raises(ValueError, match="more than the limit"):
         ExperimentConfig(grid_points=256, cfl=0.5, crossing_times=levels / 512)
+
+
+def reference_series(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The experiment's series computed one recorded row at a time from the
+    field and U simulated as two runs, the reference that the stacked,
+    chunked experiment must match bit for bit."""
+    history = simulate(plane_wave_state(config.grid_points, config.length, config.cfl, config.field_modes,
+                                        config.mass2, config.coupling), config.n_steps)
+    test_history = simulate(plane_wave_state(config.grid_points, config.length, config.cfl, config.test_modes,
+                                             config.mass2, 0.0), config.n_steps)
+    rows = list(range(1, config.n_steps, config.record_stride))
+    dt, dx = history.dt, history.dx
+    phi, u = history.phi, test_history.phi
+    charge, smeared, energy = (np.empty(len(rows)) for _ in range(3))
+    for i, j in enumerate(rows):
+        dtphi = (phi[j + 1] - phi[j - 1]) / (2.0 * dt)
+        dtu = (u[j + 1] - u[j - 1]) / (2.0 * dt)
+        charge[i] = float((dtphi[0] * phi[j][1] - dtphi[1] * phi[j][0]).sum() * dx)
+        smeared[i] = float(((u[j] * dtphi).sum(axis=0) - (dtu * phi[j]).sum(axis=0)).sum() * dx)
+        dxphi = (np.roll(phi[j], -1, axis=-1) - np.roll(phi[j], 1, axis=-1)) / (2.0 * dx)
+        s = 0.5 * (phi[j][0] ** 2 + phi[j][1] ** 2)
+        density = 0.5 * ((dtphi**2).sum(axis=0) + (dxphi**2).sum(axis=0)) + (
+            config.mass2 * s + config.coupling * s**2
+        )
+        energy[i] = float(density.sum() * dx)
+    return {"charge": charge, "smeared": smeared, "energy": energy}, history.times[rows]
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "scripts").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", [load_experiment_config(path) for path in SHIPPED_CONFIGS] + [
+    ExperimentConfig(coupling=0.5, crossing_times=2.0, record_stride=3),  # 379 rows, a partial last chunk
+    ExperimentConfig(coupling=0.5, crossing_times=0.5, record_stride=32),  # 9 rows, fewer than one chunk
+], ids=[path.stem for path in SHIPPED_CONFIGS] + ["partial-chunk", "under-one-chunk"])
+def test_chunked_series_equal_the_per_row_loop(config):
+    from multisymp.fieldlab import _SERIES_CHUNK
+
+    result = conservation_experiment(config)
+    series, times = reference_series(config)
+    assert len(times) % _SERIES_CHUNK
+    assert result.times.tobytes() == times.tobytes()
+    assert sorted(result.series) == sorted(series)
+    for name in series:
+        assert result.series[name].tobytes() == series[name].tobytes(), name
 
 
 def test_functional_series_matches_experiment_charge():
