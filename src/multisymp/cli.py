@@ -11,9 +11,13 @@ Subcommands:
 
 Reports are JSON with stable key ordering: identical inputs and seed
 produce byte-identical output.  Exit codes: 0 all checks pass, 1 at
-least one check failed, 2 input error (an unreadable input file and an
-`--output` or `--output-csv` path that cannot be written count as input
-errors).
+least one check failed, 2 input error.
+
+Each subcommand first loads its inputs (`load_<verb>`: read, decode and
+validate every argument and file) and then computes (`cmd_<verb>`).  An
+input error is an input that the load step refuses, an input file that
+cannot be read, or an `--output` or `--output-csv` path that cannot be
+written; it ends with exit 2 and one `input error:` line on stderr.
 
 Forms read from input (form arguments, the forms stored in a report, and
 the omega, theta and hamiltonian of a chart spec file) may raise a
@@ -36,6 +40,7 @@ from .charts import (
     Chart,
     builtin_chart,
     chart_from_spec,
+    contraction_matrix,
     maxwell_pi,
     maxwell_potential_form,
     nondegeneracy_check,
@@ -51,9 +56,13 @@ from .dynamics import (
 from .observables import (
     NotAOF,
     NotInClassifiedForm,
+    algebraic_copolarization,
     aof_solve,
+    charge_current_form,
     classify_aof,
+    contraction_solver,
     is_of,
+    solve_contraction,
 )
 from .brackets import (
     NotDefined,
@@ -64,7 +73,7 @@ from .brackets import (
     pseudobracket,
     theta_bracket,
 )
-from .fieldlab import conservation_experiment, load_experiment_config, write_series_csv
+from .fieldlab import ExperimentConfig, conservation_experiment, load_experiment_config, write_series_csv
 
 PASS, FAIL, NOT_DEFINED = "pass", "fail", "not-defined"
 
@@ -73,15 +82,17 @@ def _point_to_json(point: Sequence[Fraction]) -> list[str]:
     return [str(v) for v in point]
 
 
-def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
-    """A comma-separated rational chart point of the given dimension."""
+def _rationals(data, what: str, length: int) -> tuple[Fraction, ...]:
+    """`length` rationals: a witness list of strings, or the entries of a
+    comma-separated `--point`."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} is not a list of rationals")
+    if len(data) != length:
+        raise ValueError(f"{what} has length {len(data)}, expected {length}")
     try:
-        point = tuple(Fraction(v) for v in text.split(","))
-    except ZeroDivisionError:
-        raise ValueError(f"point {text!r} has an entry with zero denominator") from None
-    if len(point) != dim:
-        raise ValueError(f"point has length {len(point)}, expected {dim}")
-    return point
+        return tuple(Fraction(v) for v in data)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValueError(f"{what} has an entry that is not a rational number") from None
 
 
 # Exact evaluation of x^e at a rational point costs time and memory that
@@ -92,10 +103,10 @@ MAX_EXPONENT = 64
 # `observable` draws every point before it judges anything and samples each
 # observability family `--samples` times at every point, so both counts are
 # capped, at four times the default of 4 samples and five times the default
-# of 3 points.  A passing form runs every point, family and sample: on the
-# largest built-in chart, `observable maxwell --form @volume-primitive`
-# takes about 5 s at 16 points and 16 samples, and about 50 s at 64 and 64
-# (2-vCPU Xeon, CPython 3.11).
+# of 3 points.  A passing form runs every point, family and sample, so the
+# cost grows with both counts: on the largest built-in chart,
+# `observable maxwell --form @volume-primitive` at 16 points and 16 samples
+# takes 1.1-1.2 s end to end (2-vCPU Xeon, CPython 3.11.7).
 MAX_SAMPLES = 16
 MAX_POINTS = 16
 
@@ -142,8 +153,6 @@ def load_form_argument(chart: Chart, spec: str) -> PolyForm:
         if name == "a" and chart.name == "maxwell":
             return maxwell_potential_form(frame)
         if name == "charge" and chart.name.startswith("scalar"):
-            from .observables import charge_current_form
-
             return charge_current_form(chart)
         if name.startswith("volume-primitive"):
             # x^1 dx^2 ^ ... ^ dx^n (differential is the volume form)
@@ -191,16 +200,16 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: load_<verb>(args) reads, decodes and validates the inputs,
+# cmd_<verb>(args, *inputs) computes and reports
 # ---------------------------------------------------------------------------
 
 
-def cmd_check_chart(args) -> int:
-    try:
-        chart = load_chart_argument(args.chart)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
+def load_check_chart(args) -> tuple:
+    return (load_chart_argument(args.chart),)
+
+
+def cmd_check_chart(args, chart: Chart) -> int:
     report = Report(args.seed, chart)
     closed = not ext_d(chart.omega)
     report.add("domega", "d(omega) = 0", PASS if closed else FAIL,
@@ -219,21 +228,22 @@ def cmd_check_chart(args) -> int:
     return report.exit_code()
 
 
-def cmd_observable(args) -> int:
-    try:
-        chart = load_chart_argument(args.chart)
-        form = load_form_argument(chart, args.form)
-        if form.degree != chart.n - 1:
-            raise ValueError(
-                f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}"
-            )
-        point = _parse_point(args.point, chart.dim) if args.point else None
-        for flag, count, limit in (("--points", args.points, MAX_POINTS), ("--samples", args.samples, MAX_SAMPLES)):
-            if not 1 <= count <= limit:
-                raise ValueError(f"{flag} must be between 1 and {limit}, got {count}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
+def load_observable(args) -> tuple:
+    chart = load_chart_argument(args.chart)
+    # the aof verdict solves xi . Omega = -dF, which needs a constant,
+    # nondegenerate Omega; the solver refuses any other (and is cached)
+    contraction_solver(chart)
+    form = load_form_argument(chart, args.form)
+    if form.degree != chart.n - 1:
+        raise ValueError(f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}")
+    point = _rationals(args.point.split(","), "point", chart.dim) if args.point else None
+    for flag, count, limit in (("--points", args.points, MAX_POINTS), ("--samples", args.samples, MAX_SAMPLES)):
+        if not 1 <= count <= limit:
+            raise ValueError(f"{flag} must be between 1 and {limit}, got {count}")
+    return chart, form, point
+
+
+def cmd_observable(args, chart: Chart, form: PolyForm, point: tuple[Fraction, ...] | None) -> int:
     report = Report(args.seed, chart)
     sampler = RationalSampler(args.seed)
     if point is not None:
@@ -280,15 +290,14 @@ def cmd_observable(args) -> int:
     return report.exit_code()
 
 
-def cmd_bracket(args) -> int:
-    try:
-        chart = load_chart_argument(args.chart)
-        f = load_form_argument(chart, args.f)
-        g = load_form_argument(chart, args.g)
-        point = _parse_point(args.point, chart.dim) if args.kind == "pseudo" and args.point else None
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
+def load_bracket(args) -> tuple:
+    chart = load_chart_argument(args.chart)
+    f, g = (load_form_argument(chart, spec) for spec in (args.f, args.g))
+    point = _rationals(args.point.split(","), "point", chart.dim) if args.kind == "pseudo" and args.point else None
+    return chart, f, g, point
+
+
+def cmd_bracket(args, chart: Chart, f: PolyForm, g: PolyForm, point: tuple[Fraction, ...] | None) -> int:
     report = Report(args.seed, chart)
     kind = args.kind
     try:
@@ -305,14 +314,12 @@ def cmd_bracket(args) -> int:
             scalar = complementary_bracket(chart, f, g)
             report.add("bracket", "scalar bracket of complementary degrees", PASS,
                        {"value": scalar.to_text()})
-        elif kind == "pseudo":
+        else:  # pseudo, the last of the parser's choices
             if chart.hamiltonian is None:
                 raise NotDefined("chart carries no Hamiltonian")
             if point is None:
                 point = RationalSampler(args.seed).point(chart.dim)
             sol = hamiltonian_nvector_solve(chart, chart.hamiltonian, point)
-            from .observables import algebraic_copolarization
-
             value = pseudobracket(chart, f, sol, algebraic_copolarization(chart))
             witness = {"point": _point_to_json(point)}
             if value.scalar is not None:
@@ -320,8 +327,6 @@ def cmd_bracket(args) -> int:
             else:
                 witness["pairings"] = [str(v) for v in value.pairings]
             report.add("bracket", "{H,F} from the solution cone", PASS, witness)
-        else:
-            raise NotDefined(f"unknown bracket kind {kind}")
     except NotDefined as exc:
         report.add("bracket", "bracket outside the constructed cases", NOT_DEFINED,
                    {"reason": f"{exc}; general mixed-degree brackets are an open problem here"})
@@ -333,17 +338,12 @@ def cmd_bracket(args) -> int:
     return report.exit_code()
 
 
-def cmd_simulate(args) -> int:
-    try:
-        config = load_experiment_config(args.config)
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    try:
-        result = conservation_experiment(config)
-    except ValueError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
+def load_simulate(args) -> tuple:
+    return (load_experiment_config(args.config),)
+
+
+def cmd_simulate(args, config: ExperimentConfig) -> int:
+    result = conservation_experiment(config)
     report = Report(args.seed, None)
     for rep in result.functionals:
         expected = None if not config.expectations else config.expectations.get(rep.name)
@@ -367,40 +367,16 @@ def cmd_simulate(args) -> int:
     return report.exit_code()
 
 
-# witness keys that the replay of each kind of fail record reads; both
-# replays need the report's chart
-_REPLAYED_FAILS = {
-    "nondegenerate": ("kernel_vector",),
-    "of": ("form", "point", "family", "base_params", "kernel_direction", "scale", "value",
-           "value_perturbed"),
+# The witness keys that recheck replays, by (check_id, status).  Every
+# replay needs the report's chart; a record of any other kind is not
+# replayed.
+_REPLAYED = {
+    ("nondegenerate", FAIL): ("kernel_vector",),
+    ("of", FAIL): ("form", "point", "family", "base_params", "kernel_direction", "scale", "value",
+                   "value_perturbed"),
+    ("aof", PASS): ("hamilton_field", "dF"),
+    ("aof", FAIL): ("residual", "dF"),
 }
-
-
-def _record_error(check, has_chart: bool) -> str | None:
-    """Why a report record cannot be rechecked, or None if its shape is sound."""
-    if not (isinstance(check, dict) and isinstance(check.get("check_id"), str)
-            and isinstance(check.get("status"), str)):
-        return "needs a string check_id and status"
-    witness = check.get("witness") or {}
-    if not isinstance(witness, dict):
-        return "has a witness that is not an object"
-    needed = _REPLAYED_FAILS.get(check["check_id"]) if check["status"] == FAIL else None
-    if needed is None:
-        return None
-    if not has_chart:
-        return f"is a {check['check_id']} fail record in a report without a chart"
-    missing = [key for key in needed if key not in witness]
-    return f"lacks witness {', '.join(missing)}" if missing else None
-
-
-def _rationals(data, what: str, length: int) -> tuple[Fraction, ...]:
-    """`length` rationals stored in a witness as a list of strings."""
-    if not isinstance(data, list) or len(data) != length:
-        raise ValueError(f"{what} is not a list of {length} rationals")
-    try:
-        return tuple(Fraction(v) for v in data)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ValueError(f"{what} has an entry that is not a rational number") from None
 
 
 def _witness_form(chart: Chart, data, what: str, kind: str, degree: int):
@@ -413,18 +389,26 @@ def _witness_form(chart: Chart, data, what: str, kind: str, degree: int):
     return form
 
 
-def _replay(check: dict, chart: Chart | None) -> Callable[[], bool] | None:
-    """The replay of a record's witness, decoded up front, or None when
-    recheck does not replay the record.  A witness value that does not
-    decode raises ValueError."""
+def _replay(check, chart: Chart | None) -> Callable[[], bool] | None:
+    """The replay of a report record, its witness decoded up front, or
+    None when `_REPLAYED` does not name the record's kind.  A record or a
+    witness that does not decode raises ValueError."""
+    if not (isinstance(check, dict) and isinstance(check.get("check_id"), str)
+            and isinstance(check.get("status"), str)):
+        raise ValueError("check_id and status must be strings")
     witness = check.get("witness") or {}
+    if not isinstance(witness, dict):
+        raise ValueError("the witness is not an object")
     kind = (check["check_id"], check["status"])
-    if chart is None:
+    if kind not in _REPLAYED:
         return None
+    if chart is None:
+        raise ValueError(f"the {' '.join(kind)} record needs the report's chart")
+    missing = [key for key in _REPLAYED[kind] if key not in witness]
+    if missing:
+        raise ValueError(f"the witness lacks {', '.join(missing)}")
     n = chart.n
     if kind == ("nondegenerate", FAIL):
-        from .charts import contraction_matrix
-
         vector = _rationals(witness["kernel_vector"], "kernel_vector", chart.dim)
 
         def nondegenerate_fail() -> bool:
@@ -452,68 +436,54 @@ def _replay(check: dict, chart: Chart | None) -> Callable[[], bool] | None:
             value_perturbed=_rationals([witness["value_perturbed"]], "value_perturbed", 1)[0],
         )
         return lambda: recheck_of_counterexample(chart, form, point, ce)
-    if kind == ("aof", PASS) and witness.get("hamilton_field") is not None and witness.get("dF") is not None:
+    df = _witness_form(chart, witness["dF"], "dF", "form", n)
+    if kind == ("aof", PASS):
         xi = _witness_form(chart, witness["hamilton_field"], "hamilton_field", "multivector",
                            chart.omega.degree - n)
-        df = _witness_form(chart, witness["dF"], "dF", "form", n)
         return lambda: not (hook(xi, chart.omega) + df)
-    if kind == ("aof", FAIL) and witness.get("residual") is not None and witness.get("dF") is not None:
-        from .observables import solve_contraction
+    stored = _witness_form(chart, witness["residual"], "residual", "form", n)
 
-        df = _witness_form(chart, witness["dF"], "dF", "form", n)
-        stored = _witness_form(chart, witness["residual"], "residual", "form", n)
+    def aof_fail() -> bool:
+        result = solve_contraction(chart, -df)
+        return isinstance(result, NotAOF) and result.residual == stored
 
-        def aof_fail() -> bool:
-            result = solve_contraction(chart, -df)
-            return isinstance(result, NotAOF) and result.residual == stored
-
-        return aof_fail
-    return None
+    return aof_fail
 
 
-def cmd_recheck(args) -> int:
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
+def load_recheck(args) -> tuple:
+    """Whether the report's chart hash matches, and the replay of every
+    record that `_REPLAYED` names."""
+    with open(args.report, encoding="utf-8") as fh:
+        data = json.load(fh)
     if not (isinstance(data, dict) and isinstance(data.get("checks"), list) and "tool_version" in data):
-        sys.stderr.write(f"input error: {args.report} is not a report (needs a checks list and a tool_version)\n")
-        return 2
-    if data.get("chart") and not (isinstance(data["chart"], dict) and {"name", "hash"} <= data["chart"].keys()
-                                  and isinstance(data["chart"]["name"], str)):
-        sys.stderr.write(f"input error: the chart of {args.report} needs a name string and a hash\n")
-        return 2
-    for number, check in enumerate(data["checks"], 1):
-        error = _record_error(check, bool(data.get("chart")))
-        if error is not None:
-            sys.stderr.write(f"input error: check {number} of {args.report} {error}\n")
-            return 2
-    chart = None
+        raise ValueError(f"{args.report} is not a report (needs a checks list and a tool_version)")
+    chart, hash_matches = None, True
     if data.get("chart"):
+        if not (isinstance(data["chart"], dict) and {"name", "hash"} <= data["chart"].keys()
+                and isinstance(data["chart"]["name"], str)):
+            raise ValueError(f"the chart of {args.report} needs a name string and a hash")
         try:
             chart = builtin_chart(data["chart"]["name"])
         except ValueError:
-            sys.stderr.write(f"input error: recheck supports built-in charts only, not {data['chart']['name']!r}\n")
-            return 2
-        if chart.spec_hash() != data["chart"]["hash"]:
-            sys.stderr.write("chart hash mismatch\n")
-            return 1
+            raise ValueError(f"recheck supports built-in charts only, not {data['chart']['name']!r}") from None
+        hash_matches = chart.spec_hash() == data["chart"]["hash"]
     replays = []
     for number, check in enumerate(data["checks"], 1):
         try:
-            replays.append(_replay(check, chart))
+            replay = _replay(check, chart)
         except ValueError as exc:
-            sys.stderr.write(f"input error: check {number} of {args.report} has a malformed witness: {exc}\n")
-            return 2
-    verified = 0
-    failures = 0
-    for replay in replays:
+            raise ValueError(f"check {number} of {args.report}: {exc}") from None
         if replay is not None:
-            ok = replay()
-            verified += ok
-            failures += not ok
+            replays.append(replay)
+    return hash_matches, replays
+
+
+def cmd_recheck(args, hash_matches: bool, replays: list[Callable[[], bool]]) -> int:
+    if not hash_matches:
+        sys.stderr.write("chart hash mismatch\n")
+        return 1
+    verified = sum(bool(replay()) for replay in replays)
+    failures = len(replays) - verified
     sys.stdout.write(json.dumps({"verified": verified, "failed": failures}, sort_keys=True) + "\n")
     return 1 if failures else 0
 
@@ -527,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-chart", help="verify chart invariants")
     p.add_argument("chart")
     p.add_argument("--output")
-    p.set_defaults(func=cmd_check_chart)
+    p.set_defaults(load=load_check_chart, run=cmd_check_chart)
 
     p = sub.add_parser("observable", help="OF/AOF verdict for an (n-1)-form")
     p.add_argument("chart")
@@ -536,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", default=None, help="comma-separated rational chart point")
     p.add_argument("--samples", type=int, default=4)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_observable)
+    p.set_defaults(load=load_observable, run=cmd_observable)
 
     p = sub.add_parser("bracket", help="bracket of two forms")
     p.add_argument("chart")
@@ -546,28 +516,37 @@ def build_parser() -> argparse.ArgumentParser:
                    default="poisson")
     p.add_argument("--point", default=None)
     p.add_argument("--output")
-    p.set_defaults(func=cmd_bracket)
+    p.set_defaults(load=load_bracket, run=cmd_bracket)
 
     p = sub.add_parser("simulate", help="run a conservation experiment config")
     p.add_argument("config")
     p.add_argument("--output")
     p.add_argument("--output-csv")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(load=load_simulate, run=cmd_simulate)
 
     p = sub.add_parser("recheck", help="replay the witnesses of a report")
     p.add_argument("report")
-    p.set_defaults(func=cmd_recheck)
+    p.set_defaults(load=load_recheck, run=cmd_recheck)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Load the subcommand's inputs, then compute.  The load step's
+    ValueError, KeyError, TypeError and OverflowError, and an OSError of
+    either step, are input errors; any other exception of the compute step
+    is a fault and propagates."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OSError as exc:  # an input file that cannot be read or an output path that cannot be written
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
+        inputs = args.load(args)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        error = exc
+    else:
+        try:
+            return args.run(args, *inputs)
+        except OSError as exc:  # an output path that cannot be written
+            error = exc
+    sys.stderr.write(f"input error: {error}\n")
+    return 2
 
 
 if __name__ == "__main__":

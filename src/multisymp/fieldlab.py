@@ -468,10 +468,11 @@ def pointwise_dynamics_on_lift(curve: LiftedCurve, chart: Chart, observable: Pol
 # ---------------------------------------------------------------------------
 
 
-# Largest frame array (every recorded level of both field components,
-# float64) that one simulated run may ask for.  The shipped configs record
-# about 23 MB per run; the limit turns a mistyped `crossing_times` or
-# `grid_points` into an input error before anything is allocated.
+# Largest frame array that one experiment may ask for: every recorded
+# level of both field components of both runs (the field and U), float64.
+# The shipped configs record about 46.6 MB; the limit turns a mistyped
+# `crossing_times` or `grid_points` into an input error before anything is
+# allocated.
 FRAME_BYTES_LIMIT = 2**28
 
 
@@ -497,15 +498,25 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.cfl > CFL_BOUND:
+            raise ValueError(f"cfl {self.cfl} exceeds the CFL bound {CFL_BOUND}")
+        for mode in (*self.field_modes, *self.test_modes):
+            k = 2.0 * math.pi * mode.wavenumber / self.length  # as in plane_wave_state
+            if k * k + self.mass2 < 0:
+                raise ValueError(f"mass2 {self.mass2} gives wavenumber {mode.wavenumber} an imaginary frequency")
         try:  # in floats, so an oversized product reads inf
-            frame_bytes = (self.n_steps + 1) * 16.0 * self.grid_points
+            n_steps = self.n_steps
+            # (n_steps + 1) levels x 2 runs x 2 components x grid_points, 8 bytes each
+            frame_bytes = (n_steps + 1) * 32.0 * self.grid_points
         except (OverflowError, ZeroDivisionError):  # dt underflows or the step count is infinite
-            frame_bytes = math.inf
+            n_steps = frame_bytes = math.inf
         if frame_bytes > FRAME_BYTES_LIMIT:
             raise ValueError(
-                f"the run's frames need {frame_bytes:.3g} bytes, more than the limit of "
-                f"{FRAME_BYTES_LIMIT}; lower crossing_times or grid_points"
+                f"the experiment's frames (both runs) need {frame_bytes:.3g} bytes, more than the "
+                f"limit of {FRAME_BYTES_LIMIT}; lower crossing_times or grid_points"
             )
+        if n_steps < 2:
+            raise ValueError(f"a run of {n_steps} steps records no row; it needs at least 2")
 
     @property
     def n_steps(self) -> int:
@@ -601,8 +612,6 @@ def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
         for modes, coupling in ((config.field_modes, config.coupling), (config.test_modes, 0.0))
     )
     n_steps = config.n_steps
-    if n_steps < 2:
-        raise ValueError(f"a run of {n_steps} steps records no row; it needs at least 2")
     # both runs share dx, dt and M, so they step as one stack
     stack = replace(state, phi=np.stack([state.phi, test_state.phi]),
                     phi_prev=np.stack([state.phi_prev, test_state.phi_prev]),

@@ -18,6 +18,20 @@ def run(capsys, *argv):
     return code, (json.loads(out) if out.strip().startswith("{") else out)
 
 
+def run_module(*argv):
+    """`python -m multisymp` in a subprocess under a 10 s timeout, so a
+    regression that hangs fails instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "multisymp", *argv], capture_output=True, text=True, timeout=10,
+                          env=env)
+
+
+def assert_input_error(done):
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
+
+
 def test_check_chart_builtin_passes(capsys):
     code, report = run(capsys, "check-chart", "lepage-dedecker:2,2")
     assert code == 0
@@ -237,14 +251,8 @@ def test_malformed_chart_labels_are_input_errors(label):
     """A chart label that is not one of the documented forms is refused with
     one line naming them; `maxwell:3` and `scalar:2,bogus` used to run as
     `maxwell` and `scalar:2`.  Run as a subprocess under a timeout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "multisymp", "check-chart", label],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
+    done = run_module("check-chart", label)
+    assert_input_error(done)
     assert f"unknown chart label {label!r}" in done.stderr
     assert "lepage-dedecker:n,k, lepage-dedecker-split:n,k, ddw:n,k, maxwell, scalar:n, scalar:n,gauged" in done.stderr
 
@@ -294,17 +302,10 @@ def test_observable_rejects_oversized_counts():
     count tried here allocates much even when it is accepted."""
     from multisymp.cli import MAX_POINTS, MAX_SAMPLES
 
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     for flag, count, limit in [("--samples", 100000, MAX_SAMPLES), ("--samples", MAX_SAMPLES + 1, MAX_SAMPLES),
                                ("--points", MAX_POINTS + 1, MAX_POINTS)]:
-        done = subprocess.run(
-            [sys.executable, "-m", "multisymp", "observable", "lepage-dedecker:2,3", "--form", "@volume-primitive",
-             flag, str(count)],
-            capture_output=True, text=True, timeout=10, env=env,
-        )
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
+        done = run_module("observable", "lepage-dedecker:2,3", "--form", "@volume-primitive", flag, str(count))
+        assert_input_error(done)
         assert f"between 1 and {limit}, got {count}" in done.stderr
 
 
@@ -412,6 +413,8 @@ def test_recheck_rejects_malformed_records(capsys, tmp_path, case):
     # frames of more than 10^18 bytes, refused before anything is allocated
     {"crossing_times": 1e12},
     {"grid_points": 10**14},
+    {"cfl": 2.0},
+    {"mass2": -5.0},
 ])
 def test_simulate_rejects_configs_that_cannot_run(capsys, tmp_path, config):
     path = tmp_path / "config.json"
@@ -427,14 +430,8 @@ def test_observable_rejects_an_oversized_exponent():
     it is decoded.  Run as a subprocess so a regression times out instead
     of hanging the suite."""
     form = json.dumps({"degree": 1, "terms": [{"indices": ["p12"], "coeff": "q1^30000000"}]})
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "multisymp", "observable", "lepage-dedecker:2,2", "--form", form],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
+    done = run_module("observable", "lepage-dedecker:2,2", "--form", form)
+    assert_input_error(done)
     assert "exponent 30000000" in done.stderr
 
 
@@ -452,14 +449,8 @@ def test_check_chart_rejects_an_oversized_exponent_in_a_spec(tmp_path, field):
         spec[field]["terms"][0]["coeff"] += " + q3^30000000"
     path = tmp_path / "probe.json"
     path.write_text(json.dumps(spec))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "multisymp", "check-chart", str(path)],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
+    done = run_module("check-chart", str(path))
+    assert_input_error(done)
     assert "exponent 30000000" in done.stderr
 
 
@@ -474,3 +465,56 @@ def test_observable_accepts_the_largest_exponent(capsys):
     code, report = run(capsys, "observable", "lepage-dedecker:2,2", "--form", form(MAX_EXPONENT), "--points", "1")
     assert code == 1 and report["checks"][0]["status"] == "fail"
     assert main(["observable", "lepage-dedecker:2,2", "--form", form(MAX_EXPONENT + 1)]) == 2
+
+
+def _spec_path(tmp_path, spec) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _nonconstant_omega_chart(tmp_path) -> str:
+    from multisymp.charts import chart_to_spec, lepage_dedecker_chart
+
+    spec = chart_to_spec(lepage_dedecker_chart(1, 1))
+    next(t for t in spec["omega"]["terms"] if t["indices"] == ["q1", "p1"])["coeff"] = "-1 - q2^2"
+    return _spec_path(tmp_path, spec)
+
+
+# inputs that once ended in a traceback, each with the argv that passes it
+_CRASHING_INPUTS = {
+    "null_coefficient": lambda tmp: [
+        "observable", "lepage-dedecker:2,2", "--form", '{"degree": 1, "terms": [{"indices": ["p12"], "coeff": null}]}'],
+    "terms_not_a_list": lambda tmp: ["observable", "lepage-dedecker:2,2", "--form", '{"degree": 1, "terms": 5}'],
+    "infinite_degree": lambda tmp: ["observable", "lepage-dedecker:2,2", "--form", '{"degree": 1e999}'],
+    "chart_spec_is_a_list": lambda tmp: ["check-chart", _spec_path(tmp, [1, 2])],
+    "observable_on_a_nonconstant_omega": lambda tmp: [
+        "observable", _nonconstant_omega_chart(tmp), "--form", "@volume-primitive"],
+    "infinite_grid_points": lambda tmp: ["simulate", _spec_path(tmp, {"grid_points": float("inf")})],
+    "infinite_wavenumber": lambda tmp: [
+        "simulate", _spec_path(tmp, {"field_modes": [{"amplitude": 1.0, "wavenumber": float("inf")}]})],
+}
+
+
+@pytest.mark.parametrize("case", list(_CRASHING_INPUTS))
+def test_malformed_inputs_end_in_one_input_error_line(tmp_path, case):
+    """Each input is refused while it is loaded: exit 2, no report, one
+    `input error:` line and no traceback."""
+    assert_input_error(run_module(*_CRASHING_INPUTS[case](tmp_path)))
+
+
+def test_recheck_refuses_an_aof_record_without_its_witness(capsys, tmp_path):
+    """An aof pass record replays its Hamilton field against dF; without
+    dF there is nothing to replay, which is an input error rather than a
+    report verified with nothing checked."""
+    path = tmp_path / "report.json"
+    assert main(["observable", "ddw:2,2", "--form", "@volume-primitive", "--points", "1", "--output", str(path)]) == 0
+    code, result = run(capsys, "recheck", str(path))
+    assert code == 0 and result == {"failed": 0, "verified": 1}
+    report = json.loads(path.read_text())
+    del next(c for c in report["checks"] if c["check_id"] == "aof")["witness"]["dF"]
+    path.write_text(json.dumps(report))
+    assert main(["recheck", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"input error: check 1 of {path}: the witness lacks dF"]

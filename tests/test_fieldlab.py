@@ -300,14 +300,14 @@ def test_zero_field_experiment():
 
 def test_frame_budget_boundary():
     """With cfl 1/2 on 256 points a run takes 512 steps per crossing, and
-    a level of frames is 2 * 256 * 8 bytes; the largest run that fits
-    records exactly FRAME_BYTES_LIMIT bytes.  Constructing a config
-    allocates nothing."""
+    a level of the experiment's frames is 2 runs * 2 components * 256 * 8
+    bytes; the largest experiment that fits records exactly
+    FRAME_BYTES_LIMIT bytes.  Constructing a config allocates nothing."""
     from multisymp.fieldlab import FRAME_BYTES_LIMIT
 
-    levels = FRAME_BYTES_LIMIT // (2 * 256 * 8)
+    levels = FRAME_BYTES_LIMIT // (2 * 2 * 256 * 8)
     fits = ExperimentConfig(grid_points=256, cfl=0.5, crossing_times=(levels - 1) / 512)
-    assert (fits.n_steps + 1) * 2 * 256 * 8 == FRAME_BYTES_LIMIT
+    assert (fits.n_steps + 1) * 2 * 2 * 256 * 8 == FRAME_BYTES_LIMIT
     with pytest.raises(ValueError, match="more than the limit"):
         ExperimentConfig(grid_points=256, cfl=0.5, crossing_times=levels / 512)
 
