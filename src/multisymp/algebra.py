@@ -5,12 +5,17 @@ Everything in this module is exact.  Scalars are `fractions.Fraction`
 algebraic identity downstream can be asserted with `==` instead of a
 tolerance.  A polynomial is a sparse map
 
-    exponent tuple (one int per variable)  ->  Fraction coefficient
+    exponent tuple (one int per variable)  ->  integer numerator
 
-with no stored zero coefficients.  The variable list is carried by the
-polynomial itself; all polynomials living on one coordinate chart share
-the same variable tuple, which keeps the dense exponent tuples small
-(chart dimensions here never exceed a few tens).
+over one positive common denominator, with no stored zero numerator and
+no factor common to the denominator and all numerators, so the stored
+form is canonical.  Arithmetic runs on Python integers, as in standard
+sparse-polynomial practice (Johnson, SIGSAM Bull. 8(3), 1974; Monagan and
+Pearce, ISSAC 2009); `Polynomial.terms` is the `Fraction` view.  The
+variable list is carried by the polynomial itself; all polynomials living
+on one coordinate chart share the same variable tuple, which keeps the
+dense exponent tuples small (chart dimensions here never exceed a few
+tens).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import operator
 import random
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -67,13 +73,23 @@ def gen_kronecker(upper: Sequence[int], lower: Sequence[int]) -> int:
 class Polynomial:
     """Sparse multivariate polynomial over the rationals.
 
+    Stored as integer numerators over one denominator: `_num` maps each
+    exponent tuple to a nonzero `int` and `_den` is a positive `int`
+    coprime to every numerator, so equal polynomials have equal storage
+    (the zero polynomial has `_den == 1`).  Every operation works on the
+    integers and divides out one gcd per result.  `terms`, the map from
+    exponent tuples to `Fraction` coefficients, is a view built on first
+    read and kept.  Its keys come in storage order: a sum keeps the terms
+    of its left operand and appends the new ones of the right, a sum that
+    cancels drops its key, and a product accumulates in nested term order.
+
     Immutable, and callers rely on it: an operation may return one of its
-    operands (`p * 1` is `p`), so no code may mutate `terms` or
-    `variables` after construction.  That is also why the hash is
+    operands (`p * 1` is `p`), so no code may mutate the storage, `terms`
+    or `variables` after construction.  That is also why the hash is
     computed once, on first use, and kept.
     """
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "_num", "_den", "_terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -86,31 +102,43 @@ class Polynomial:
                 c = Fraction(coeff)
                 if c != 0:
                     clean[tuple(expo)] = c
-        self.terms: dict[tuple[int, ...], Fraction] = clean
+        # over the least common denominator the numerators share no factor with it
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {expo: c.numerator * (den // c.denominator) for expo, c in clean.items()}
+        self._den = den
+        self._terms = clean
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _raw(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
-        """Trusted constructor for results that are already clean: a variable
-        tuple, exponent tuples of its length, nonzero Fraction coefficients.
-        Takes ownership of `terms`."""
+    def _raw(cls, variables: tuple[str, ...], num: dict[tuple[int, ...], int], den: int) -> Polynomial:
+        """Trusted constructor for a variable tuple, exponent tuples of its
+        length, nonzero numerators and a positive denominator; it divides
+        out the gcd of the denominator and the numerators (one `gcd` call,
+        none when the denominator is 1).  Takes ownership of `num`."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {expo: c // g for expo, c in num.items()}
+                den //= g
         result = cls.__new__(cls)
         result.variables = variables
-        result.terms = terms
+        result._num = num
+        result._den = den
         return result
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> Polynomial:
-        return cls(variables)
+        return cls._raw(tuple(variables), {}, 1)
 
     @classmethod
     def const(cls, variables: Sequence[str], value: Fraction | int) -> Polynomial:
         variables = tuple(variables)
-        value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
         if value == 0:
-            return cls._raw(variables, {})
-        return cls._raw(variables, {(0,) * len(variables): value})
+            return cls._raw(variables, {}, 1)
+        return cls._raw(variables, {(0,) * len(variables): value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> Polynomial:
@@ -121,7 +149,17 @@ class Polynomial:
             raise KeyError(f"unknown variable {name!r}") from None
         expo = [0] * len(variables)
         expo[idx] = 1
-        return cls._raw(variables, {tuple(expo): Fraction(1)})
+        return cls._raw(variables, {tuple(expo): 1}, 1)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as `Fraction`s, in storage order (read-only)."""
+        try:
+            return self._terms
+        except AttributeError:
+            den = self._den
+            self._terms = {expo: Fraction(c, den) for expo, c in self._num.items()}
+            return self._terms
 
     # -- ring operations ----------------------------------------------
 
@@ -129,64 +167,77 @@ class Polynomial:
         if self.variables is not other.variables and self.variables != other.variables:
             raise ValueError(f"variable mismatch: {self.variables} vs {other.variables}")
 
-    def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = Polynomial.const(self.variables, other)
+    def _combine(self, other: Polynomial, sign: int) -> Polynomial:
+        """self + sign * other over the common denominator, with the terms
+        of self first and the new terms of other after them in their order."""
         self._check_same_vars(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._num)
+            factor = sign
+        else:
+            g = gcd(da, db)
+            scale = db // g
+            out = {expo: c * scale for expo, c in self._num.items()}
+            factor = sign * (da // g)
+            da *= scale
+        for expo, c in other._num.items():
             prev = out.get(expo)
             if prev is None:
-                out[expo] = coeff
+                out[expo] = c * factor
             else:
-                s = prev + coeff
+                s = prev + c * factor
                 if s:
                     out[expo] = s
                 else:
                     del out[expo]
-        return Polynomial._raw(self.variables, out)
+        return Polynomial._raw(self.variables, out, da)
+
+    def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            other = Polynomial.const(self.variables, other)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw(self.variables, {expo: -coeff for expo, coeff in self.terms.items()})
+        return Polynomial._raw(self.variables, {expo: -c for expo, c in self._num.items()}, self._den)
 
     def __sub__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.const(self.variables, other)
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: Fraction | int) -> Polynomial:
         return (-self) + other
 
-    def _scale(self, c: Fraction | int) -> Polynomial:
-        """self * c for a nonzero rational c: no exponent work, term order kept."""
-        if c == 1:
+    def _scale(self, n: int, d: int) -> Polynomial:
+        """self * (n / d) for a nonzero integer n and a positive integer d:
+        no exponent work, term order kept."""
+        if n == 1 and d == 1:
             return self
-        if c == -1:
-            return -self
-        return Polynomial._raw(self.variables, {expo: coeff * c for expo, coeff in self.terms.items()})
+        return Polynomial._raw(self.variables, {expo: c * n for expo, c in self._num.items()}, self._den * d)
 
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         variables = self.variables
         if not isinstance(other, Polynomial):
             c = other if isinstance(other, (int, Fraction)) else Fraction(other)
-            return self._scale(c) if c else Polynomial._raw(variables, {})
+            return self._scale(c.numerator, c.denominator) if c else Polynomial._raw(variables, {}, 1)
         self._check_same_vars(other)
-        a, b = self.terms, other.terms
+        a, b = self._num, other._num
         if not a or not b:
-            return Polynomial._raw(variables, {})
+            return Polynomial._raw(variables, {}, 1)
         # a one-term constant operand scales the other one
         if len(b) == 1:
             (eb, cb), = b.items()
             if not any(eb):
-                return self._scale(cb)
+                return self._scale(cb, other._den)
         if len(a) == 1:
             (ea, ca), = a.items()
             if not any(ea):
-                return other._scale(ca)
+                return other._scale(ca, self._den)
         add = operator.add
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 expo = tuple(map(add, ea, eb))
@@ -199,7 +250,7 @@ class Polynomial:
                         out[expo] = s
                     else:
                         del out[expo]
-        return Polynomial._raw(variables, out)
+        return Polynomial._raw(variables, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -218,14 +269,14 @@ class Polynomial:
         return Polynomial.const(self.variables, 1) if result is None else result
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.variables, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return self.variables == other.variables and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         try:
@@ -244,23 +295,34 @@ class Polynomial:
             raise KeyError(f"unknown variable {name!r}") from None
         # distinct terms have distinct derivatives, so nothing accumulates
         return Polynomial._raw(self.variables, {
-            expo[:idx] + (expo[idx] - 1,) + expo[idx + 1:]: coeff * expo[idx]
-            for expo, coeff in self.terms.items()
+            expo[:idx] + (expo[idx] - 1,) + expo[idx + 1:]: c * expo[idx]
+            for expo, c in self._num.items()
             if expo[idx]
-        })
+        }, self._den)
 
     def eval(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact evaluation at a rational point (one value per variable)."""
+        """Exact evaluation at a rational point (one value per variable).
+
+        Each term is an integer fraction n/d read off the point's
+        numerators and denominators; the sum is kept over the least common
+        multiple of the d seen so far, and one `Fraction` is built at the
+        end."""
         if len(point) != len(self.variables):
             raise ValueError(f"point has length {len(point)}, expected {len(self.variables)}")
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            term = coeff
+        total, total_den = 0, 1
+        for expo, c in self._num.items():
+            n, d = c, 1
             for e, v in zip(expo, point):
                 if e:
-                    term *= v**e
-            total += term
-        return total
+                    n *= v.numerator**e
+                    d *= v.denominator**e
+            if d == total_den:
+                total += n
+            else:
+                g = gcd(d, total_den)
+                total = total * (d // g) + n * (total_den // g)
+                total_den *= d // g
+        return Fraction(total, total_den * self._den)
 
     def subs(self, assignment: Mapping[str, "Polynomial | Fraction | int"]) -> Polynomial:
         """Substitute polynomials (over the same variable tuple) for variables."""
@@ -274,11 +336,13 @@ class Polynomial:
     def transplant(self, variables: Sequence[str], assignment: Mapping[str, "Polynomial"]) -> Polynomial:
         """Rewrite onto a new variable tuple, sending each old variable to a
         polynomial over the new variables.  Old variables missing from the
-        assignment must not occur in any term."""
+        assignment must not occur in any term.  The numerators are summed
+        and `_den` divides once at the end."""
         variables = tuple(variables)
-        out = Polynomial(variables)
-        for expo, coeff in self.terms.items():
-            term = Polynomial.const(variables, coeff)
+        out = Polynomial.zero(variables)
+        constant = (0,) * len(variables)
+        for expo, c in self._num.items():
+            term = Polynomial._raw(variables, {constant: c}, 1)
             for idx, e in enumerate(expo):
                 if not e:
                     continue
@@ -287,30 +351,30 @@ class Polynomial:
                     raise KeyError(f"variable {name!r} has no image in the new frame")
                 term = term * assignment[name] ** e
             out = out + term
-        return out
+        return out._scale(1, self._den)
 
     # -- inspection ----------------------------------------------------
 
     def is_constant(self) -> bool:
-        return all(not any(expo) for expo in self.terms)
+        return all(not any(expo) for expo in self._num)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._num:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"polynomial {self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._num.values())), self._den)
 
     def total_degree(self) -> int:
-        return max((sum(expo) for expo in self.terms), default=0)
+        return max((sum(expo) for expo in self._num), default=0)
 
     def degree_in(self, name: str) -> int:
         idx = self.variables.index(name)
-        return max((expo[idx] for expo in self.terms), default=0)
+        return max((expo[idx] for expo in self._num), default=0)
 
     def used_variables(self) -> set[str]:
         used: set[str] = set()
-        for expo in self.terms:
+        for expo in self._num:
             for idx, e in enumerate(expo):
                 if e:
                     used.add(self.variables[idx])
@@ -320,13 +384,13 @@ class Polynomial:
         """Coefficient polynomial of the first power of `name` (collecting in
         one variable)."""
         idx = self.variables.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in self.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for expo, c in self._num.items():
             if expo[idx] == 1:
                 new = list(expo)
                 new[idx] = 0
-                out[tuple(new)] = coeff
-        return Polynomial(self.variables, out)
+                out[tuple(new)] = c
+        return Polynomial._raw(self.variables, out, self._den)
 
     # -- text form -----------------------------------------------------
 

@@ -426,6 +426,11 @@ def _replay(check, chart: Chart | None) -> Callable[[], bool] | None:
             horizontal = tuple(chart.frame.index(name) for name in family)
         except KeyError as exc:
             raise ValueError(f"family names an {exc.args[0]}") from None
+        # the sampler's families: n distinct base coordinates, increasing
+        base = chart.frame.base_indices()
+        if not (len(horizontal) == n and set(horizontal) <= set(base)
+                and all(a < b for a, b in zip(horizontal, horizontal[1:]))):
+            raise ValueError(f"family is not {n} distinct base coordinates in increasing order")
         params = len(observability_family(chart, horizontal).params)
         ce = OFCounterexample(
             family_horizontal=tuple(family),

@@ -37,9 +37,10 @@ given by its factors goes through the one minor routine,
 vector.  Those contractions are read off the plan that
 `OmegaContraction` keeps: the columns of a family's linear part (all
 factors unit, a lookup) and the pseudofiber rows (one unit factor,
-(n-1)-minors of the others).  The full wedge expansion stays in the checks
-that must be independent of that route (`HamiltonianSolution.verify`,
-`recheck_of_counterexample`), in `plucker_check`, and in
+(n-1)-minors of the others).  The checks that must be independent of
+that route do not use minors: `HamiltonianSolution.verify` hooks the
+factors into Omega one at a time, and `recheck_of_counterexample` expands
+the wedge in full, as do `plucker_check` and
 `brackets.dynamics_relation_check`, which takes interior products of the
 expanded n-vector.
 """
@@ -296,13 +297,23 @@ class HamiltonianSolution:
         """Kernel coefficients of the base solution and of base + each
         kernel direction."""
         size = len(self.kernel)
-        return [()] + [tuple(Fraction(1) if i == j else Fraction(0) for j in range(size)) for i in range(size)]
+        one, zero = Fraction(1), Fraction(0)
+        return [()] + [tuple(one if i == j else zero for j in range(size)) for i in range(size)]
 
     def verify(self) -> bool:
-        """Exactness of the base solution and of base + each kernel move."""
-        return all(
-            contraction_form(self.expand(coeffs), self.omega_num) == self.target for coeffs in self.unit_moves()
-        )
+        """Exactness of the base solution and of base + each kernel move.
+
+        Each contraction is taken one factor at a time,
+        (X_1 ^ ... ^ X_n) . Omega = X_n . (... (X_1 . Omega)), through the
+        hook kernel: no wedge expansion and no minor, so the check does not
+        share the solver's minor route."""
+        for coeffs in self.unit_moves():
+            form = self.omega_num
+            for factor in self.factors(coeffs):
+                form = _hook_terms(factor, form)
+            if form != self.target:
+                return False
+        return True
 
 
 def differential_at(h: Polynomial, chart: Chart, point: Sequence[Fraction]) -> Terms:

@@ -31,7 +31,7 @@ unary `-`, and `scale` by a nonzero factor.  User input (`from_named`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -60,11 +60,13 @@ class CoordinateFrame:
     """Ordered coordinate system of a chart: (name, kind) pairs."""
 
     coords: tuple[tuple[str, CoordKind], ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [name for name, _ in self.coords]
+        names = tuple(name for name, _ in self.coords)
         if len(set(names)) != len(names):
             raise ValueError("coordinate names must be unique")
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
 
     @classmethod
@@ -74,10 +76,6 @@ class CoordinateFrame:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.coords)
 
     def index(self, name: str) -> int:
         try:
@@ -126,9 +124,14 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[in
     return sort_with_sign(left + right)
 
 
-def _add_terms(target: Terms, key: tuple[int, ...], value) -> None:
+def _add_terms(target: Terms, key: tuple[int, ...], value, sign: int = 1) -> None:
+    """target[key] += sign * value for sign +-1, subtracting instead of
+    negating `value` when the key is already there; a zero sum drops the key."""
     acc = target.get(key)
-    acc = value if acc is None else acc + value
+    if acc is None:
+        acc = value if sign == 1 else -value
+    else:
+        acc = acc + value if sign == 1 else acc - value
     if acc:
         target[key] = acc
     else:
@@ -141,8 +144,7 @@ def _wedge_terms(a: Terms, b: Terms) -> Terms:
         for ib, cb in b.items():
             key, sign = _merge_sign(ia, ib)
             if sign:
-                product = ca * cb
-                _add_terms(out, key, product if sign == 1 else -product)
+                _add_terms(out, key, ca * cb, sign)
     return out
 
 
@@ -171,8 +173,7 @@ def _hook_terms(x: Terms, mu: Terms) -> Terms:
             rest = tuple(i for i in im if i not in sx)
             _, sign = _merge_sign(ix, rest)
             if sign:
-                p = cx * cm
-                _add_terms(out, rest, p if sign == 1 else -p)
+                _add_terms(out, rest, cx * cm, sign)
     return out
 
 
@@ -244,7 +245,7 @@ class _AltTensor:
                 continue
             if not isinstance(coeff, Polynomial):
                 coeff = frame.poly_const(coeff)
-            _add_terms(terms, key, sign * coeff)
+            _add_terms(terms, key, coeff, sign)
         return cls(frame, degree, terms)
 
     def assert_compatible(self, other: "_AltTensor") -> None:
@@ -255,20 +256,23 @@ class _AltTensor:
 
     # ring structure ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         self.assert_compatible(other)
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            _add_terms(terms, key, coeff)
+            _add_terms(terms, key, coeff, sign)
         return self._raw(self.frame, self.degree, terms)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __neg__(self):
         return self._raw(self.frame, self.degree, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, factor: Polynomial | Fraction | int):
         if not isinstance(factor, Polynomial):
@@ -390,12 +394,12 @@ def ext_d(mu: PolyForm) -> PolyForm:
     out: dict[tuple[int, ...], Polynomial] = {}
     names = frame.names
     for key, coeff in mu.terms.items():
-        # d/da of coeff is nonzero exactly when coordinate a occurs in it
-        used = {a for expo in coeff.terms for a, e in enumerate(expo) if e}
+        # d/da of coeff is nonzero exactly when coordinate a occurs in it;
+        # the exponent keys are read from the storage, not the Fraction view
+        used = {a for expo in coeff._num for a, e in enumerate(expo) if e}
         for a in sorted(used.difference(key)):
-            d = coeff.diff(names[a])
             new_key, sign = _merge_sign((a,), key)
-            _add_terms(out, new_key, d if sign == 1 else -d)
+            _add_terms(out, new_key, coeff.diff(names[a]), sign)
     return PolyForm._raw(frame, mu.degree + 1, out)
 
 
@@ -417,7 +421,7 @@ def lie_bracket(xi: PolyMultivector, eta: PolyMultivector) -> PolyMultivector:
         for key, xc in xi.terms.items():
             d = xc.diff(names[a])
             if d:
-                _add_terms(out, key, -(ea * d))
+                _add_terms(out, key, ea * d, -1)
     return PolyMultivector(frame, 1, out)
 
 

@@ -133,8 +133,9 @@ class LinearSolver:
     back in the same ring, with free variables set to zero.  Rows are
     picked in first-seen key order by one `RowBasis` and factored by
     `rref`: they are independent, so every pivot falls on a column and E
-    is unique.  Only the picked rows are solved, so `solve` checks the
-    answer on every key by exact reconstruction.
+    is unique.  Each row of E is kept as its nonzero (index, value) pairs.
+    Only the picked rows are solved, so `solve` checks the answer on every
+    key by exact reconstruction.
     """
 
     def __init__(self, columns: Sequence[Mapping[Hashable, Fraction]]):
@@ -151,7 +152,8 @@ class LinearSolver:
             if basis.rank == width:
                 break
         self.rank = basis.rank
-        _, self.inverse, self.pivots = rref(picked)
+        _, inverse, self.pivots = rref(picked)
+        self.inverse = [[(i, e) for i, e in enumerate(row) if e] for row in inverse]
 
     def solve(self, target: Mapping, zero) -> tuple[list, dict]:
         """Coefficients x of the target, and the nonzero entries of the
@@ -162,9 +164,8 @@ class LinearSolver:
         coefficients = [zero] * len(self.columns)
         for pivot, e_row in zip(self.pivots, self.inverse):
             acc = zero
-            for e, b in zip(e_row, rhs):
-                if e:
-                    acc = acc + e * b
+            for i, e in e_row:
+                acc = acc + rhs[i] * e
             coefficients[pivot] = acc
         residual = dict(target)
         for x, column in zip(coefficients, self.columns):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -352,3 +353,121 @@ def test_diff_eval_and_subs_match_sympy(p, q, c, point):
     sc = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
     substituted = _without_mutation(lambda: p.subs({"x": q, "z": c}), p, q, c)
     _assert_matches(sympy, substituted, sp.subs({x: _sympy_of(sympy, q), z: sc}, simultaneous=True))
+
+
+# -- the integer-numerator representation ----------------------------------
+#
+# A Fraction-dict reference of the ring operations, in the insertion order
+# that the terms view must reproduce: sums keep the left operand's terms and
+# append new ones, a zero sum drops its key, products accumulate in the
+# nested term order and powers square and multiply from the low bit.
+
+_ZERO_EXPONENT = (0,) * len(ORACLE_VARS)
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for expo, coeff in b.items():
+        total = out.get(expo, 0) + sign * coeff
+        if total:
+            out[expo] = total
+        else:
+            out.pop(expo, None)
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            expo = tuple(x + y for x, y in zip(ea, eb))
+            total = out.get(expo, 0) + ca * cb
+            if total:
+                out[expo] = total
+            else:
+                del out[expo]
+    return out
+
+
+def _ref_pow(a, exponent):
+    result, base = None, a
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else _ref_mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = _ref_mul(base, base)
+    return {_ZERO_EXPONENT: Fraction(1)} if result is None else result
+
+
+def _ref_scale(a, c):
+    return {expo: coeff * c for expo, coeff in a.items()} if c else {}
+
+
+def _ref_diff(a, idx):
+    return {expo[:idx] + (expo[idx] - 1,) + expo[idx + 1:]: coeff * expo[idx] for expo, coeff in a.items() if expo[idx]}
+
+
+def _ref_subs(a, images):
+    out = {}
+    for expo, coeff in a.items():
+        term = {_ZERO_EXPONENT: coeff}
+        for idx, e in enumerate(expo):
+            if e:
+                term = _ref_mul(term, _ref_pow(images[idx], e))
+        out = _ref_add(out, term)
+    return out
+
+
+def _assert_canonical(p: Polynomial, reference: dict) -> None:
+    """Positive denominator, no common factor with the nonzero integer
+    numerators (so zero has denominator 1), and the Fraction view equal to
+    the reference in value and key order."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c for c in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+    assert list(p.terms.items()) == list(reference.items())
+
+
+_term_dicts = st.one_of(
+    st.just({}),
+    _unit_or_rational.map(lambda c: {_ZERO_EXPONENT: c}),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _nonzero, min_size=1, max_size=5),
+)
+
+
+@given(_term_dicts, _term_dicts, _rationals)
+@settings(max_examples=150, deadline=None)
+def test_storage_is_canonical_and_the_terms_view_keeps_the_reference_order(a, b, c):
+    p, q = Polynomial(ORACLE_VARS, a), Polynomial(ORACLE_VARS, b)
+    _assert_canonical(p, a)
+    _assert_canonical(p + q, _ref_add(a, b))
+    _assert_canonical(p - q, _ref_add(a, b, -1))
+    _assert_canonical(p * q, _ref_mul(a, b))
+    _assert_canonical(p**3, _ref_pow(a, 3))
+    _assert_canonical(p * c, _ref_scale(a, c))
+    if c:
+        _assert_canonical(p._scale(c.numerator, c.denominator), _ref_scale(a, c))
+    for idx, name in enumerate(ORACLE_VARS):
+        _assert_canonical(p.diff(name), _ref_diff(a, idx))
+    images = [b, {_ZERO_EXPONENT: c} if c else {}, {(0, 0, 1): Fraction(1)}]
+    _assert_canonical(p.subs({"x": q, "y": c}), _ref_subs(a, images))
+    # cancellation to zero leaves the canonical zero
+    for zero in (p - p, p + (-p), p * 0, (p + q) - (q + p)):
+        _assert_canonical(zero, {})
+        assert zero._den == 1 and not zero._num
+
+
+@given(_term_dicts, _term_dicts, _rationals)
+@settings(max_examples=150, deadline=None)
+def test_equal_polynomials_built_by_different_routes_compare_and_hash_equal(a, b, c):
+    p, q = Polynomial(ORACLE_VARS, a), Polynomial(ORACLE_VARS, b)
+    pairs = [
+        (p * q, q * p),
+        ((p + q) - q, p),
+        (p * c + q * c, (p + q) * c),
+        ((p + q) * (p - q), p * p - q * q),
+        (p.subs({"x": q}).diff("y"), p.diff("y").subs({"x": q}) + p.diff("x").subs({"x": q}) * q.diff("y")),
+    ]
+    for left, right in pairs:
+        assert left == right and hash(left) == hash(right)

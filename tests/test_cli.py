@@ -356,6 +356,8 @@ def _failing_observable_report(tmp_path) -> dict:
 _BAD_OF_WITNESS = {
     "scale_with_zero_denominator": ("scale", "1/0"),
     "unknown_family_coordinate": ("family", ["zz"]),
+    "family_out_of_order": ("family", ["x2", "x1"]),
+    "family_of_one_coordinate": ("family", ["x1"]),
     "short_base_params": ("base_params", ["1"]),
     "short_point": ("point", ["1", "2"]),
     "malformed_form": ("form", {"degree": 2, "terms": [5]}),
@@ -481,7 +483,18 @@ def _nonconstant_omega_chart(tmp_path) -> str:
     return _spec_path(tmp_path, spec)
 
 
-# inputs that once ended in a traceback, each with the argv that passes it
+def _non_horizontal_family_report(tmp_path) -> str:
+    """The ddw:2,2 `of` fail report with its family x1, x2 replaced by two
+    momenta: a family the sampler never draws, so recheck must refuse it."""
+    report = _failing_observable_report(tmp_path)
+    witness = next(c for c in report["checks"] if c["check_id"] == "of")["witness"]
+    assert witness["family"] == ["x1", "x2"]
+    witness["family"] = ["p1_1", "p2_2"]
+    return _spec_path(tmp_path, report)
+
+
+# inputs that once ended in a traceback or were accepted, each with the
+# argv that passes it
 _CRASHING_INPUTS = {
     "null_coefficient": lambda tmp: [
         "observable", "lepage-dedecker:2,2", "--form", '{"degree": 1, "terms": [{"indices": ["p12"], "coeff": null}]}'],
@@ -493,6 +506,7 @@ _CRASHING_INPUTS = {
     "infinite_grid_points": lambda tmp: ["simulate", _spec_path(tmp, {"grid_points": float("inf")})],
     "infinite_wavenumber": lambda tmp: [
         "simulate", _spec_path(tmp, {"field_modes": [{"amplitude": 1.0, "wavenumber": float("inf")}]})],
+    "recheck_of_a_non_horizontal_family": lambda tmp: ["recheck", _non_horizontal_family_report(tmp)],
 }
 
 

@@ -131,6 +131,37 @@ def test_frame_compatible_hamiltonians_solve_on_full_charts():
         assert sol.verify()
 
 
+@pytest.mark.parametrize("label", ["maxwell", "scalar:3", "lepage-dedecker:2,2"])
+def test_verify_by_iterated_hooks_agrees_with_the_expanded_contraction(label):
+    """verify hooks the factors into Omega one at a time; on the solution,
+    and with each base entry moved by one, it agrees with contracting the
+    expanded n-vector.  A moved entry fails unless its unit vector is a
+    kernel direction (a parameter no equation reads)."""
+    from dataclasses import replace
+
+    chart = builtin_chart(label)
+    sampler = RationalSampler(91)
+    point = sampler.point(chart.dim)
+    h = chart.hamiltonian if chart.hamiltonian is not None else frame_compatible_hamiltonian(chart, sampler, point)
+    sol = hamiltonian_nvector_solve(chart, h, point)
+
+    def expanded_check(solution):
+        return all(contraction_form(solution.expand(c), solution.omega_num) == solution.target
+                   for c in solution.unit_moves())
+
+    assert sol.verify() and expanded_check(sol)
+    size = len(sol.base_assignment)
+    detected = 0
+    for index in range(size):
+        unit = tuple(Fraction(int(i == index)) for i in range(size))
+        moved = replace(sol, base_assignment=tuple(v + u for v, u in zip(sol.base_assignment, unit)))
+        assert moved.verify() == expanded_check(moved)
+        if unit not in sol.kernel:
+            assert not moved.verify()
+            detected += 1
+    assert detected
+
+
 # -- observability sampling -----------------------------------------------------
 
 
