@@ -103,8 +103,7 @@ def pseudobracket(
         forms = [_wedge_terms(df_num, eval_terms(phi.terms, point)) for phi in copol.degree(n - p)]
     sign = _sign((n - p) * p)
     reference = None
-    for coeffs in solution.unit_moves():
-        factors = solution.factors(coeffs)
+    for factors in solution.unit_move_factors:
         values = tuple(sign * decomposable_pairing(factors, form) for form in forms)
         if p == n:
             value = PseudobracketValue(p=p, n=n, scalar=values[0], pairings=None)

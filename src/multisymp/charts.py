@@ -620,7 +620,14 @@ def chart_to_spec(chart: Chart) -> dict:
 
 
 def chart_from_spec(spec: Mapping) -> Chart:
-    frame = CoordinateFrame.build([(c["name"], c["kind"]) for c in spec["coordinates"]])
+    """Build a chart from its file representation (`chart_to_spec`); a
+    value of the wrong JSON shape is a ValueError naming its field."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"a chart spec must be an object, got {type(spec).__name__}")
+    coordinates = spec["coordinates"]
+    if not (isinstance(coordinates, list) and all(isinstance(c, Mapping) for c in coordinates)):
+        raise ValueError("the coordinates of a chart spec must be a list of objects with a name and a kind")
+    frame = CoordinateFrame.build([(c["name"], c["kind"]) for c in coordinates])
     omega = parse_form(frame, spec["omega"], kind="form")
     theta = parse_form(frame, spec["theta"], kind="form") if "theta" in spec else None
     hamiltonian = frame.parse_poly(spec["hamiltonian"]) if "hamiltonian" in spec else None

@@ -101,12 +101,13 @@ def _rationals(data, what: str, length: int) -> tuple[Fraction, ...]:
 MAX_EXPONENT = 64
 
 # `observable` draws every point before it judges anything and samples each
-# observability family `--samples` times at every point, so both counts are
-# capped, at four times the default of 4 samples and five times the default
-# of 3 points.  A passing form runs every point, family and sample, so the
-# cost grows with both counts: on the largest built-in chart,
+# observability family `--samples` times at every point; a passing form runs
+# every point, family and sample, so the cost grows with both counts.  That
+# cost is why both are capped, at four times the default of 4 samples and
+# five times the default of 3 points: on the largest built-in chart,
 # `observable maxwell --form @volume-primitive` at 16 points and 16 samples
-# takes 1.1-1.2 s end to end (2-vCPU Xeon, CPython 3.11.7).
+# took 1.1-1.7 s end to end over eight runs (shared 2-vCPU Xeon, CPython
+# 3.11.7).
 MAX_SAMPLES = 16
 MAX_POINTS = 16
 

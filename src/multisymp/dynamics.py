@@ -48,6 +48,7 @@ expanded n-vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -300,6 +301,12 @@ class HamiltonianSolution:
         one, zero = Fraction(1), Fraction(0)
         return [()] + [tuple(one if i == j else zero for j in range(size)) for i in range(size)]
 
+    @cached_property
+    def unit_move_factors(self) -> list[list[Terms]]:
+        """The factors of every `unit_moves` representative, built once per
+        solution (a `dataclasses.replace` copy builds its own)."""
+        return [self.factors(coeffs) for coeffs in self.unit_moves()]
+
     def verify(self) -> bool:
         """Exactness of the base solution and of base + each kernel move.
 
@@ -307,9 +314,9 @@ class HamiltonianSolution:
         (X_1 ^ ... ^ X_n) . Omega = X_n . (... (X_1 . Omega)), through the
         hook kernel: no wedge expansion and no minor, so the check does not
         share the solver's minor route."""
-        for coeffs in self.unit_moves():
+        for factors in self.unit_move_factors:
             form = self.omega_num
-            for factor in self.factors(coeffs):
+            for factor in factors:
                 form = _hook_terms(factor, form)
             if form != self.target:
                 return False

@@ -474,18 +474,30 @@ def parse_form(frame: CoordinateFrame, spec: Mapping, kind: str = "form") -> _Al
         {"degree": k, "terms": [{"indices": ["q1", "p12"], "coeff": "<poly>"}]}
 
     Index order in the file may be unsorted; it is canonicalized with the
-    permutation sign.
+    permutation sign.  A value of the wrong JSON shape is a ValueError
+    naming its field.
     """
     cls = PolyForm if kind == "form" else PolyMultivector
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"a {kind} must be an object with a degree and terms, got {type(spec).__name__}")
     degree = int(spec["degree"])
+    terms = spec.get("terms", [])
+    if not isinstance(terms, list):
+        raise ValueError(f"the terms of a {kind} must be a list, got {terms!r}")
     entries = []
-    for item in spec.get("terms", []):
-        names = item["indices"]
+    for item in terms:
+        if not isinstance(item, Mapping):
+            raise ValueError(f"every term of a {kind} must be an object with indices and coeff, "
+                             f"got {type(item).__name__}")
+        names, coeff = item["indices"], item["coeff"]
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise ValueError(f"the indices of a {kind} term must be a list of coordinate names, got {names!r}")
         if len(names) != degree:
             raise ValueError(f"term {names} does not match degree {degree}")
-        coeff = item["coeff"]
         if isinstance(coeff, str):
             coeff = frame.parse_poly(coeff)
+        elif isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+            raise ValueError(f"the coeff of {kind} term {names} must be a string or a number, got {coeff!r}")
         entries.append((names, coeff))
     return cls.from_named(frame, degree, entries)
 

@@ -32,14 +32,15 @@ e = L - p^mu_a d_mu phi^a, where L's kinetic terms are quadratured with
 the *product of forward and backward* differences.  That estimator is
 second-order like the centered one but not identical to it, so the
 constraint H = 0 on the lift is a genuine O(dx^2 + dt^2) verification,
-not an identity of the discretization.  `legendre_lift` lifts each level
-it needs once, into one (M, dim) table in frame order, and differences
-those tables for the tangent frames.
+not an identity of the discretization.  `legendre_lift` lifts its steps,
+and their neighbours for the tangent frames, as whole (L, M, dim) arrays
+in frame order, with the same elementwise expressions as one level.
 
 `compile_form` is the one float evaluator of forms on the lift: a 1-form
 on one field of tangent vectors, a 2-form on two.  The slice integrals
-(`slice_functional`, `functional_series`) and the pointwise dynamical law
-(`pointwise_dynamics_on_lift`) all go through it.
+(`functional_series`, and `slice_functional` reading its row) and the
+pointwise dynamical law (`pointwise_dynamics_on_lift`) evaluate it once
+on every row they need.
 """
 
 from __future__ import annotations
@@ -285,31 +286,27 @@ class LiftedCurve:
     dt: float
 
 
-def _coords_fields(history: FieldHistory, j: int) -> dict[str, np.ndarray]:
-    """Lifted coordinate fields at time index j (needs 1 <= j <= T-2)."""
+def _lift_levels(history: FieldHistory, levels: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """Lifted chart coordinates at the given time indices (each needs
+    1 <= j <= T-2), shape (L, M, dim) with the columns in `names` order."""
     dt, dx = history.dt, history.dx
-    phi = history.phi
-    out: dict[str, np.ndarray] = {}
-    m = phi.shape[2]
-    out["x1"] = np.arange(m) * dx
-    out["x0"] = np.full(m, history.times[j])
-    dt_phi = (phi[j + 1] - phi[j - 1]) / (2.0 * dt)
-    dx_phi = (np.roll(phi[j], -1, axis=-1) - np.roll(phi[j], 1, axis=-1)) / (2.0 * dx)
-    fwd_t = (phi[j + 1] - phi[j]) / dt
-    bwd_t = (phi[j] - phi[j - 1]) / dt
-    fwd_x = (np.roll(phi[j], -1, axis=-1) - phi[j]) / dx
-    bwd_x = (phi[j] - np.roll(phi[j], 1, axis=-1)) / dx
-    s = 0.5 * (phi[j][0] ** 2 + phi[j][1] ** 2)
+    phi, before, after = (history.phi[levels + d] for d in (0, -1, 1))  # (L, 2, M) each
+    right, left = np.roll(phi, -1, axis=-1), np.roll(phi, 1, axis=-1)
+    dt_phi = (after - before) / (2.0 * dt)
+    dx_phi = (right - left) / (2.0 * dx)
+    fwd_t = (after - phi) / dt
+    bwd_t = (phi - before) / dt
+    fwd_x = (right - phi) / dx
+    bwd_x = (phi - left) / dx
+    s = 0.5 * (phi[:, 0] ** 2 + phi[:, 1] ** 2)
     v = history.mass2 * s + history.coupling * s**2
-    lagrangian = 0.5 * ((fwd_t * bwd_t).sum(axis=0) - (fwd_x * bwd_x).sum(axis=0)) + v
+    lagrangian = 0.5 * ((fwd_t * bwd_t).sum(axis=1) - (fwd_x * bwd_x).sum(axis=1)) + v
+    p0, p1 = dt_phi, -dx_phi
+    pdphi = p0[:, 0] * dt_phi[:, 0] + p0[:, 1] * dt_phi[:, 1] + p1[:, 0] * dx_phi[:, 0] + p1[:, 1] * dx_phi[:, 1]
+    fields = {"x0": history.times[levels][:, None], "x1": np.arange(phi.shape[-1]) * dx, "e": lagrangian - pdphi}
     for a in (1, 2):
-        out[f"phi{a}"] = phi[j][a - 1]
-        out[f"p0_{a}"] = dt_phi[a - 1]
-        out[f"p1_{a}"] = -dx_phi[a - 1]
-    pdphi = (out["p0_1"] * dt_phi[0] + out["p0_2"] * dt_phi[1]
-             + out["p1_1"] * dx_phi[0] + out["p1_2"] * dx_phi[1])
-    out["e"] = lagrangian - pdphi
-    return out
+        fields[f"phi{a}"], fields[f"p0_{a}"], fields[f"p1_{a}"] = phi[:, a - 1], p0[:, a - 1], p1[:, a - 1]
+    return np.stack([np.broadcast_to(fields[name], s.shape) for name in names], axis=-1)
 
 
 def legendre_lift(history: FieldHistory, chart: Chart, step_indices: Sequence[int] | None = None) -> LiftedCurve:
@@ -320,34 +317,27 @@ def legendre_lift(history: FieldHistory, chart: Chart, step_indices: Sequence[in
     if step_indices is None:
         step_indices = range(1, total - 1)
     steps = [int(j) for j in step_indices]
-    for j in steps:
-        if not 1 <= j <= total - 2:
-            raise ValueError(f"step {j} outside the interior range")
+    levels = np.array(steps, dtype=np.intp)
+    outside = levels[(levels < 1) | (levels > total - 2)]
+    if outside.size:
+        raise ValueError(f"step {outside[0]} outside the interior range")
     names = chart.frame.names
+    points = _lift_levels(history, levels, names)
     # the time frame is centered, so it needs both neighbouring levels lifted
-    inner = [row for row, j in enumerate(steps) if 2 <= j <= total - 3]
-    levels = set(steps).union(*({steps[row] - 1, steps[row] + 1} for row in inner))
-    table = {}  # level -> (M, dim) lifted coordinates, in frame order
-    for k in sorted(levels):
-        fields = _coords_fields(history, k)
-        table[k] = np.stack([fields[name] for name in names], axis=-1)
-    points = np.stack([table[j] for j in steps]) if steps else np.zeros((0, history.phi.shape[2], chart.dim))
+    inner = (levels >= 2) & (levels <= total - 3)
     frames_t = np.zeros_like(points)
-    for row in inner:
-        frames_t[row] = (table[steps[row] + 1] - table[steps[row] - 1]) / (2.0 * history.dt)
+    frames_t[inner] = (_lift_levels(history, levels[inner] + 1, names)
+                       - _lift_levels(history, levels[inner] - 1, names)) / (2.0 * history.dt)
     frames_x = (np.roll(points, -1, axis=1) - np.roll(points, 1, axis=1)) / (2.0 * history.dx)
     t_col, x_col = chart.frame.index("x0"), chart.frame.index("x1")
     frames_t[inner, :, t_col], frames_t[inner, :, x_col] = 1.0, 0.0
     frames_x[..., t_col], frames_x[..., x_col] = 0.0, 1.0
-    h_res = np.zeros(points.shape[:2])
-    if chart.hamiltonian is not None:
-        compiled_h = compile_polynomial(chart.hamiltonian, names)
-        for row in range(len(steps)):
-            h_res[row] = compiled_h(points[row].T)
+    h_res = (np.zeros(points.shape[:2]) if chart.hamiltonian is None
+             else compile_polynomial(chart.hamiltonian, names)(points.transpose(2, 0, 1)))
     return LiftedCurve(
         chart=chart,
         step_indices=np.array(steps),
-        times=history.times[steps],
+        times=history.times[levels],
         points=points,
         frames_t=frames_t,
         frames_x=frames_x,
@@ -364,7 +354,6 @@ def legendre_lift(history: FieldHistory, chart: Chart, step_indices: Sequence[in
 
 def compile_polynomial(poly: Polynomial, names: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized float evaluator; `coords` has shape (dim, ...)."""
-    index = {n: i for i, n in enumerate(names)}
     terms = [(expo, float(coeff)) for expo, coeff in poly.terms.items()]
 
     def evaluate(coords: np.ndarray) -> np.ndarray:
@@ -405,13 +394,10 @@ def compile_form(form: PolyForm, degree: int) -> Callable[..., np.ndarray]:
 
 def slice_functional(curve: LiftedCurve, form: PolyForm, row: int) -> float:
     """Integral of an (n-1)-form over the constant-time slice at the given
-    recorded row: evaluate on the spatial tangent frame, midpoint rule."""
+    recorded row: its entry of `functional_series`."""
     if not 0 <= row < len(curve.step_indices):
         raise ValueError(f"row {row} outside the recorded range")
-    evaluator = compile_form(form, 1)
-    coords = curve.points[row].T  # (dim, M)
-    tangent = curve.frames_x[row].T
-    return float(evaluator(coords, tangent).sum() * curve.dx)
+    return float(functional_series(curve, form)[row])
 
 
 def slice_row(curve: LiftedCurve, slice_) -> int:
@@ -431,11 +417,10 @@ def slice_functional_at(curve: LiftedCurve, form: PolyForm, slice_) -> float:
 
 
 def functional_series(curve: LiftedCurve, form: PolyForm) -> np.ndarray:
+    """Slice integrals of an (n-1)-form at every recorded row: the form on
+    the spatial tangent frame, summed over the lattice (midpoint rule)."""
     evaluator = compile_form(form, 1)
-    out = np.empty(len(curve.step_indices))
-    for row in range(len(curve.step_indices)):
-        out[row] = evaluator(curve.points[row].T, curve.frames_x[row].T).sum() * curve.dx
-    return out
+    return evaluator(curve.points.transpose(2, 0, 1), curve.frames_x.transpose(2, 0, 1)).sum(axis=-1) * curve.dx
 
 
 def pointwise_dynamics_on_lift(curve: LiftedCurve, chart: Chart, observable: PolyForm) -> dict[str, float]:
@@ -447,20 +432,11 @@ def pointwise_dynamics_on_lift(curve: LiftedCurve, chart: Chart, observable: Pol
     df = compile_form(ext_d(observable), 2)
     vol = compile_form(chart.volume_form(), 2)
     br = compile_polynomial(pseudobracket_function(chart, observable), chart.frame.names)
-    worst = 0.0
-    total = 0
     # interior rows only: the time frame needs both neighbours lifted
-    for row in range(len(curve.step_indices)):
-        if not curve.frames_t[row].any():
-            continue
-        coords = curve.points[row].T
-        xt = curve.frames_t[row].T
-        xx = curve.frames_x[row].T
-        lhs = df(coords, xt, xx)
-        rhs = br(coords) * vol(coords, xt, xx)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        total += coords.shape[1]
-    return {"max_residual": worst, "samples": float(total)}
+    inner = curve.frames_t.any(axis=(1, 2))
+    coords, xt, xx = (a[inner].transpose(2, 0, 1) for a in (curve.points, curve.frames_t, curve.frames_x))
+    residual = np.abs(df(coords, xt, xx) - br(coords) * vol(coords, xt, xx))
+    return {"max_residual": float(np.max(residual, initial=0.0)), "samples": float(residual.size)}
 
 
 # ---------------------------------------------------------------------------

@@ -510,11 +510,22 @@ _CRASHING_INPUTS = {
 }
 
 
+# the line that names the field at fault, for inputs of the wrong JSON shape
+_INPUT_ERROR_LINES = {
+    "null_coefficient": "input error: the coeff of form term ['p12'] must be a string or a number, got None",
+    "terms_not_a_list": "input error: the terms of a form must be a list, got 5",
+    "chart_spec_is_a_list": "input error: a chart spec must be an object, got list",
+}
+
+
 @pytest.mark.parametrize("case", list(_CRASHING_INPUTS))
 def test_malformed_inputs_end_in_one_input_error_line(tmp_path, case):
     """Each input is refused while it is loaded: exit 2, no report, one
     `input error:` line and no traceback."""
-    assert_input_error(run_module(*_CRASHING_INPUTS[case](tmp_path)))
+    done = run_module(*_CRASHING_INPUTS[case](tmp_path))
+    assert_input_error(done)
+    if case in _INPUT_ERROR_LINES:
+        assert done.stderr == _INPUT_ERROR_LINES[case] + "\n"
 
 
 def test_recheck_refuses_an_aof_record_without_its_witness(capsys, tmp_path):

@@ -340,6 +340,26 @@ def test_decomposable_expand():
     assert not repeated.expand()
 
 
+@pytest.mark.parametrize("spec, field", [
+    ([1], "a form must be an object"),
+    ({"degree": 1, "terms": {"indices": ["q1"]}}, "terms of a form must be a list"),
+    ({"degree": 1, "terms": ["q1"]}, "every term of a form must be an object"),
+    ({"degree": 1, "terms": [{"indices": "q1", "coeff": "1"}]}, "indices of a form term"),
+    ({"degree": 1, "terms": [{"indices": [1], "coeff": "1"}]}, "indices of a form term"),
+    ({"degree": 1, "terms": [{"indices": ["q1"], "coeff": None}]}, "coeff of form term"),
+    ({"degree": 1, "terms": [{"indices": ["q1"], "coeff": True}]}, "coeff of form term"),
+    ({"degree": 1, "terms": [{"indices": ["q1"], "coeff": ["1"]}]}, "coeff of form term"),
+])
+def test_parse_form_names_the_field_of_the_wrong_shape(spec, field):
+    with pytest.raises(ValueError, match=field):
+        parse_form(FRAME, spec)
+
+
+def test_parse_form_takes_numeric_coefficients():
+    spec = {"degree": 1, "terms": [{"indices": ["q1"], "coeff": 2}, {"indices": ["q2"], "coeff": 0.5}]}
+    assert parse_form(FRAME, spec) == form_basis(FRAME, "q1").scale(2) + form_basis(FRAME, "q2").scale(Fraction(1, 2))
+
+
 def test_form_file_round_trip_unsorted_indices():
     spec = {
         "degree": 2,

@@ -14,6 +14,8 @@ from multisymp.fieldlab import (
     FieldState,
     Mode,
     acceleration,
+    compile_form,
+    compile_polynomial,
     conservation_experiment,
     functional_series,
     kg_step,
@@ -265,6 +267,122 @@ def test_exact_form_integrates_to_zero():
     exact = ext_d(PolyForm(f, 0, {(): f.poly_var("phi1") * f.poly_var("p1_2")}))
     value = slice_functional(curve, exact, 0)
     assert abs(value) < 1e-10  # closed-loop integral of a derivative
+
+
+def reference_coords_fields(history, j: int) -> dict[str, np.ndarray]:
+    """Lifted coordinate fields at one time index j (1 <= j <= T-2), the
+    per-level reference that the array lift must match bit for bit."""
+    dt, dx = history.dt, history.dx
+    phi = history.phi
+    out: dict[str, np.ndarray] = {}
+    m = phi.shape[2]
+    out["x1"] = np.arange(m) * dx
+    out["x0"] = np.full(m, history.times[j])
+    dt_phi = (phi[j + 1] - phi[j - 1]) / (2.0 * dt)
+    dx_phi = (np.roll(phi[j], -1, axis=-1) - np.roll(phi[j], 1, axis=-1)) / (2.0 * dx)
+    fwd_t = (phi[j + 1] - phi[j]) / dt
+    bwd_t = (phi[j] - phi[j - 1]) / dt
+    fwd_x = (np.roll(phi[j], -1, axis=-1) - phi[j]) / dx
+    bwd_x = (phi[j] - np.roll(phi[j], 1, axis=-1)) / dx
+    s = 0.5 * (phi[j][0] ** 2 + phi[j][1] ** 2)
+    v = history.mass2 * s + history.coupling * s**2
+    lagrangian = 0.5 * ((fwd_t * bwd_t).sum(axis=0) - (fwd_x * bwd_x).sum(axis=0)) + v
+    for a in (1, 2):
+        out[f"phi{a}"] = phi[j][a - 1]
+        out[f"p0_{a}"] = dt_phi[a - 1]
+        out[f"p1_{a}"] = -dx_phi[a - 1]
+    pdphi = (out["p0_1"] * dt_phi[0] + out["p0_2"] * dt_phi[1]
+             + out["p1_1"] * dx_phi[0] + out["p1_2"] * dx_phi[1])
+    out["e"] = lagrangian - pdphi
+    return out
+
+
+def reference_lift(history, chart, steps):
+    """points, frames_t, frames_x and h_residual lifted one level and one
+    row at a time."""
+    names, total = chart.frame.names, history.steps
+    table = {k: np.stack([reference_coords_fields(history, k)[name] for name in names], axis=-1)
+             for k in {k for j in steps for k in (j - 1, j, j + 1) if 1 <= k <= total - 2}}
+    points = np.stack([table[j] for j in steps]) if steps else np.zeros((0, history.phi.shape[2], chart.dim))
+    frames_t = np.zeros_like(points)
+    for row, j in enumerate(steps):
+        if 2 <= j <= total - 3:
+            frames_t[row] = (table[j + 1] - table[j - 1]) / (2.0 * history.dt)
+            frames_t[row, :, names.index("x0")], frames_t[row, :, names.index("x1")] = 1.0, 0.0
+    frames_x = (np.roll(points, -1, axis=1) - np.roll(points, 1, axis=1)) / (2.0 * history.dx)
+    frames_x[..., names.index("x0")], frames_x[..., names.index("x1")] = 0.0, 1.0
+    compiled_h = compile_polynomial(chart.hamiltonian, names)
+    h_residual = np.zeros(points.shape[:2])
+    for row in range(len(steps)):
+        h_residual[row] = compiled_h(points[row].T)
+    return points, frames_t, frames_x, h_residual
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.5])
+@pytest.mark.parametrize("steps", [None, [], [1], [28], [3, 3, 1, 7, 2], [1, 2, 5, 27, 28]], ids=repr)
+def test_array_lift_is_bit_identical_to_the_per_level_lift(steps, coupling):
+    """On a run of T = 30 levels: every interior step, none, the first and
+    the last (T - 2), repeated and unsorted steps, and both edges of the
+    centered time frame."""
+    potential = Polynomial(("s",), {(1,): Fraction(1), (2,): Fraction(coupling)})
+    chart = scalar_field_chart(2, potential)
+    state = plane_wave_state(64, LENGTH, 0.45, [Mode(1.0, 1, 0.2), Mode(0.4, 2, 1.1)], 1.0, coupling)
+    history = simulate(state, 29)
+    curve = legendre_lift(history, chart, steps)
+    expected_steps = list(range(1, 29)) if steps is None else steps
+    assert curve.step_indices.tolist() == expected_steps
+    assert curve.times.tobytes() == history.times[expected_steps].tobytes()
+    expected = reference_lift(history, chart, expected_steps)
+    for name, array in zip(("points", "frames_t", "frames_x", "h_residual"), expected):
+        got = getattr(curve, name)
+        assert got.shape == array.shape and got.tobytes() == array.tobytes(), name
+
+
+def test_lift_refuses_the_first_step_outside_the_interior():
+    history = simulate(plane_wave_state(16, LENGTH, 0.45, [Mode(1.0, 1, 0.0)], 1.0), 6)
+    chart = scalar_field_chart(2, V_MASS)
+    for steps, bad in (([2, 0, 7], 0), ([5, 6, -1], 6), ([3, 7, 0], 7)):
+        with pytest.raises(ValueError, match=f"^step {bad} outside the interior range$"):
+            legendre_lift(history, chart, steps)
+
+
+def test_slice_integrals_and_pointwise_law_match_per_row_references():
+    """Each slice integral is its row of the series, the series is the
+    per-row midpoint sum, and the pointwise law's stats are those of the
+    interior rows taken one at a time."""
+    from multisymp.brackets import pseudobracket_function
+
+    state = plane_wave_state(64, LENGTH, 0.45, [Mode(1.0, 1, 0.0), Mode(0.3, 2, 0.4)], 1.0, 0.5)
+    chart = scalar_field_chart(2, V_MASS)
+    curve = legendre_lift(simulate(state, 30), chart, [1, 2, 9, 9, 29, 3])
+    f = chart.frame
+    observable = charge_current_form(chart)
+    for form in (observable, ext_d(PolyForm(f, 0, {(): f.poly_var("phi1") * f.poly_var("p1_2")}))):
+        series = functional_series(curve, form)
+        one_form = compile_form(form, 1)
+        for row in range(len(curve.step_indices)):
+            per_row = one_form(curve.points[row].T, curve.frames_x[row].T).sum() * curve.dx
+            assert series[row].tobytes() == per_row.tobytes()
+            assert slice_functional(curve, form, row) == series[row]
+    df = compile_form(ext_d(observable), 2)
+    vol = compile_form(chart.volume_form(), 2)
+    br = compile_polynomial(pseudobracket_function(chart, observable), chart.frame.names)
+    worst, samples = 0.0, 0
+    for row in range(len(curve.step_indices)):
+        if curve.frames_t[row].any():
+            coords, xt, xx = curve.points[row].T, curve.frames_t[row].T, curve.frames_x[row].T
+            worst = max(worst, float(np.max(np.abs(df(coords, xt, xx) - br(coords) * vol(coords, xt, xx)))))
+            samples += coords.shape[1]
+    assert samples == 4 * 64  # the rows at steps 2, 9, 9 and 3
+    assert pointwise_dynamics_on_lift(curve, chart, observable) == {"max_residual": worst, "samples": float(samples)}
+
+
+def test_a_nan_on_an_interior_row_reaches_the_pointwise_residual():
+    chart, curve = make_curve(m_grid=16, steps=12)
+    observable = charge_current_form(chart)
+    assert math.isfinite(pointwise_dynamics_on_lift(curve, chart, observable)["max_residual"])
+    curve.points[1, 3, chart.frame.index("phi1")] = np.nan
+    assert math.isnan(pointwise_dynamics_on_lift(curve, chart, observable)["max_residual"])
 
 
 # -- conservation experiments ------------------------------------------------------
