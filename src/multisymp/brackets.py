@@ -5,8 +5,9 @@ observable (p-1)-form is computed from a pointwise decomposable solution
 of the Hamilton equation; for p < n its well-defined content is the list
 of pairings against the complementary-degree copolarization generators,
 and representative-independence across the solution family is verified on
-every call.  Its values are pairings of the solution's factors, computed
-by minors (`dynamics.decomposable_pairing`) without expanding the wedge.
+every call.  Its values pair the solution's factors with all of its
+forms at once, by minors in one `dynamics.decomposable_pairing` sweep
+per representative, without expanding the wedge.
 The Poisson bracket of two forms with Hamilton vector fields is
 {F, G} = xi_F ^ xi_G . Omega, with the usual structural
 identities (derivation of d, Jacobi up to an exact term, the
@@ -82,8 +83,8 @@ def pseudobracket(
     For p = n the value is the scalar sign * <X, dF>.  For p < n it is the
     list of pairings sign * <X L dF, phi> = sign * <X, dF ^ phi> against
     the degree-(n-p) copolarization generators phi, which are required.
-    Each dF ^ phi is wedged once per call, and every value is paired with
-    the factors of X by minors.
+    Each dF ^ phi is wedged once per call, and all of them are paired
+    with the factors of X in one minor sweep per representative.
 
     Every kernel direction of the family is tried; if any representative
     changes the reported value the bracket is not well defined for this F
@@ -104,7 +105,7 @@ def pseudobracket(
     sign = _sign((n - p) * p)
     reference = None
     for factors in solution.unit_move_factors:
-        values = tuple(sign * decomposable_pairing(factors, form) for form in forms)
+        values = tuple(sign * value for value in decomposable_pairing(factors, forms))
         if p == n:
             value = PseudobracketValue(p=p, n=n, scalar=values[0], pairings=None)
         else:

@@ -30,19 +30,18 @@ non-selected directions and the polynomial system is reduced by
 substituting one affine equation at a time.
 
 Every computing path that contracts or pairs a decomposable n-vector
-given by its factors goes through the one minor routine,
-`linalg.sparse_minor`, whose factor entries may be `Fraction`, `int` or
-`Polynomial`: through `OmegaContraction.of_factors` and
-`decomposable_pairing`, except where a factor is a coordinate unit
-vector.  Those contractions are read off the plan that
-`OmegaContraction` keeps: the columns of a family's linear part (all
-factors unit, a lookup) and the pseudofiber rows (one unit factor,
-(n-1)-minors of the others).  The checks that must be independent of
-that route do not use minors: `HamiltonianSolution.verify` hooks the
-factors into Omega one at a time, and `recheck_of_counterexample` expands
-the wedge in full, as do `plucker_check` and
-`brackets.dynamics_relation_check`, which takes interior products of the
-expanded n-vector.
+given by its factors (entries `Fraction`, `int` or `Polynomial`) goes
+through one minor sweep, `decomposable_pairing`, which pairs them with a
+list of forms by `linalg.sparse_minor` under one shared memo: the
+contraction `OmegaContraction.of_factors` (the n-forms of its plan), the
+pseudofiber rows (the plan hooked by a unit factor), the sampler, the
+pseudobracket and the pseudofiber integrand check.  Only a family's
+linear part (all factors unit) is read off the plan, by a lookup.  The
+checks that must be independent of that route do not use minors:
+`HamiltonianSolution.verify` hooks the factors into Omega one at a time,
+and `recheck_of_counterexample` expands the wedge in full, as do
+`plucker_check` and `brackets.dynamics_relation_check`, which takes
+interior products of the expanded n-vector.
 """
 
 from __future__ import annotations
@@ -147,15 +146,13 @@ class OmegaContraction:
     appearance in Omega's keys.  `key` is the evaluated Omega as a
     hashable value, which names every kernel built from the plan.
 
-    The factors become sparse rows once per call.  A minor with a column
-    absent from every factor is zero and is never expanded; the others go
-    through `sparse_minor` with one memo per call, so the n x n minors of
-    the different components share their smaller sub-minors.  The factor
-    entries may be `Fraction`, `int` or `Polynomial`: the components come
-    back in that ring, which is how the Hamilton solver contracts its
-    symbolic factors.  Contractions with a coordinate unit factor are read
-    off the plan instead: whole unit n-vectors by `_linear_columns`, one
-    unit factor among general ones by `pseudofiber_directions`.
+    `of_factors` pairs the factors with the plan's n-forms in one
+    `decomposable_pairing` sweep, so the n x n minors of the different
+    components share their smaller sub-minors, and drops the zero ones.
+    The factor entries may be `Fraction`, `int` or `Polynomial`: the
+    components come back in that ring, which is how the Hamilton solver
+    contracts its symbolic factors.  Whole unit n-vectors are contracted
+    by a lookup in the plan instead (`_linear_columns`).
     """
 
     def __init__(self, omega_num: Terms):
@@ -166,21 +163,8 @@ class OmegaContraction:
         }
 
     def of_factors(self, factors: Sequence[Terms]) -> Terms:
-        rows, present = _factor_rows(factors)
-        memo: dict = {}
-        out: Terms = {}
-        for j, entries in self.plan.items():
-            acc = None
-            for rest, coeff in entries.items():
-                if not present.issuperset(rest):
-                    continue
-                minor = sparse_minor(rows, rest, memo)
-                if minor:
-                    term = coeff * minor
-                    acc = term if acc is None else acc + term
-            if acc:
-                out[(j,)] = acc
-        return out
+        values = decomposable_pairing(factors, self.plan.values())
+        return {(j,): v for j, v in zip(self.plan, values) if v}
 
     def affine_on(self, family: VerticalFamily) -> bool:
         """Whether X -> X . Omega is affine in the parameters of `family`.
@@ -205,11 +189,26 @@ class OmegaContraction:
         return True
 
 
-def _factor_rows(factors: Sequence[Terms]) -> tuple[list[dict[int, Fraction]], set[int]]:
-    """The factors of a decomposable n-vector as sparse rows, and the
-    columns that occur in at least one of them."""
+def decomposable_pairing(factors: Sequence[Terms], forms: Iterable[Terms]) -> list:
+    """<X_1 ^ ... ^ X_n, a> for each form a, from the factors by minors:
+    the factors become sparse rows once, a key with a column absent from
+    every factor is skipped, and all forms share one `sparse_minor` memo.
+    Each value is in the ring of the entries (an `int` for integer
+    factors and forms), and `Fraction(0)` for a form none of whose keys
+    has a nonzero minor."""
     rows = [{key[0]: v for key, v in f.items() if v} for f in factors]
-    return rows, set().union(*rows)
+    present = set().union(*rows)
+    memo: dict = {}
+    values = []
+    for form in forms:
+        acc = 0
+        for key, coeff in form.items():
+            if present.issuperset(key):
+                minor = sparse_minor(rows, key, memo)
+                if minor:
+                    acc += coeff * minor
+        values.append(acc or Fraction(0))
+    return values
 
 
 def _linear_columns(family: VerticalFamily, omega: OmegaContraction) -> list[Terms]:
@@ -347,25 +346,15 @@ def hamiltonian_nvector_solve(chart: Chart, hamiltonian: Polynomial, point: Sequ
     pvars = tuple(f"t{slot}_{names[c]}" for slot, c in params)
 
     # symbolic factors over the parameter polynomial ring
-    factors: list[Terms] = []
-    pos = 0
-    for h in family.horizontal:
-        factor: Terms = {(h,): Polynomial.const(pvars, 1)}
-        for c in family.free:
-            factor[(c,)] = Polynomial.var(pvars, pvars[pos])
-            pos += 1
-        factors.append(factor)
-
+    factors = family.factors([Polynomial.var(pvars, v) for v in pvars])
     omega_num = eval_terms(chart.omega.terms, point)
     contraction = OmegaContraction(omega_num).of_factors(factors)
     sign = -1 if chart.n % 2 else 1
     target = differential_at(hamiltonian, chart, point)
 
-    equations: list[Polynomial] = []
-    for j in range(chart.dim):
-        lhs = contraction.get((j,), Polynomial.zero(pvars))
-        rhs = sign * target.get((j,), Fraction(0))
-        equations.append(lhs - rhs)
+    # the zero polynomial lifts a Fraction component into the parameter ring
+    zero = Polynomial.zero(pvars)
+    equations = [zero + contraction.get((j,), 0) - sign * target.get((j,), 0) for j in range(chart.dim)]
 
     solved: dict[str, Polynomial] = {}
     pending = [eq for eq in equations if eq]
@@ -520,22 +509,6 @@ class OFVerdict:
     failed_point: tuple[Fraction, ...] | None = None
 
 
-def decomposable_pairing(factors: Sequence[Terms], form_num: Terms):
-    """<X_1 ^ ... ^ X_n, a> from the factors by minors, in the ring of the
-    entries (an `int` for integer factors and form); `Fraction(0)` when no
-    key of the form has a nonzero minor."""
-    rows, present = _factor_rows(factors)
-    memo: dict = {}
-    acc = 0
-    for key, coeff in form_num.items():
-        if not present.issuperset(key):
-            continue
-        minor = sparse_minor(rows, key, memo)
-        if minor:
-            acc += coeff * minor
-    return acc or Fraction(0)
-
-
 def of_sampling_test(
     chart: Chart,
     a: PolyForm,
@@ -612,7 +585,7 @@ def of_sampling_test(
             for (slot, key), v in zip(active_keys, nums):
                 if v:
                     factors[slot][key] = v
-            return Fraction(decomposable_pairing(factors, a_int), a_den * den**n)
+            return Fraction(decomposable_pairing(factors, [a_int])[0], a_den * den**n)
 
         for _ in range(sample_count):
             base_params = tuple(sampler.rational() for _ in range(nparams))
@@ -767,37 +740,31 @@ def pseudofiber_directions(
     representative.  Adding representatives can only shrink the result.
 
     The row of the deformation e_c ^ (other factors) is its contraction
-    into Omega.  Expanded along the unit factor, its minor on L is
-    (-1)^pos times the (n-1)-minor of the other factors on L without its
-    pos-th column c, so one sweep of the `OmegaContraction` plan builds
-    the rows of every c for one slot, with one `sparse_minor` memo.  The
-    rows depend on the other factors only, so a sweep over other factors
-    already swept is skipped, and so is a row that was already added:
-    neither can change the basis."""
+    into Omega: component j is the pairing of the other factors with the
+    (n-1)-form e_c . (e_j . Omega), the hook of e_c into the j-th entry of
+    the `OmegaContraction` plan.  Those forms are built once per call, and
+    one `decomposable_pairing` per slot pairs all of them.  The rows depend
+    on the other factors only, so a sweep over other factors already swept
+    is skipped, and so is a row that was already added: neither can change
+    the basis."""
     dim = chart.dim
     plan = OmegaContraction(solution.omega_num).plan
+    hooked = {(c, j): _hook_terms({(c,): 1}, entries) for j, entries in plan.items() for c in set().union(*entries)}
     basis = RowBasis(dim)
     added: set[tuple] = set()
     swept: set[tuple] = set()
     for coeffs in _representative_schedule(len(solution.kernel), doubled):
         factors = solution.factors(coeffs)
         for slot in range(chart.n):
-            rows, present = _factor_rows(factors[:slot] + factors[slot + 1 :])
-            others = tuple(frozenset(row.items()) for row in rows)
-            if others in swept:
+            others = factors[:slot] + factors[slot + 1 :]
+            key = tuple(frozenset(f.items()) for f in others)
+            if key in swept:
                 continue
-            swept.add(others)
-            memo: dict = {}
+            swept.add(key)
             images = [[0] * dim for _ in range(dim)]
-            for j, entries in plan.items():
-                for rest, coeff in entries.items():
-                    for pos, c in enumerate(rest):
-                        columns = rest[:pos] + rest[pos + 1 :]
-                        if not present.issuperset(columns):
-                            continue
-                        minor = sparse_minor(rows, columns, memo)
-                        if minor:
-                            images[c][j] += -coeff * minor if pos % 2 else coeff * minor
+            for (c, j), value in zip(hooked, decomposable_pairing(others, hooked.values())):
+                if value:  # int zeros keep the rows cheap to hash
+                    images[c][j] = value
             for row in map(tuple, images):
                 if any(row) and row not in added:
                     added.add(row)
@@ -832,6 +799,6 @@ def pseudofiber_integrand_check(
     zeta_terms: Terms = {(i,): Fraction(v) for i, v in enumerate(zeta) if v}
     factors = solution.factors()
     return not any(
-        decomposable_pairing([zeta_terms] + factors[:slot] + factors[slot + 1 :], df_num)
+        decomposable_pairing([zeta_terms] + factors[:slot] + factors[slot + 1 :], [df_num])[0]
         for slot in range(chart.n)
     )

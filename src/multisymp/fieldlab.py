@@ -313,6 +313,8 @@ def legendre_lift(history: FieldHistory, chart: Chart, step_indices: Sequence[in
     """Lift recorded steps into the scalar chart (interior steps only)."""
     if chart.n != 2:
         raise ValueError("the laboratory lifts 1+1-dimensional runs only")
+    if history.phi.ndim != 3:
+        raise ValueError(f"the lift takes one run of shape (T, 2, M), got phi of shape {history.phi.shape}")
     total = history.steps
     if step_indices is None:
         step_indices = range(1, total - 1)
@@ -451,6 +453,9 @@ def pointwise_dynamics_on_lift(curve: LiftedCurve, chart: Chart, observable: Pol
 # allocated.
 FRAME_BYTES_LIMIT = 2**28
 
+# The functionals an experiment reports, the names its expectations may use.
+FUNCTIONALS = ("charge", "smeared", "energy")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -502,12 +507,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ExperimentConfig":
+        """The config of a decoded JSON object.  Counts must be integral
+        numbers and expectations JSON booleans on the named functionals;
+        anything else is refused with a ValueError, not coerced."""
+
+        def integer(name: str, value) -> int:
+            if isinstance(value, int) and not isinstance(value, bool):
+                return value
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
         kwargs = dict(data)
         for key in ("field_modes", "test_modes"):
             if key in kwargs:
                 try:
                     kwargs[key] = tuple(
-                        Mode(amplitude=float(m["amplitude"]), wavenumber=int(m["wavenumber"]),
+                        Mode(amplitude=float(m["amplitude"]),
+                             wavenumber=integer("wavenumber", m["wavenumber"]),
                              phase=float(m.get("phase", 0.0)))
                         for m in kwargs[key]
                     )
@@ -516,15 +533,21 @@ class ExperimentConfig:
                                      f"one lacks {exc}") from None
         for key in ("grid_points", "record_stride"):
             if key in kwargs:
-                kwargs[key] = int(kwargs[key])
+                kwargs[key] = integer(key, kwargs[key])
         for key in ("length", "cfl", "mass2", "coupling", "crossing_times",
                     "conserved_tolerance", "smeared_tolerance"):
             if key in kwargs:
                 kwargs[key] = float(kwargs[key])
-        if "expectations" in kwargs and kwargs["expectations"] is not None:
-            if not isinstance(kwargs["expectations"], Mapping):
+        expectations = kwargs.get("expectations")
+        if expectations is not None:
+            if not isinstance(expectations, Mapping):
                 raise ValueError("expectations must map functional names to booleans")
-            kwargs["expectations"] = {str(k): bool(v) for k, v in kwargs["expectations"].items()}
+            for name, value in expectations.items():
+                if name not in FUNCTIONALS:
+                    raise ValueError(f"unknown expectation {name!r}; the functionals are {', '.join(FUNCTIONALS)}")
+                if not isinstance(value, bool):
+                    raise ValueError(f"expectation {name!r} must be true or false, got {value!r}")
+            kwargs["expectations"] = dict(expectations)
         return cls(**kwargs)
 
 
@@ -598,7 +621,7 @@ def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
     rows = np.arange(1, n_steps, config.record_stride)
     times = history.times[rows]
 
-    series = {name: np.empty(len(rows)) for name in ("charge", "smeared", "energy")}
+    series = {name: np.empty(len(rows)) for name in FUNCTIONALS}
     # the rows reduce in chunks: each row's sum over the lattice is the
     # per-row sum, and the component sums are one add per value
     for start in range(0, len(rows), _SERIES_CHUNK):

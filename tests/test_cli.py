@@ -412,6 +412,16 @@ def test_recheck_rejects_malformed_records(capsys, tmp_path, case):
     {"grid_points": 8, "crossing_times": 0.05},
     {"field_modes": [{"amplitude": 1.0}]},
     {"expectations": [True]},
+    # expectations are JSON booleans on the named functionals
+    {"grid_points": 8, "crossing_times": 2.0, "expectations": {"smeared": "false"}},
+    {"grid_points": 8, "crossing_times": 2.0, "expectations": {"smeered": True}},
+    # counts are integral numbers, never truncated or read from a boolean
+    {"grid_points": 16.7},
+    {"grid_points": True},
+    {"record_stride": 2.5},
+    {"record_stride": True},
+    {"field_modes": [{"amplitude": 1.0, "wavenumber": 1.5}]},
+    {"test_modes": [{"amplitude": 1.0, "wavenumber": True}]},
     # frames of more than 10^18 bytes, refused before anything is allocated
     {"crossing_times": 1e12},
     {"grid_points": 10**14},

@@ -431,7 +431,7 @@ def _full_factor_sampler(chart, a, point, sample_count, seed):
             raise DegenerateSystem("contraction is not affine on this family")
         for _ in range(sample_count):
             base_params = tuple(sampler.rational() for _ in range(nparams))
-            value = decomposable_pairing(family.factors(base_params), a_num)
+            value = decomposable_pairing(family.factors(base_params), [a_num])[0]
             directions = list(kernel)
             if len(kernel) > 1:
                 mix = [Fraction(0)] * nparams
@@ -443,7 +443,7 @@ def _full_factor_sampler(chart, a, point, sample_count, seed):
                 scale = sampler.nonzero()
                 perturbed = tuple(b + scale * d if d else b for b, d in zip(base_params, direction))
                 samples_used += 1
-                value_perturbed = decomposable_pairing(family.factors(perturbed), a_num)
+                value_perturbed = decomposable_pairing(family.factors(perturbed), [a_num])[0]
                 if value_perturbed != value:
                     counterexample = OFCounterexample(
                         tuple(names[i] for i in horizontal), base_params, tuple(direction),
@@ -501,21 +501,21 @@ def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatc
     coeffs = [draws.rational() for _ in kernel]
     scale = [draws.nonzero() for _ in range(len(kernel) + 1)][-1]
     mix = tuple(sum((c * v for c, v in zip(coeffs, column)), Fraction(0)) for column in zip(*kernel))
-    value = decomposable_pairing(family.factors(base_params), a_num)
+    value = decomposable_pairing(family.factors(base_params), [a_num])[0]
     perturbed = [b + scale * d for b, d in zip(base_params, mix)]
     # every parameter is active and every direction moves, so the sample
     # pairs the base, each kernel direction and then the mix
     assert set().union(*a_num) >= set(family.free)
     assert len(kernel) > 1 and all(any(vec) for vec in kernel) and any(mix)
-    assert decomposable_pairing(family.factors(perturbed), a_num) == value != 0
+    assert decomposable_pairing(family.factors(perturbed), [a_num])[0] == value != 0
 
     real = dynamics.decomposable_pairing
     calls = []
 
-    def negate_the_mixed_pairing(factors, form_num):
+    def negate_the_mixed_pairing(factors, forms):
         calls.append(factors)
-        result = real(factors, form_num)
-        return -result if len(calls) == len(kernel) + 2 else result
+        result = real(factors, forms)
+        return [-value for value in result] if len(calls) == len(kernel) + 2 else result
 
     monkeypatch.setattr(dynamics, "decomposable_pairing", negate_the_mixed_pairing)
     verdict = of_sampling_test(chart, form, point, sample_count=1, seed=0)

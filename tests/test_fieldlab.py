@@ -346,6 +346,14 @@ def test_lift_refuses_the_first_step_outside_the_interior():
             legendre_lift(history, chart, steps)
 
 
+def test_lift_refuses_a_stack_of_runs():
+    state = plane_wave_state(16, LENGTH, 0.45, [Mode(1.0, 1, 0.0)], 1.0)
+    stack = replace(state, phi=np.stack([state.phi] * 2), phi_prev=np.stack([state.phi_prev] * 2))
+    history = simulate(stack, 6)
+    with pytest.raises(ValueError, match=r"^the lift takes one run of shape \(T, 2, M\), got phi of shape \(7, 2, 2, 16\)$"):
+        legendre_lift(history, scalar_field_chart(2, V_MASS), [2])
+
+
 def test_slice_integrals_and_pointwise_law_match_per_row_references():
     """Each slice integral is its row of the series, the series is the
     per-row midpoint sum, and the pointwise law's stats are those of the

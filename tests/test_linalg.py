@@ -509,7 +509,7 @@ def test_minor_contraction_and_pairing_match_the_wedge_expansion(label):
             expanded = family.expand(params)
             assert omega.of_factors(factors) == contraction_form(expanded, omega_num)
             form_num = {key: sampler.nonzero() for key in sampler.sample(keys, min(12, len(keys)))}
-            assert decomposable_pairing(factors, form_num) == (_pair_terms(expanded, form_num) or Fraction(0))
+            assert decomposable_pairing(factors, [form_num])[0] == (_pair_terms(expanded, form_num) or Fraction(0))
     # the Hamilton solver's factors: one Polynomial variable per parameter
     family = solver_family(chart)
     pvars = tuple(f"t{slot}_{c}" for slot, c in family.params)
@@ -546,7 +546,41 @@ def test_fraction_factors_give_fraction_pairings_and_contractions():
     missed = tuple(base[: chart.n])
     met = {key: sampler.nonzero() for key in combinations(family.horizontal + family.free[:2], chart.n)}
     for form_num in ({}, {missed: Fraction(3)}, met, {**met, missed: Fraction(-1)}):
-        value = decomposable_pairing(factors, form_num)
+        value = decomposable_pairing(factors, [form_num])[0]
         assert type(value) is Fraction
         assert value == (_pair_terms(expanded, form_num) or Fraction(0))
-    assert decomposable_pairing(factors, {missed: Fraction(3)}) == 0 != decomposable_pairing(factors, met)
+    assert decomposable_pairing(factors, [{missed: Fraction(3)}])[0] == 0 != decomposable_pairing(factors, [met])[0]
+
+
+def test_one_sweep_pairs_every_form_as_the_wedge_expansion_does():
+    """`decomposable_pairing` over several forms at once gives, form by
+    form, the pairing with the expanded wedge and the value and type of a
+    one-form call, for `Fraction`, `int` and `Polynomial` factors; the
+    empty form and a form whose keys all miss the factors read
+    `Fraction(0)`."""
+    chart = builtin_chart("lepage-dedecker:2,2")
+    sampler = RationalSampler(17)
+    base = chart.frame.base_indices()
+    family = observability_family(chart, base[-chart.n :])
+    pvars = tuple(f"t{slot}_{c}" for slot, c in family.params)
+    int_factors = [{key: int(v) for key, v in f.items()} for f in family.factors([sampler.integer(-4, 4) for _ in pvars])]
+    rings = {
+        Fraction: (family.factors([sampler.rational() for _ in pvars]), sampler.nonzero),
+        int: (int_factors, lambda: sampler.integer(1, 9)),
+        Polynomial: (family.factors([Polynomial.var(pvars, v) for v in pvars]), sampler.nonzero),
+    }
+    met_keys = list(combinations(family.horizontal + family.free, chart.n))
+    missed = tuple(base[: chart.n])
+    for ring, (factors, coefficient) in rings.items():
+        expanded = factors[0]
+        for f in factors[1:]:
+            expanded = _wedge_terms(expanded, f)
+        forms = [{key: coefficient() for key in sampler.sample(met_keys, 6)} for _ in range(3)]
+        forms += [{}, {missed: coefficient()}, {**forms[0], missed: coefficient()}]
+        values = decomposable_pairing(factors, forms)
+        assert len(values) == len(forms)
+        for form, value in zip(forms, values):
+            assert value == (_pair_terms(expanded, form) or Fraction(0))
+            single = decomposable_pairing(factors, [form])[0]
+            assert value == single and type(value) is type(single)
+        assert [type(v) for v in values] == [ring] * 3 + [Fraction, Fraction, ring]
