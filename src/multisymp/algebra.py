@@ -15,7 +15,8 @@ Pearce, ISSAC 2009); `Polynomial.terms` is the `Fraction` view.  The
 variable list is carried by the polynomial itself; all polynomials living
 on one coordinate chart share the same variable tuple, which keeps the
 dense exponent tuples small (chart dimensions here never exceed a few
-tens).
+tens).  Input is read here too: polynomial text by `parse_polynomial`
+(exponents up to MAX_EXPONENT), JSON numbers by `read_integer`/`read_number`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ __all__ = [
     "sort_with_sign",
     "Polynomial",
     "parse_polynomial",
+    "MAX_EXPONENT",
+    "read_integer",
+    "read_number",
     "RationalSampler",
 ]
 
@@ -415,94 +419,89 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^]))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^])|(?P<bad>\S))")
+
+# Exact evaluation of x^e at a rational point costs time and memory that
+# grow with e (`q1^30000000` runs for minutes), and no form on the charts
+# here needs a high degree, so parsed polynomials are capped well below that.
+MAX_EXPONENT = 64
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
-    """Parse the text polynomial syntax: sum of terms, each term a `*`-separated
-    product of rational constants `a/b` and factors `var^e`.  Unknown variable
-    names are rejected."""
+    """Parse the text polynomial syntax: a sum of terms, each a run of `-`
+    signs and a `*`-separated product of rational constants `a/b` and factors
+    `var^e`, added in text order.  Unknown variable names are rejected, and
+    so is a sum with a term raising a variable above the power MAX_EXPONENT."""
     variables = tuple(variables)
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"unexpected character {text[pos:].strip()[0]!r} in polynomial")
-            break
-        pos = m.end()
-        for kind in ("num", "name", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
+    tokens = [(m.lastgroup, m.group(m.lastgroup)) for m in _TOKEN.finditer(text)]
+    for kind, value in tokens:
+        if kind == "bad":
+            raise ValueError(f"unexpected character {value!r} in polynomial")
     if not tokens:
         raise ValueError("empty polynomial text")
-
-    result = Polynomial(variables)
+    tokens.append(("end", ""))
+    terms: dict[tuple[int, ...], Fraction] = {}
     i = 0
-    sign = 1
-    # leading sign
-    while i < len(tokens) and tokens[i] == ("op", "-"):
-        sign = -sign
-        i += 1
-    while i < len(tokens):
-        term = Polynomial.const(variables, sign)
-        expect_factor = True
-        while i < len(tokens):
+    while True:  # one term, then the separator after it
+        coeff, expo = Fraction(1), [0] * len(variables)
+        while tokens[i] == ("op", "-"):
+            coeff, i = -coeff, i + 1
+        while True:  # one factor, then the token after it
             kind, value = tokens[i]
-            if kind == "op" and value in "+-":
-                break
-            if not expect_factor:
-                if kind == "op" and value == "*":
-                    i += 1
-                    expect_factor = True
-                    continue
-                raise ValueError(f"expected '*' or end of term, found {value!r}")
+            i += 1
             if kind == "num":
-                numer = int(value)
-                i += 1
-                if i + 1 < len(tokens) and tokens[i] == ("op", "/") and tokens[i + 1][0] == "num":
+                coeff *= int(value)
+                if tokens[i] == ("op", "/") and tokens[i + 1][0] == "num":
                     denom = int(tokens[i + 1][1])
                     if denom == 0:
                         raise ValueError("zero denominator")
-                    i += 2
-                    term = term * Fraction(numer, denom)
-                else:
-                    term = term * Fraction(numer)
+                    coeff, i = coeff / denom, i + 2
             elif kind == "name":
                 if value not in variables:
                     raise ValueError(f"unknown variable {value!r}")
-                i += 1
                 exponent = 1
-                if i + 1 < len(tokens) and tokens[i] == ("op", "^") and tokens[i + 1][0] == "num":
-                    exponent = int(tokens[i + 1][1])
-                    i += 2
-                term = term * Polynomial.var(variables, value) ** exponent
+                if tokens[i] == ("op", "^") and tokens[i + 1][0] == "num":
+                    exponent, i = int(tokens[i + 1][1]), i + 2
+                expo[variables.index(value)] += exponent
+            elif kind == "end" or value in "+-":
+                raise ValueError("dangling operator in polynomial text")
             else:
                 raise ValueError(f"unexpected {value!r} in term")
-            expect_factor = False
-        if expect_factor:
-            raise ValueError("dangling operator in polynomial text")
-        result = result + term
-        sign = 1
-        consumed_separator = False
-        if i < len(tokens):
             kind, value = tokens[i]
-            if value == "+":
-                i += 1
-                consumed_separator = True
-            elif value == "-":
-                sign = -1
-                i += 1
-                consumed_separator = True
-        # allow further unary minus runs
-        while i < len(tokens) and tokens[i] == ("op", "-"):
-            sign = -sign
+            if value != "*":
+                break
             i += 1
-        if consumed_separator and i >= len(tokens):
-            raise ValueError("dangling operator in polynomial text")
-    return result
+        key = tuple(expo)
+        terms[key] = terms.get(key, 0) + coeff
+        if not terms[key]:
+            del terms[key]
+        if kind == "end":
+            break
+        if value not in ("+", "-"):
+            raise ValueError(f"expected '*' or end of term, found {value!r}")
+        i += value == "+"  # a '-' opens the next term's sign run
+    for key in terms:
+        if max(key, default=0) > MAX_EXPONENT:
+            raise ValueError(f"exponent {max(key)} exceeds the limit of {MAX_EXPONENT} per factor")
+    return Polynomial(variables, terms)
+
+
+def read_integer(name: str, value) -> int:
+    """A JSON integer or integral float as an int; anything else, a boolean
+    or a string too, is a ValueError naming `name`."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def read_number(name: str, value) -> int | float:
+    """A JSON number (an int or a float) as it is; anything else, a boolean
+    or a string too, is a ValueError naming `name`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 class RationalSampler:

@@ -33,7 +33,7 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
-from .algebra import Polynomial, RationalSampler, sort_with_sign
+from .algebra import Polynomial, RationalSampler, read_integer, sort_with_sign
 from .exterior import (
     CoordKind,
     CoordinateFrame,
@@ -628,14 +628,16 @@ def chart_from_spec(spec: Mapping) -> Chart:
     if not (isinstance(coordinates, list) and all(isinstance(c, Mapping) for c in coordinates)):
         raise ValueError("the coordinates of a chart spec must be a list of objects with a name and a kind")
     frame = CoordinateFrame.build([(c["name"], c["kind"]) for c in coordinates])
+    if not isinstance(spec["name"], str):
+        raise ValueError(f"the name of a chart spec must be a string, got {spec['name']!r}")
     omega = parse_form(frame, spec["omega"], kind="form")
     theta = parse_form(frame, spec["theta"], kind="form") if "theta" in spec else None
     hamiltonian = frame.parse_poly(spec["hamiltonian"]) if "hamiltonian" in spec else None
-    metric = tuple(int(x) for x in spec["metric"]) if "metric" in spec else None
+    metric = tuple(read_integer("a metric entry", x) for x in spec["metric"]) if "metric" in spec else None
     return Chart(
         name=spec["name"],
         frame=frame,
-        n=int(spec["n"]),
+        n=read_integer("the n of a chart spec", spec["n"]),
         omega=omega,  # type: ignore[arg-type]
         theta=theta,  # type: ignore[arg-type]
         hamiltonian=hamiltonian,

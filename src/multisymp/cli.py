@@ -19,11 +19,10 @@ input error is an input that the load step refuses, an input file that
 cannot be read, or an `--output` or `--output-csv` path that cannot be
 written; it ends with exit 2 and one `input error:` line on stderr.
 
-Forms read from input (form arguments, the forms stored in a report, and
-the omega, theta and hamiltonian of a chart spec file) may raise a
-coordinate to at most the power MAX_EXPONENT in any term of a coefficient;
-a larger exponent is an input error.  `observable` takes at most
-MAX_POINTS points and MAX_SAMPLES samples per family and point.
+Polynomial text in any input (forms, report witnesses, and the omega,
+theta and hamiltonian of a chart spec) is read by `parse_polynomial`, which
+refuses an exponent above `algebra.MAX_EXPONENT`.  `observable` takes at
+most MAX_POINTS points and MAX_SAMPLES samples per family and point.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import __version__
-from .algebra import RationalSampler
+from .algebra import RationalSampler, read_number
 from .charts import (
     Chart,
     builtin_chart,
@@ -83,22 +82,17 @@ def _point_to_json(point: Sequence[Fraction]) -> list[str]:
 
 
 def _rationals(data, what: str, length: int) -> tuple[Fraction, ...]:
-    """`length` rationals: a witness list of strings, or the entries of a
-    comma-separated `--point`."""
+    """`length` rationals: a witness list of strings or JSON numbers (not
+    booleans), or the entries of a comma-separated `--point`."""
     if not isinstance(data, list):
         raise ValueError(f"{what} is not a list of rationals")
     if len(data) != length:
         raise ValueError(f"{what} has length {len(data)}, expected {length}")
     try:
-        return tuple(Fraction(v) for v in data)
-    except (ValueError, TypeError, ZeroDivisionError):
+        return tuple(Fraction(v if isinstance(v, str) else read_number(what, v)) for v in data)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{what} has an entry that is not a rational number") from None
 
-
-# Exact evaluation of x^e at a rational point costs time and memory that
-# grow with e (`q1^30000000` runs for minutes), and no form on the charts
-# here needs a high degree, so input forms are capped well below that.
-MAX_EXPONENT = 64
 
 # `observable` draws every point before it judges anything and samples each
 # observability family `--samples` times at every point; a passing form runs
@@ -112,36 +106,12 @@ MAX_SAMPLES = 16
 MAX_POINTS = 16
 
 
-def check_exponents(coefficients) -> None:
-    """Refuse any coefficient term in which a coordinate carries an exponent
-    above MAX_EXPONENT."""
-    for coeff in coefficients:
-        for expo in coeff.terms:
-            top = max(expo, default=0)
-            if top > MAX_EXPONENT:
-                raise ValueError(f"exponent {top} exceeds the limit of {MAX_EXPONENT} per factor")
-
-
-def decode_form(chart: Chart, data, kind: str = "form"):
-    """`parse_form` on input data, held to MAX_EXPONENT."""
-    form = parse_form(chart.frame, data, kind=kind)
-    check_exponents(form.terms.values())
-    return form
-
-
 def load_chart_argument(label: str) -> Chart:
-    """A built-in chart label, or a `.json` chart spec file whose omega,
-    theta and hamiltonian are held to MAX_EXPONENT."""
+    """A built-in chart label, or a `.json` chart spec file."""
     if not label.endswith(".json"):
         return builtin_chart(label)
     with open(label, encoding="utf-8") as fh:
-        chart = chart_from_spec(json.load(fh))
-    for form in (chart.omega, chart.theta):
-        if form is not None:
-            check_exponents(form.terms.values())
-    if chart.hamiltonian is not None:
-        check_exponents([chart.hamiltonian])
-    return chart
+        return chart_from_spec(json.load(fh))
 
 
 def load_form_argument(chart: Chart, spec: str) -> PolyForm:
@@ -167,7 +137,7 @@ def load_form_argument(chart: Chart, spec: str) -> PolyForm:
     else:
         with open(spec, encoding="utf-8") as fh:
             data = json.load(fh)
-    return decode_form(chart, data)
+    return parse_form(frame, data)
 
 
 class Report:
@@ -382,7 +352,7 @@ _REPLAYED = {
 
 def _witness_form(chart: Chart, data, what: str, kind: str, degree: int):
     try:
-        form = decode_form(chart, data, kind=kind)
+        form = parse_form(chart.frame, data, kind=kind)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{what} is not a {kind}: {exc}") from None
     if form.degree != degree:

@@ -38,7 +38,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Polynomial, parse_polynomial, sort_with_sign
+from .algebra import Polynomial, parse_polynomial, read_integer, sort_with_sign
 
 
 class CoordKind(str, Enum):
@@ -480,7 +480,7 @@ def parse_form(frame: CoordinateFrame, spec: Mapping, kind: str = "form") -> _Al
     cls = PolyForm if kind == "form" else PolyMultivector
     if not isinstance(spec, Mapping):
         raise ValueError(f"a {kind} must be an object with a degree and terms, got {type(spec).__name__}")
-    degree = int(spec["degree"])
+    degree = read_integer(f"the degree of a {kind}", spec["degree"])
     terms = spec.get("terms", [])
     if not isinstance(terms, list):
         raise ValueError(f"the terms of a {kind} must be a list, got {terms!r}")

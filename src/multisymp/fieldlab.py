@@ -54,7 +54,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Polynomial
+from .algebra import Polynomial, read_integer, read_number
 from .charts import Chart, scalar_field_chart
 from .exterior import PolyForm, ext_d
 
@@ -508,24 +508,17 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ExperimentConfig":
         """The config of a decoded JSON object.  Counts must be integral
-        numbers and expectations JSON booleans on the named functionals;
-        anything else is refused with a ValueError, not coerced."""
-
-        def integer(name: str, value) -> int:
-            if isinstance(value, int) and not isinstance(value, bool):
-                return value
-            if isinstance(value, float) and value.is_integer():
-                return int(value)
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
+        numbers, the other numeric fields JSON numbers, and expectations
+        JSON booleans on the named functionals; anything else is refused
+        with a ValueError, not coerced."""
         kwargs = dict(data)
         for key in ("field_modes", "test_modes"):
             if key in kwargs:
                 try:
                     kwargs[key] = tuple(
-                        Mode(amplitude=float(m["amplitude"]),
-                             wavenumber=integer("wavenumber", m["wavenumber"]),
-                             phase=float(m.get("phase", 0.0)))
+                        Mode(amplitude=float(read_number("amplitude", m["amplitude"])),
+                             wavenumber=read_integer("wavenumber", m["wavenumber"]),
+                             phase=float(read_number("phase", m.get("phase", 0.0))))
                         for m in kwargs[key]
                     )
                 except KeyError as exc:
@@ -533,11 +526,11 @@ class ExperimentConfig:
                                      f"one lacks {exc}") from None
         for key in ("grid_points", "record_stride"):
             if key in kwargs:
-                kwargs[key] = integer(key, kwargs[key])
+                kwargs[key] = read_integer(key, kwargs[key])
         for key in ("length", "cfl", "mass2", "coupling", "crossing_times",
                     "conserved_tolerance", "smeared_tolerance"):
             if key in kwargs:
-                kwargs[key] = float(kwargs[key])
+                kwargs[key] = float(read_number(key, kwargs[key]))
         expectations = kwargs.get("expectations")
         if expectations is not None:
             if not isinstance(expectations, Mapping):

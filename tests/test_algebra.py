@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multisymp.algebra import (
+    MAX_EXPONENT,
     Polynomial,
     RationalSampler,
     gen_kronecker,
@@ -186,6 +187,10 @@ def test_parse_round_trip_and_rejection():
         parse_polynomial("q + unknown_var", VARS)
     with pytest.raises(ValueError):
         parse_polynomial("q +", VARS)
+    # a run of signs with no term after it is not the zero polynomial
+    for text in ("-", "--", " - "):
+        with pytest.raises(ValueError, match="dangling operator"):
+            parse_polynomial(text, VARS)
 
 
 @given(st.integers(0, 10_000))
@@ -202,15 +207,18 @@ def test_substitution():
     assert sub == expect
 
 
-@given(st.text(alphabet="qep1 +-*/^x_()#", max_size=40))
+@given(st.text(alphabet="qep1 +-*/^x_()#0123456789", max_size=40))
 @settings(max_examples=200)
 def test_parser_rejects_garbage_cleanly(text):
     """Arbitrary token soup either parses or raises ValueError; no other
-    exception type escapes."""
+    exception type escapes.  What parses carries no exponent above
+    MAX_EXPONENT and comes back from its canonical text."""
     try:
-        parse_polynomial(text, VARS)
+        p = parse_polynomial(text, VARS)
     except ValueError:
-        pass
+        return
+    assert all(max(expo) <= MAX_EXPONENT for expo in p.terms)
+    assert parse_polynomial(p.to_text(), VARS) == p
 
 
 def test_sampler_is_deterministic():

@@ -5,8 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from multisymp.charts import chart_from_spec, chart_to_spec, lepage_dedecker_chart
 from multisymp.cli import main
+from multisymp.exterior import parse_form
+from multisymp.fieldlab import ExperimentConfig
 
 ROOT = Path(__file__).parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -427,6 +432,12 @@ def test_recheck_rejects_malformed_records(capsys, tmp_path, case):
     {"grid_points": 10**14},
     {"cfl": 2.0},
     {"mass2": -5.0},
+    # the other numeric fields are JSON numbers, never booleans or strings
+    {"grid_points": 16, "crossing_times": 2.0, "coupling": True, "mass2": "1.0"},
+    {"grid_points": 16, "crossing_times": 2.0, "coupling": True},
+    {"grid_points": 16, "crossing_times": 2.0, "mass2": "1.0"},
+    {"grid_points": 16, "crossing_times": 2.0, "field_modes": [{"amplitude": "1", "wavenumber": 1, "phase": True}]},
+    {"grid_points": 16, "crossing_times": 2.0, "test_modes": [{"amplitude": 1.0, "wavenumber": 1, "phase": True}]},
 ])
 def test_simulate_rejects_configs_that_cannot_run(capsys, tmp_path, config):
     path = tmp_path / "config.json"
@@ -469,7 +480,7 @@ def test_check_chart_rejects_an_oversized_exponent_in_a_spec(tmp_path, field):
 def test_observable_accepts_the_largest_exponent(capsys):
     """At the limit the form is decoded and judged (it is not AOF, so the
     report fails); one above it is an input error."""
-    from multisymp.cli import MAX_EXPONENT
+    from multisymp.algebra import MAX_EXPONENT
 
     def form(exponent):
         return json.dumps({"degree": 1, "terms": [{"indices": ["p12"], "coeff": f"q1^{exponent}"}]})
@@ -483,6 +494,32 @@ def _spec_path(tmp_path, spec) -> str:
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     return str(path)
+
+
+_SMALL_CHART = lepage_dedecker_chart(1, 1)
+
+
+def _small_chart_spec(tmp_path, **changes) -> str:
+    """The lepage-dedecker:1,1 chart spec with `changes` to its fields."""
+    return _spec_path(tmp_path, {**chart_to_spec(_SMALL_CHART), **changes})
+
+
+def _boolean_witness_report(tmp_path) -> str:
+    """A nondegenerate fail record on lepage-dedecker:2,2 whose kernel
+    vector holds a boolean and a float among its strings."""
+    from multisymp import __version__
+    from multisymp.charts import builtin_chart
+
+    chart = builtin_chart("lepage-dedecker:2,2")
+    vector = ["1", True, 2.5] + ["0"] * (chart.dim - 3)
+    return _spec_path(tmp_path, {
+        "tool_version": __version__, "seed": 0, "chart": {"name": chart.name, "hash": chart.spec_hash()},
+        "checks": [{"check_id": "nondegenerate", "law": "", "status": "fail", "witness": {"kernel_vector": vector}}],
+    })
+
+
+def _form_argument(degree, coeff="1") -> str:
+    return json.dumps({"degree": degree, "terms": [{"indices": ["p12"], "coeff": coeff}]})
 
 
 def _nonconstant_omega_chart(tmp_path) -> str:
@@ -517,6 +554,16 @@ _CRASHING_INPUTS = {
     "infinite_wavenumber": lambda tmp: [
         "simulate", _spec_path(tmp, {"field_modes": [{"amplitude": 1.0, "wavenumber": float("inf")}]})],
     "recheck_of_a_non_horizontal_family": lambda tmp: ["recheck", _non_horizontal_family_report(tmp)],
+    "lone_sign_coefficient": lambda tmp: ["observable", "lepage-dedecker:2,2", "--form", _form_argument(1, "-")],
+    "fractional_form_degree": lambda tmp: ["observable", "lepage-dedecker:2,2", "--form", _form_argument(1.9)],
+    "string_form_degree": lambda tmp: ["observable", "lepage-dedecker:2,2", "--form", _form_argument("1")],
+    "boolean_form_degree": lambda tmp: ["observable", "lepage-dedecker:2,2", "--form", _form_argument(True)],
+    "fractional_chart_n": lambda tmp: ["check-chart", _small_chart_spec(tmp, n=1.7)],
+    "string_chart_n": lambda tmp: ["check-chart", _small_chart_spec(tmp, n="1")],
+    "string_metric_entry": lambda tmp: ["check-chart", _small_chart_spec(tmp, metric=["1", "-1"])],
+    "numeric_chart_name": lambda tmp: [
+        "observable", _small_chart_spec(tmp, name=5), "--form", '{"degree": 0, "terms": [{"indices": [], "coeff": "p1"}]}'],
+    "boolean_witness_entry": lambda tmp: ["recheck", _boolean_witness_report(tmp)],
 }
 
 
@@ -525,6 +572,10 @@ _INPUT_ERROR_LINES = {
     "null_coefficient": "input error: the coeff of form term ['p12'] must be a string or a number, got None",
     "terms_not_a_list": "input error: the terms of a form must be a list, got 5",
     "chart_spec_is_a_list": "input error: a chart spec must be an object, got list",
+    "lone_sign_coefficient": "input error: dangling operator in polynomial text",
+    "boolean_form_degree": "input error: the degree of a form must be an integer, got True",
+    "string_chart_n": "input error: the n of a chart spec must be an integer, got '1'",
+    "numeric_chart_name": "input error: the name of a chart spec must be a string, got 5",
 }
 
 
@@ -536,6 +587,67 @@ def test_malformed_inputs_end_in_one_input_error_line(tmp_path, case):
     assert_input_error(done)
     if case in _INPUT_ERROR_LINES:
         assert done.stderr == _INPUT_ERROR_LINES[case] + "\n"
+
+
+# JSON values, mostly scalars: numbers, and the booleans, strings, nulls,
+# lists and objects that a numeric field must refuse
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 300) | st.integers() | st.floats()
+            | st.sampled_from(["", "1", "2.5", "p1", "-", "q1^65"]))
+_JSON = _SCALARS | st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=2)
+                                | st.dictionaries(st.sampled_from(["amplitude", "n", "x"]), inner, max_size=2),
+                                max_leaves=3)
+_CONFIG_NUMBERS = ("grid_points", "record_stride", "length", "cfl", "mass2", "coupling", "crossing_times",
+                   "conserved_tolerance", "smeared_tolerance")
+_MODE_NUMBERS = ("amplitude", "wavenumber", "phase")
+_MODES = st.lists(st.fixed_dictionaries({"amplitude": _JSON, "wavenumber": _JSON}, optional={"phase": _JSON}),
+                  max_size=2) | _JSON
+# a few fields at a time, so that a config with one wrong field is often otherwise valid
+_CONFIGS = st.builds(lambda numbers, modes: {**numbers, **modes},
+                     st.dictionaries(st.sampled_from(_CONFIG_NUMBERS), _JSON, max_size=2),
+                     st.dictionaries(st.sampled_from(["field_modes", "test_modes"]), _MODES, max_size=1))
+_FORMS = st.fixed_dictionaries({"degree": _JSON}, optional={
+    "terms": st.lists(st.fixed_dictionaries({"indices": st.lists(st.sampled_from(["q1", "p1", "zz"]), max_size=2),
+                                             "coeff": _JSON}), max_size=2) | _JSON,
+})
+_CHARTS = st.builds(lambda changes: {**chart_to_spec(_SMALL_CHART), **changes},
+                    st.fixed_dictionaries({}, optional={"n": _JSON, "metric": st.lists(_JSON, max_size=2) | _JSON,
+                                                        "name": _JSON}))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@given(st.one_of(_CONFIGS.map(lambda data: ("config", data)), _FORMS.map(lambda data: ("form", data)),
+                 _CHARTS.map(lambda data: ("chart", data))))
+@example(("config", {"grid_points": 16, "crossing_times": 2.0, "coupling": True, "mass2": "1.0"}))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_load_steps_refuse_or_read_json_numbers(case):
+    """The load steps of `simulate`, of a form argument and of a chart spec
+    file, fed JSON-shaped values and run in process without computing: only
+    the four exceptions that `main` turns into exit 2 escape, and every
+    numeric field of an accepted input arrived as a JSON number."""
+    kind, data = case
+    try:
+        if kind == "config":
+            ExperimentConfig.from_mapping(data)
+        elif kind == "form":
+            parse_form(_SMALL_CHART.frame, data)
+        else:
+            chart_from_spec(data)
+    except (ValueError, KeyError, TypeError, OverflowError):
+        return
+    # an assertion line per load step: hypothesis reports the failures of each line apart
+    if kind == "config":
+        modes = [mode for key in ("field_modes", "test_modes") for mode in data.get(key, ())]
+        assert all(_is_number(data[key]) for key in _CONFIG_NUMBERS if key in data)
+        assert all(_is_number(mode[key]) for mode in modes for key in _MODE_NUMBERS if key in mode)
+    elif kind == "form":
+        assert _is_number(data["degree"])
+        assert all(isinstance(term["coeff"], str) or _is_number(term["coeff"]) for term in data.get("terms", []))
+    else:
+        assert _is_number(data["n"]) and all(map(_is_number, data.get("metric", ())))
+        assert isinstance(data["name"], str)
 
 
 def test_recheck_refuses_an_aof_record_without_its_witness(capsys, tmp_path):
