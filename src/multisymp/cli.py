@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .algebra import RationalSampler, read_number
@@ -72,7 +72,9 @@ from .brackets import (
     pseudobracket,
     theta_bracket,
 )
-from .fieldlab import ExperimentConfig, conservation_experiment, load_experiment_config, write_series_csv
+
+if TYPE_CHECKING:
+    from .fieldlab import ExperimentConfig
 
 PASS, FAIL, NOT_DEFINED = "pass", "fail", "not-defined"
 
@@ -309,11 +311,17 @@ def cmd_bracket(args, chart: Chart, f: PolyForm, g: PolyForm, point: tuple[Fract
     return report.exit_code()
 
 
+# `fieldlab` brings numpy, which only `simulate` needs: it is imported here
+# and not at module level, so that the other verbs start without it.
 def load_simulate(args) -> tuple:
+    from .fieldlab import load_experiment_config
+
     return (load_experiment_config(args.config),)
 
 
 def cmd_simulate(args, config: ExperimentConfig) -> int:
+    from .fieldlab import conservation_experiment, write_series_csv
+
     result = conservation_experiment(config)
     report = Report(args.seed, None)
     for rep in result.functionals:
@@ -521,7 +529,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return args.run(args, *inputs)
         except OSError as exc:  # an output path that cannot be written
             error = exc
-    sys.stderr.write(f"input error: {error}\n")
+    # str() of a KeyError is the repr of its message, quotes included
+    message = error.args[0] if isinstance(error, KeyError) and len(error.args) == 1 else error
+    sys.stderr.write(f"input error: {message}\n")
     return 2
 
 

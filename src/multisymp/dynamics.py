@@ -65,7 +65,7 @@ from .exterior import (
     _wedge_terms,
     eval_terms,
 )
-from .linalg import RowBasis, column_space_rref, nullspace, sparse_minor
+from .linalg import RowBasis, column_space_rref, sparse_minor
 
 
 class NoSolutionInFamily(Exception):
@@ -241,15 +241,28 @@ def _family_step_data(
     map, and the exact certificate that the map is affine
     (`OmegaContraction.affine_on`).  Both depend on the family and the
     evaluated Omega only, so they are cached under those across candidate
-    forms, points and charts: a constant Omega computes each family once."""
+    forms, points and charts: a constant Omega computes each family once.
+
+    The map's columns (`_linear_columns`) hold a few nonzeros each, so its
+    rows are gathered sparsely, coordinate i -> {parameter: value}, and fed
+    to one `RowBasis` in increasing i until the rank is full.  The kernel
+    is read off the RREF, which the span fixes, so it is the one the dense
+    matrix gives."""
     key = (chart.dim, family.horizontal, family.free, omega.key)
     hit = _FAMILY_CACHE.get(key)
     if hit is not None:
         return hit
-    zero = Fraction(0)
     columns = _linear_columns(family, omega)
-    matrix = [[col.get((i,), zero) for col in columns] for i in range(chart.dim)]
-    data = [tuple(v) for v in nullspace(matrix)], omega.affine_on(family)
+    rows: dict[int, dict[int, Fraction]] = {}
+    for param, column in enumerate(columns):
+        for (i,), value in column.items():
+            rows.setdefault(i, {})[param] = value
+    basis = RowBasis(len(columns))
+    for i in sorted(rows):
+        if basis.rank == len(columns):
+            break
+        basis.add(rows[i])
+    data = [tuple(v) for v in basis.nullspace()], omega.affine_on(family)
     if len(_FAMILY_CACHE) >= _CACHE_LIMIT:
         _FAMILY_CACHE.clear()
     _FAMILY_CACHE[key] = data

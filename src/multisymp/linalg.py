@@ -3,21 +3,25 @@
 `RowBasis` is the one elimination routine: Gaussian elimination with
 Fraction entries into an incrementally maintained reduced row echelon
 basis (no pivot-size heuristics are needed since arithmetic is exact).
-`nullspace`, `rref` and `column_space_rref` read kernels, the transform
-E with E A = RREF(A), and canonical span bases off it.  `LinearSolver`
-solves in the span of fixed sparse rational columns for many targets
-whose entries may be Fractions *or* Polynomials (anything a Fraction can
-multiply), which is how the constant-coefficient contraction,
-copolarization and division systems are solved with symbolic targets;
-every solution is checked against the full system by exact
-reconstruction.  `sparse_minor` is the one determinant routine: exact
-cofactor expansion over sparse rows with memoized sub-minors, over any
-ring whose elements mix with `int` 0 and 1 under `+`, `-` and `*` (int,
-Fraction, Polynomial), so integer rows stay in Python integers.
+It keeps each basis row sparse, as its nonzero entries, takes rows dense
+or as column -> value mappings, and eliminates over the stored nonzeros
+only; its `rows` are a dense view.  `nullspace`, `rref` and
+`column_space_rref` read kernels, the transform E with E A = RREF(A), and
+canonical span bases off it.  `LinearSolver` solves in the span of fixed
+sparse rational columns for many targets whose entries may be Fractions
+*or* Polynomials (anything a Fraction can multiply), which is how the
+constant-coefficient contraction, copolarization and division systems
+are solved with symbolic targets; every solution is checked against the
+full system by exact reconstruction.  `sparse_minor` is the one
+determinant routine: exact cofactor expansion over sparse rows with
+memoized sub-minors, over any ring whose elements mix with `int` 0 and 1
+under `+`, `-` and `*` (int, Fraction, Polynomial), so integer rows stay
+in Python integers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence, TypeVar
 
@@ -27,59 +31,74 @@ Ring = TypeVar("Ring")
 class RowBasis:
     """Incrementally maintained reduced row echelon basis of a row span.
 
-    Designed for very tall matrices whose rank is bounded by the (small)
-    column count: rows are fed one at a time, dependent rows are dropped
-    immediately, and the kernel can be read off at any point.
+    Designed for very tall, sparse matrices whose rank is bounded by the
+    (small) column count: rows are fed one at a time, dependent rows are
+    dropped immediately, and the kernel can be read off at any point.
+    Each basis row is stored as its nonzero entries (column -> Fraction),
+    and elimination touches those only.  `rows` is a dense copy of the
+    basis, in pivot order.
     """
 
     def __init__(self, cols: int):
         self.cols = cols
         self.pivots: list[int] = []
-        self.rows: list[list[Fraction]] = []
+        self.sparse_rows: list[dict[int, Fraction]] = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.sparse_rows)
 
-    def reduce(self, row: Sequence[Fraction]) -> list[Fraction]:
-        r = list(row)
-        for pivot, brow in zip(self.pivots, self.rows):
-            factor = r[pivot]
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        zero = Fraction(0)
+        return [[row.get(j, zero) for j in range(self.cols)] for row in self.sparse_rows]
+
+    def add(self, row: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
+        """Insert a row, dense or as a column -> value mapping; returns
+        True when it enlarged the span."""
+        r = {j: x for j, x in (row.items() if isinstance(row, Mapping) else enumerate(row)) if x}
+        for pivot, brow in zip(self.pivots, self.sparse_rows):
+            factor = r.get(pivot)
             if factor:
-                for j in range(self.cols):
-                    if brow[j]:
-                        r[j] -= factor * brow[j]
-        return r
-
-    def add(self, row: Sequence[Fraction]) -> bool:
-        """Insert a row; returns True when it enlarged the span."""
-        r = self.reduce(row)
-        pivot = next((j for j, x in enumerate(r) if x), None)
-        if pivot is None:
+                for j, b in brow.items():
+                    x = r.get(j, 0) - factor * b
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
+        if not r:
             return False
+        pivot = min(r)
         inv = Fraction(1) / r[pivot]
-        r = [x * inv for x in r]
-        for brow in self.rows:
-            factor = brow[pivot]
+        r = {j: x * inv for j, x in r.items()}
+        for brow in self.sparse_rows:
+            factor = brow.get(pivot)
             if factor:
-                for j in range(self.cols):
-                    if r[j]:
-                        brow[j] -= factor * r[j]
-        position = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+                for j, x in r.items():
+                    y = brow.get(j, 0) - factor * x
+                    if y:
+                        brow[j] = y
+                    else:
+                        del brow[j]
+        position = bisect_left(self.pivots, pivot)
         self.pivots.insert(position, pivot)
-        self.rows.insert(position, r)
+        self.sparse_rows.insert(position, r)
         return True
 
     def nullspace(self) -> list[list[Fraction]]:
-        free = [c for c in range(self.cols) if c not in self.pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for row_idx, p in enumerate(self.pivots):
-                vec[p] = -self.rows[row_idx][f]
-            basis.append(vec)
-        return basis
+        """One kernel vector per free column, in column order."""
+        pivots = set(self.pivots)
+        kernel = {}
+        for f in range(self.cols):
+            if f not in pivots:
+                vec = [Fraction(0)] * self.cols
+                vec[f] = Fraction(1)
+                kernel[f] = vec
+        for p, row in zip(self.pivots, self.sparse_rows):
+            for f, x in row.items():
+                if f != p:
+                    kernel[f][p] = -x
+        return list(kernel.values())
 
 
 def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -106,7 +125,7 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list, list, list[int]]:
     cols = len(matrix[0]) if rows else 0
     basis = RowBasis(cols + rows)
     for i, row in enumerate(matrix):
-        basis.add(list(row) + [Fraction(int(i == j)) for j in range(rows)])
+        basis.add({**dict(enumerate(row)), cols + i: Fraction(1)})
     rank = sum(p < cols for p in basis.pivots)
     kept = basis.rows[:rank]
     return [r[:cols] for r in kept], [r[cols:] for r in kept], basis.pivots[:rank]
@@ -145,10 +164,10 @@ class LinearSolver:
         self.keys: list = []
         picked = []
         for key in dict.fromkeys(key for column in columns for key in column):
-            row = [column.get(key, Fraction(0)) for column in columns]
+            row = {j: column[key] for j, column in enumerate(columns) if key in column}
             if basis.add(row):
                 self.keys.append(key)
-                picked.append(row)
+                picked.append([row.get(j, Fraction(0)) for j in range(width)])
             if basis.rank == width:
                 break
         self.rank = basis.rank

@@ -37,6 +37,15 @@ def assert_input_error(done):
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("input error:")
 
 
+def test_cli_import_leaves_numpy_out():
+    """Only `simulate` needs the field laboratory and its numpy, so the other
+    verbs start without importing either."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, multisymp.cli; print(sorted({'numpy', 'multisymp.fieldlab'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env)
+    assert done.returncode == 0 and done.stdout == "[]\n"
+
+
 def test_check_chart_builtin_passes(capsys):
     code, report = run(capsys, "check-chart", "lepage-dedecker:2,2")
     assert code == 0
@@ -530,6 +539,14 @@ def _nonconstant_omega_chart(tmp_path) -> str:
     return _spec_path(tmp_path, spec)
 
 
+def _renamed_coordinate_chart(tmp_path) -> str:
+    """The lepage-dedecker:1,1 chart spec with its coordinate p2 renamed, so
+    that its omega and theta name a coordinate the chart lacks."""
+    spec = chart_to_spec(_SMALL_CHART)
+    next(c for c in spec["coordinates"] if c["name"] == "p2")["name"] = "p9"
+    return _spec_path(tmp_path, spec)
+
+
 def _non_horizontal_family_report(tmp_path) -> str:
     """The ddw:2,2 `of` fail report with its family x1, x2 replaced by two
     momenta: a family the sampler never draws, so recheck must refuse it."""
@@ -564,6 +581,7 @@ _CRASHING_INPUTS = {
     "numeric_chart_name": lambda tmp: [
         "observable", _small_chart_spec(tmp, name=5), "--form", '{"degree": 0, "terms": [{"indices": [], "coeff": "p1"}]}'],
     "boolean_witness_entry": lambda tmp: ["recheck", _boolean_witness_report(tmp)],
+    "renamed_chart_coordinate": lambda tmp: ["check-chart", _renamed_coordinate_chart(tmp)],
 }
 
 
@@ -576,6 +594,8 @@ _INPUT_ERROR_LINES = {
     "boolean_form_degree": "input error: the degree of a form must be an integer, got True",
     "string_chart_n": "input error: the n of a chart spec must be an integer, got '1'",
     "numeric_chart_name": "input error: the name of a chart spec must be a string, got 5",
+    # a KeyError's message, not its quoted repr
+    "renamed_chart_coordinate": "input error: unknown coordinate 'p2'",
 }
 
 

@@ -350,6 +350,21 @@ def test_columns_read_off_omega_equal_the_unit_factor_contractions(label):
         assert repr(_linear_columns(family, omega)) == repr(_unit_factor_columns(family, omega))
 
 
+@pytest.mark.parametrize("label", ["maxwell", "ddw:3,2", "lepage-dedecker:2,3", "lepage-dedecker:1,1"])
+def test_family_kernels_from_sparse_rows_equal_the_dense_nullspace(monkeypatch, label):
+    """The kernel fed to the sampler from the sparse rows of each family's
+    linear part is exactly the `nullspace` of its dense dim x params matrix.
+    On lepage-dedecker:1,1 the rank is full before the last row."""
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+    chart = builtin_chart(label)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, RationalSampler(71).point(chart.dim)))
+    for family in _observability_families(chart):
+        columns = _linear_columns(family, omega)
+        matrix = [[col.get((i,), 0) for col in columns] for i in range(chart.dim)]
+        kernel, _ = _family_step_data(chart, family, omega)
+        assert kernel == [tuple(v) for v in nullspace(matrix)]
+
+
 def test_family_kernels_are_shared_across_points_and_charts(monkeypatch):
     """Maxwell's Omega is constant: two charts built apart, at 16 points
     each, compute each of the 70 family kernels once, and a hit at a new

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_aof_like_candidate, random_form
@@ -362,6 +362,40 @@ def test_rref_matches_the_dense_reference(matrix):
     assert [[sum(x * row[j] for x, row in zip(e_row, matrix)) for j in range(cols)] for e_row in e] == r
     if len(pivots) == len(matrix):
         assert e == ref_e
+
+
+@given(sparse_matrices(), st.booleans())
+@example([[Fraction(v) for v in row] for row in ([0, 0, 0], [2, 0, 1], [0, 0, 0], [0, 3, 0], [1, 1, 1], [5, 0, 0])],
+         True)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_row_basis_takes_dense_and_sparse_rows_alike(matrix, integral):
+    """Each row fed dense to one `RowBasis` and as a column -> value dict
+    (absent zeros, and explicit ones at odd columns) to another, integral
+    entries as `int` when `integral`, stopping once the rank is full: the
+    same pivots, `Fraction` rows and kernel, equal to the dense reference.
+    The example has zero rows, and a row left over at full rank."""
+    if integral:
+        matrix = [[int(x) if x.denominator == 1 else x for x in row] for row in matrix]
+    cols = len(matrix[0]) if matrix else 0
+    dense, sparse = linalg.RowBasis(cols), linalg.RowBasis(cols)
+    for row in matrix:
+        if dense.rank == cols:
+            break
+        assert dense.add(row) == sparse.add({j: x for j, x in enumerate(row) if x or j % 2})
+    assert dense.pivots == sparse.pivots
+    assert dense.rows == sparse.rows
+    assert dense.nullspace() == sparse.nullspace()
+    assert all(type(v) is Fraction for row in dense.rows for v in row)
+    ref_r, _, ref_pivots = rref(matrix)
+    assert dense.pivots == ref_pivots
+    assert dense.rows == ref_r[: len(ref_pivots)]
+    kernel = []
+    for f in (c for c in range(cols) if c not in ref_pivots):
+        vec = [Fraction(int(c == f)) for c in range(cols)]
+        for row, p in zip(ref_r, ref_pivots):
+            vec[p] = -row[f]
+        kernel.append(vec)
+    assert dense.nullspace() == kernel
 
 
 # -- the callers against the dense reference on the built-in charts ---------------
