@@ -31,6 +31,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
@@ -44,10 +45,13 @@ from .charts import (
     maxwell_potential_form,
     nondegeneracy_check,
 )
-from .exterior import PolyForm, dump_form, ext_d, form_basis, hook, parse_form
+from .exterior import PolyForm, dump_form, eval_terms, ext_d, form_basis, hook, parse_form
 from .dynamics import (
+    DegenerateSystem,
     NoSolutionInFamily,
     OFCounterexample,
+    OmegaContraction,
+    _family_step_data,
     hamiltonian_nvector_solve,
     observability_family,
     recheck_of_counterexample,
@@ -206,6 +210,14 @@ def load_observable(args) -> tuple:
     # the aof verdict solves xi . Omega = -dF, which needs a constant,
     # nondegenerate Omega; the solver refuses any other (and is cached)
     contraction_solver(chart)
+    # the sampler judges a family with a kernel only where the contraction is
+    # affine on it, a property of the chart as Omega is constant (cached)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, (0,) * chart.dim))
+    for horizontal in combinations(chart.frame.base_indices(), chart.n):
+        kernel, affine = _family_step_data(chart, observability_family(chart, horizontal), omega)
+        if kernel and not affine:
+            names = ", ".join(chart.frame.names[i] for i in horizontal)
+            raise ValueError(f"the contraction into Omega is not affine on the observability family {names}")
     form = load_form_argument(chart, args.form)
     if form.degree != chart.n - 1:
         raise ValueError(f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}")
@@ -307,6 +319,8 @@ def cmd_bracket(args, chart: Chart, f: PolyForm, g: PolyForm, point: tuple[Fract
         report.add("bracket", "bracket well-defined", FAIL, {"reason": str(exc)})
     except NoSolutionInFamily as exc:
         report.add("bracket", "Hamilton equation solvable at the point", FAIL, {"reason": str(exc)})
+    except DegenerateSystem as exc:
+        report.add("bracket", "Hamilton equation solvable at the point", NOT_DEFINED, {"reason": str(exc)})
     report.emit(args.output)
     return report.exit_code()
 

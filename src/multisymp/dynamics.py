@@ -27,7 +27,9 @@ one `Fraction` from its integer minor sum.
 
 For solving the Hamilton equation the free coordinates are all
 non-selected directions and the polynomial system is reduced by
-substituting one affine equation at a time.
+substituting one affine equation at a time.  The affine family of
+solutions is read through one schedule of representatives: its base and
+unit moves serve `verify` and the pseudobracket, all of it the pseudofibers.
 
 Every computing path that contracts or pairs a decomposable n-vector
 given by its factors (entries `Fraction`, `int` or `Polynomial`) goes
@@ -49,10 +51,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import Polynomial, RationalSampler, sort_with_sign
 from .charts import Chart
@@ -282,16 +284,11 @@ class HamiltonianSolution:
 
     chart: Chart
     point: tuple[Fraction, ...]
-    hamiltonian: Polynomial
     family: VerticalFamily
     base_assignment: tuple[Fraction, ...]
     kernel: list[tuple[Fraction, ...]]
     omega_num: Terms = field(repr=False)
     target: Terms = field(repr=False)  # (-1)^n dH at the point
-
-    @property
-    def n(self) -> int:
-        return self.chart.n
 
     def assignment(self, kernel_coeffs: Sequence[Fraction] = ()) -> tuple[Fraction, ...]:
         values = list(self.base_assignment)
@@ -306,18 +303,27 @@ class HamiltonianSolution:
     def expand(self, kernel_coeffs: Sequence[Fraction] = ()) -> Terms:
         return self.family.expand(self.assignment(kernel_coeffs))
 
-    def unit_moves(self) -> list[tuple[Fraction, ...]]:
-        """Kernel coefficients of the base solution and of base + each
-        kernel direction."""
+    def representatives(self, doubled: bool = False) -> Iterator[tuple[Fraction, ...]]:
+        """Kernel coefficients of the representatives that probe the family,
+        yielded in this order (e_i the i-th kernel direction): the base,
+        base + e_i (the unit moves), base - e_i and base + e_i + e_j; with
+        `doubled` also base + 2 e_i, base + e_i - e_j and base + e_i + e_j + e_l."""
         size = len(self.kernel)
-        one, zero = Fraction(1), Fraction(0)
-        return [()] + [tuple(one if i == j else zero for j in range(size)) for i in range(size)]
+        moves = [[{}], ({i: 1} for i in range(size)), ({i: -1} for i in range(size)),
+                 ({i: 1, j: 1} for i, j in combinations(range(size), 2))]
+        if doubled:
+            moves += [({i: 2} for i in range(size)), ({i: 1, j: -1} for i, j in combinations(range(size), 2)),
+                      (dict.fromkeys(triple, 1) for triple in combinations(range(size), 3))]
+        coeffs = {c: Fraction(c) for c in range(-1, 3)}
+        for move in chain.from_iterable(moves):
+            yield tuple(coeffs[move.get(i, 0)] for i in range(size))
 
     @cached_property
     def unit_move_factors(self) -> list[list[Terms]]:
-        """The factors of every `unit_moves` representative, built once per
-        solution (a `dataclasses.replace` copy builds its own)."""
-        return [self.factors(coeffs) for coeffs in self.unit_moves()]
+        """The factors of the base and of every unit move, the first
+        1 + len(kernel) representatives, built once per solution (a
+        `dataclasses.replace` copy builds its own)."""
+        return [self.factors(coeffs) for coeffs in islice(self.representatives(), 1 + len(self.kernel))]
 
     def verify(self) -> bool:
         """Exactness of the base solution and of base + each kernel move.
@@ -372,70 +378,44 @@ def hamiltonian_nvector_solve(chart: Chart, hamiltonian: Polynomial, point: Sequ
     solved: dict[str, Polynomial] = {}
     pending = [eq for eq in equations if eq]
     while pending:
-        progress = False
-        for eq_index, eq in enumerate(pending):
+        # the first equation with a parameter of degree 1 and a constant
+        # coefficient (nonzero, as the degree is 1), and its first such one
+        for eq in pending:
             if eq.is_constant():
-                raise NoSolutionInFamily(
-                    f"inconsistent contraction system: residual {eq.to_text()}"
-                )
-            pick = None
-            for v in sorted(eq.used_variables()):
-                if eq.degree_in(v) != 1:
-                    continue
-                coeff = eq.coefficient_of(v)
-                if coeff.is_constant() and coeff:
-                    pick = (v, coeff.constant_value())
-                    break
-            if pick is None:
-                continue
-            v, c = pick
-            expr = (eq - c * Polynomial.var(pvars, v)) * (Fraction(-1) / c)
-            substitution = {v: expr}
-            solved = {w: (p.subs(substitution) if v in p.used_variables() else p) for w, p in solved.items()}
-            solved[v] = expr
-            new_pending = []
-            for other in pending[:eq_index] + pending[eq_index + 1 :]:
-                reduced = other.subs(substitution) if v in other.used_variables() else other
-                if reduced:
-                    new_pending.append(reduced)
-            pending = new_pending
-            progress = True
-            break
-        if not progress:
-            raise DegenerateSystem(
-                "no affine pivot available; solution family is not affine in this parametrization"
-            )
+                raise NoSolutionInFamily(f"inconsistent contraction system: residual {eq.to_text()}")
+            v = next((name for name in sorted(eq.used_variables())
+                      if eq.degree_in(name) == 1 and eq.coefficient_of(name).is_constant()), None)
+            if v is not None:
+                break
+        else:
+            raise DegenerateSystem("no affine pivot available; solution family is not affine in this parametrization")
+        c = eq.coefficient_of(v).constant_value()
+        expr = (eq - c * Polynomial.var(pvars, v)) * (Fraction(-1) / c)
+        substitution = {v: expr}
+        solved = {w: (p.subs(substitution) if v in p.used_variables() else p) for w, p in solved.items()}
+        solved[v] = expr
+        # an earlier equation equal to eq would have been the pivot, so this
+        # removes eq itself
+        pending.remove(eq)
+        pending = [r for r in (p.subs(substitution) if v in p.used_variables() else p for p in pending) if r]
 
-    free_vars = [v for v in pvars if v not in solved]
     for v, expr in solved.items():
         if expr.total_degree() > 1:
             raise DegenerateSystem(f"solved parameter {v} is not affine in the free parameters")
 
     zero_point = [Fraction(0)] * len(pvars)
-    base_assignment = []
-    for name in pvars:
-        if name in solved:
-            base_assignment.append(solved[name].eval(zero_point))
-        else:
-            base_assignment.append(Fraction(0))
-    kernel: list[tuple[Fraction, ...]] = []
-    for f in free_vars:
-        direction = []
-        for name in pvars:
-            if name == f:
-                direction.append(Fraction(1))
-            elif name in solved:
-                direction.append(solved[name].coefficient_of(f).constant_value())
-            else:
-                direction.append(Fraction(0))
-        kernel.append(tuple(direction))
+    base_assignment = tuple(solved[v].eval(zero_point) if v in solved else Fraction(0) for v in pvars)
+    kernel = [
+        tuple(solved[v].coefficient_of(f).constant_value() if v in solved else Fraction(int(v == f)) for v in pvars)
+        for f in pvars
+        if f not in solved
+    ]
 
     solution = HamiltonianSolution(
         chart=chart,
         point=point,
-        hamiltonian=hamiltonian,
         family=family,
-        base_assignment=tuple(base_assignment),
+        base_assignment=base_assignment,
         kernel=kernel,
         omega_num=omega_num,
         target={k: sign * v for k, v in target.items()},
@@ -719,29 +699,6 @@ def plucker_check(chart: Chart, x: DecomposableNVector, p: int) -> PluckerVerdic
 # ---------------------------------------------------------------------------
 
 
-def _representative_schedule(kernel_size: int, doubled: bool) -> list[tuple[Fraction, ...]]:
-    reps: list[tuple[Fraction, ...]] = [tuple(Fraction(0) for _ in range(kernel_size))]
-
-    def unit(i: int, c: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) if j == i else Fraction(0) for j in range(kernel_size))
-
-    for i in range(kernel_size):
-        reps.append(unit(i, 1))
-        reps.append(unit(i, -1))
-    for i, j in combinations(range(kernel_size), 2):
-        reps.append(tuple(a + b for a, b in zip(unit(i, 1), unit(j, 1))))
-    if doubled:
-        for i in range(kernel_size):
-            reps.append(unit(i, 2))
-        for i, j in combinations(range(kernel_size), 2):
-            reps.append(tuple(a - b for a, b in zip(unit(i, 1), unit(j, 1))))
-        for i, j, l in combinations(range(kernel_size), 3):
-            reps.append(
-                tuple(a + b + c for a, b, c in zip(unit(i, 1), unit(j, 1), unit(l, 1)))
-            )
-    return reps
-
-
 def pseudofiber_directions(
     chart: Chart,
     solution: HamiltonianSolution,
@@ -766,7 +723,7 @@ def pseudofiber_directions(
     basis = RowBasis(dim)
     added: set[tuple] = set()
     swept: set[tuple] = set()
-    for coeffs in _representative_schedule(len(solution.kernel), doubled):
+    for coeffs in solution.representatives(doubled):
         factors = solution.factors(coeffs)
         for slot in range(chart.n):
             others = factors[:slot] + factors[slot + 1 :]

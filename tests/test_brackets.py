@@ -538,7 +538,7 @@ def test_dynamics_relation_random_pairs():
             if q == 1
             else __import__("conftest").random_form_over(chart, q - 1, base, sampler)
         )
-        verdict = dynamics_relation_check(chart, f_form, g_form, sol, seed=trial)
+        verdict = dynamics_relation_check(chart, f_form, g_form, sol)
         assert verdict.passed, (p, q, trial)
 
 

@@ -557,6 +557,31 @@ def _non_horizontal_family_report(tmp_path) -> str:
     return _spec_path(tmp_path, report)
 
 
+def _non_affine_family_chart(tmp_path) -> str:
+    """A constant, nondegenerate Omega = de^dx1^dx2 + dy^dp1^dp2 with
+    H = e, on which the contraction is not affine on the observability
+    family x1, x2 nor on the Hamilton solver's family."""
+    coordinates = [("x1", "position"), ("x2", "position"), ("y", "position"), ("e", "energy"),
+                   ("p1", "momentum"), ("p2", "momentum")]
+    return _spec_path(tmp_path, {
+        "name": "non-affine", "n": 2, "horizontal": ["x1", "x2"], "hamiltonian": "e",
+        "coordinates": [{"name": name, "kind": kind} for name, kind in coordinates],
+        "omega": {"degree": 3, "terms": [{"indices": ["e", "x1", "x2"], "coeff": "1"},
+                                         {"indices": ["y", "p1", "p2"], "coeff": "1"}]},
+    })
+
+
+def test_bracket_pseudo_on_a_non_affine_family_is_not_defined(tmp_path):
+    """The Hamilton solver finds no affine pivot on this chart: the bracket
+    record says so, where it once ended in a traceback."""
+    done = run_module("bracket", _non_affine_family_chart(tmp_path), "--kind", "pseudo", "--f", "@x1", "--g", "@x1")
+    assert done.returncode == 0 and done.stderr == ""
+    [record] = json.loads(done.stdout)["checks"]
+    assert record["status"] == "not-defined"
+    assert record["witness"] == {
+        "reason": "no affine pivot available; solution family is not affine in this parametrization"}
+
+
 # inputs that once ended in a traceback or were accepted, each with the
 # argv that passes it
 _CRASHING_INPUTS = {
@@ -582,6 +607,9 @@ _CRASHING_INPUTS = {
         "observable", _small_chart_spec(tmp, name=5), "--form", '{"degree": 0, "terms": [{"indices": [], "coeff": "p1"}]}'],
     "boolean_witness_entry": lambda tmp: ["recheck", _boolean_witness_report(tmp)],
     "renamed_chart_coordinate": lambda tmp: ["check-chart", _renamed_coordinate_chart(tmp)],
+    "observable_on_a_non_affine_family": lambda tmp: [
+        "observable", _non_affine_family_chart(tmp), "--form",
+        '{"degree": 1, "terms": [{"indices": ["x1"], "coeff": "y"}]}'],
 }
 
 
@@ -596,6 +624,8 @@ _INPUT_ERROR_LINES = {
     "numeric_chart_name": "input error: the name of a chart spec must be a string, got 5",
     # a KeyError's message, not its quoted repr
     "renamed_chart_coordinate": "input error: unknown coordinate 'p2'",
+    "observable_on_a_non_affine_family":
+        "input error: the contraction into Omega is not affine on the observability family x1, x2",
 }
 
 

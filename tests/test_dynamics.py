@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -147,7 +147,7 @@ def test_verify_by_iterated_hooks_agrees_with_the_expanded_contraction(label):
 
     def expanded_check(solution):
         return all(contraction_form(solution.expand(c), solution.omega_num) == solution.target
-                   for c in solution.unit_moves())
+                   for c in list(solution.representatives())[: 1 + len(solution.kernel)])
 
     assert sol.verify() and expanded_check(sol)
     size = len(sol.base_assignment)
@@ -620,12 +620,38 @@ def test_pseudofiber_verticality_and_doubling():
             assert all(vec[i] == 0 for i in range(n_positions))
 
 
+def expected_representatives(size, doubled):
+    """The kernel coefficients of the representatives, read off their
+    description instead of built the way the code builds them: the vectors
+    whose nonzero entries, in order, are nothing, a single 1 or -1, or two
+    1s; with `doubled` also a single 2, a 1 then a -1, or three 1s."""
+    shapes = {(), (1,), (-1,), (1, 1)} | ({(2,), (1, -1), (1, 1, 1)} if doubled else set())
+    return [v for v in product(range(-1, 3), repeat=size) if tuple(c for c in v if c) in shapes]
+
+
+@pytest.mark.parametrize("label", ["lepage-dedecker:1,1", "lepage-dedecker:2,1", "lepage-dedecker:2,2"])
+def test_representatives_are_the_stated_set_base_and_unit_moves_first(label):
+    """Equal sizes as well as equal sets, so that a duplicate shows."""
+    chart = builtin_chart(label)
+    sampler = RationalSampler(47)
+    point = sampler.point(chart.dim)
+    sol = hamiltonian_nvector_solve(chart, frame_compatible_hamiltonian(chart, sampler, point), point)
+    size = len(sol.kernel)
+    for doubled in (False, True):
+        representatives = list(sol.representatives(doubled))
+        expected = expected_representatives(size, doubled)
+        assert len(representatives) == len(expected) and set(representatives) == set(expected)
+    units = [tuple(int(i == j) for j in range(size)) for i in range(size)]
+    assert list(sol.representatives())[: 1 + size] == [(0,) * size] + units
+
+
 def reference_pseudofiber_directions(chart, solution, doubled):
     """The expand-then-pair row builder: the row of a slot deformation
-    delta = e_c ^ (other factors) has entries <delta, e_j . Omega>."""
+    delta = e_c ^ (other factors) has entries <delta, e_j . Omega>.  The
+    RREF kernel does not depend on the row order."""
     columns = [_hook_terms({(j,): Fraction(1)}, solution.omega_num) for j in range(chart.dim)]
     basis = RowBasis(chart.dim)
-    for coeffs in dynamics._representative_schedule(len(solution.kernel), doubled):
+    for coeffs in expected_representatives(len(solution.kernel), doubled):
         factors = solution.factors(coeffs)
         for slot in range(chart.n):
             for c in range(chart.dim):
