@@ -384,7 +384,14 @@ def dynamics_relation_check(
     for the (p+q-n)-vectors Y that are increasing sub-wedges of the base
     solution frame.  Both sides are linear in Y, so these decide the
     relation on their span: no combination of them can fail where each
-    passed."""
+    passed.
+
+    With {H, F} read as X . dF, this is an interior-product identity on
+    the solution's frame X: expanding X . dF over the factors of a
+    decomposable X gives both sides the same sum.  The check verifies that
+    identity and its sign conventions, and it passes on frames that do not
+    solve Hamilton's equation too; the dynamics are verified by
+    `HamiltonianSolution.verify`."""
     n = chart.n
     p = f.degree + 1
     q = g.degree + 1

@@ -18,12 +18,13 @@ in floats its drift is round-off.
 `kg_step` is the one stepping kernel.  It advances one run, or a stack of
 runs sharing dx, dt and M, any number of levels in ghost-padded buffers
 with preallocated scratch, optionally writing every level into a caller's
-frame array; `simulate` records a trajectory through it (the conservation
-experiment records the field and its linear test solution as one stack)
-and `reversibility_error` runs it forwards and, with the levels swapped,
-backwards.  Each run's results are bit-identical to the plain one-level
-`np.roll` expression (same IEEE operations in the same order), so
-recorded runs and their digests do not depend on the kernel or the stack.
+frame array; `simulate` records a trajectory through it, the conservation
+experiment steps the field and its linear test solution as one stack, one
+window of levels at a time, and `reversibility_error` runs it forwards
+and, with the levels swapped, backwards.  Each run's results are
+bit-identical to the plain one-level `np.roll` expression (same IEEE
+operations in the same order), so recorded runs, series and their digests
+do not depend on the kernel, the stack or the windows.
 
 Lifting a discrete solution into the scalar-field chart uses centered
 differences for the momenta p^mu_a = eta^{mu nu} d_nu phi^a and fixes the
@@ -246,15 +247,20 @@ class FieldHistory:
         return len(self.times)
 
 
+def _level_times(state: FieldState, n_steps: int) -> np.ndarray:
+    """Times of the state's level and the `n_steps` levels after it.  A
+    cumulative sum adds in sequence, so entry j is t0 + dt + ... + dt
+    exactly as kg_step accumulates it."""
+    times = np.full(n_steps + 1, state.dt)
+    times[0] = state.time
+    return np.cumsum(times, out=times)
+
+
 def simulate(state: FieldState, n_steps: int) -> FieldHistory:
     frames = np.empty((n_steps + 1, *state.phi.shape))
     frames[0] = state.phi
     kg_step(state, n_steps, frames[1:])
-    # a cumulative sum adds in sequence, so times[j] is t0 + dt + ... + dt
-    # exactly as kg_step accumulates it
-    times = np.full(n_steps + 1, state.dt)
-    times[0] = state.time
-    np.cumsum(times, out=times)
+    times = _level_times(state, n_steps)
     return FieldHistory(
         dx=state.dx, dt=state.dt, times=times, phi=frames, mass2=state.mass2, coupling=state.coupling
     )
@@ -446,11 +452,13 @@ def pointwise_dynamics_on_lift(curve: LiftedCurve, chart: Chart, observable: Pol
 # ---------------------------------------------------------------------------
 
 
-# Largest frame array that one experiment may ask for: every recorded
-# level of both field components of both runs (the field and U), float64.
-# The shipped configs record about 46.6 MB; the limit turns a mistyped
-# `crossing_times` or `grid_points` into an input error before anything is
-# allocated.
+# Largest run that one experiment may ask for, counted as the bytes of
+# every level of both field components of both runs (the field and U) in
+# float64: levels x grid points, which bounds the run's work.  The
+# experiment holds one window of levels, not the run (the shipped configs
+# step 46.6 MB of levels through a window of about 1 MB); the limit turns
+# a mistyped `crossing_times` or `grid_points` into an input error before
+# anything runs.
 FRAME_BYTES_LIMIT = 2**28
 
 # The functionals an experiment reports, the names its expectations may use.
@@ -577,10 +585,11 @@ class ExperimentResult:
         }
 
 
-# recorded rows that conservation_experiment reduces at once.  A chunk
-# holds about seven temporaries of chunk x 2 x M floats, under 0.5 MB at
-# M = 256, so the run's peak memory stays that of its frames, and 711
-# rows take 45 iterations instead of 711.
+# recorded rows that conservation_experiment reduces at once.  A chunk's
+# window holds (chunk - 1) x stride + 3 levels of both runs, about 1 MB at
+# stride 8 and M = 256, and its reduction about seven temporaries of
+# chunk x 2 x M floats, under 0.5 MB; 711 rows take 45 iterations instead
+# of 711.
 _SERIES_CHUNK = 16
 
 
@@ -591,7 +600,14 @@ def relative_drift(series: np.ndarray) -> float:
 
 def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Step the field and a linear solution U as one stack, and classify
-    each functional of the recorded rows as conserved or drifting:
+    each functional of the recorded rows as conserved or drifting.
+
+    Row r reads levels r - 1, r and r + 1.  The stack is stepped one chunk
+    of rows at a time: without frames up to the level before the chunk's
+    first row, then into one window, allocated once, up to the level after
+    its last row, and the chunk is reduced there.  Stepping ends at the
+    level after the last row, and no array the size of the run is
+    allocated.  The functionals are
 
     * the total charge integral (conserved for any coupling);
     * the test-profile functional paired with a simultaneously evolved
@@ -608,19 +624,31 @@ def conservation_experiment(config: ExperimentConfig) -> ExperimentResult:
     stack = replace(state, phi=np.stack([state.phi, test_state.phi]),
                     phi_prev=np.stack([state.phi_prev, test_state.phi_prev]),
                     mass2=np.array([config.mass2] * 2), coupling=np.array([config.coupling, 0.0]))
-    history = simulate(stack, n_steps)
-    phi, u = history.phi[:, 0], history.phi[:, 1]  # views, (T, 2, M) each
-    dt, dx = history.dt, history.dx
-    rows = np.arange(1, n_steps, config.record_stride)
-    times = history.times[rows]
+    dt, dx, stride = stack.dt, stack.dx, config.record_stride
+    rows = np.arange(1, n_steps, stride)
+    times = _level_times(stack, rows[-1])[rows]
+    # the levels of one chunk of rows, reused by every chunk
+    window = np.empty((min((_SERIES_CHUNK - 1) * stride + 3, n_steps + 1), *stack.phi.shape))
+    phi, u = window[:, 0], window[:, 1]  # views, (W, 2, M) each
+    cur, level = stack, 0  # cur.phi is level `level`, cur.phi_prev the one before
 
     series = {name: np.empty(len(rows)) for name in FUNCTIONALS}
     # the rows reduce in chunks: each row's sum over the lattice is the
     # per-row sum, and the component sums are one add per value
     for start in range(0, len(rows), _SERIES_CHUNK):
         out = slice(start, start + _SERIES_CHUNK)
-        first, stop = rows[start], rows[out][-1] + 1
-        at, before, after = (slice(first + d, stop + d, config.record_stride) for d in (0, -1, 1))
+        first, last = int(rows[start]), int(rows[out][-1])
+        if level < first - 1:
+            cur = kg_step(cur, first - 1 - level)
+            level = first - 1
+        # window[i] is level first - 1 + i; the state already holds the
+        # first one or two (two when the stride is 1)
+        seeded = level - first + 2
+        window[:seeded] = (cur.phi_prev, cur.phi)[2 - seeded:]
+        width = last - first + 3
+        cur = kg_step(cur, width - seeded, window[seeded:width])
+        level = last + 1
+        at, before, after = (slice(1 + d, width - 1 + d, stride) for d in (0, -1, 1))
         p = phi[at]
         dtphi = (phi[after] - phi[before]) / (2.0 * dt)
         dtu = (u[after] - u[before]) / (2.0 * dt)

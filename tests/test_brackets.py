@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_aof
+from conftest import random_aof, random_form_over
 from multisymp import brackets
 from multisymp.algebra import Polynomial, RationalSampler
 from multisymp.brackets import (
@@ -540,6 +540,25 @@ def test_dynamics_relation_random_pairs():
         )
         verdict = dynamics_relation_check(chart, f_form, g_form, sol)
         assert verdict.passed, (p, q, trial)
+
+
+@pytest.mark.parametrize("label", ["lepage-dedecker:2,2", "ddw:2,2"])
+def test_dynamics_relation_does_not_check_the_dynamics(label):
+    """The relation check verifies an interior-product identity and its
+    sign conventions on the solution's frame, not Hamilton's equation:
+    expanding X . dF over the factors of a decomposable X gives both sides
+    the same sum, so it passes on a frame that solves nothing.  The
+    dynamics are checked by `HamiltonianSolution.verify`."""
+    chart = lepage_dedecker_chart(2, 2) if label.startswith("lepage") else ddw_chart(2, 2)
+    sampler = RationalSampler(79)
+    point = sampler.point(chart.dim)
+    sol = hamiltonian_nvector_solve(chart, frame_compatible_hamiltonian(chart, sampler, point), point)
+    unsolved = dataclasses.replace(sol, base_assignment=tuple(sampler.rational() + 5 for _ in sol.base_assignment))
+    assert sol.verify() and not unsolved.verify()
+    for p, q in [(1, 1), (1, 2), (2, 1), (2, 2)] * 2:
+        f_form, g_form = (random_form_over(chart, k - 1, chart.frame.names, sampler) for k in (p, q))
+        verdict = dynamics_relation_check(chart, f_form, g_form, unsolved)
+        assert verdict.passed and verdict.checked, (p, q)
 
 
 def test_dynamics_relation_rejects_low_degrees():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -426,9 +427,11 @@ def test_zero_field_experiment():
 
 def test_frame_budget_boundary():
     """With cfl 1/2 on 256 points a run takes 512 steps per crossing, and
-    a level of the experiment's frames is 2 runs * 2 components * 256 * 8
-    bytes; the largest experiment that fits records exactly
-    FRAME_BYTES_LIMIT bytes.  Constructing a config allocates nothing."""
+    a level of the experiment is 2 runs * 2 components * 256 float64s; the
+    largest experiment that fits steps levels x grid points worth exactly
+    FRAME_BYTES_LIMIT bytes.  The limit bounds the run's work: the
+    experiment holds one window of levels, never the whole run, and
+    constructing a config allocates nothing."""
     from multisymp.fieldlab import FRAME_BYTES_LIMIT
 
     levels = FRAME_BYTES_LIMIT // (2 * 2 * 256 * 8)
@@ -470,17 +473,42 @@ SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "scripts").glob("*.json
 @pytest.mark.parametrize("config", [load_experiment_config(path) for path in SHIPPED_CONFIGS] + [
     ExperimentConfig(coupling=0.5, crossing_times=2.0, record_stride=3),  # 379 rows, a partial last chunk
     ExperimentConfig(coupling=0.5, crossing_times=0.5, record_stride=32),  # 9 rows, fewer than one chunk
-], ids=[path.stem for path in SHIPPED_CONFIGS] + ["partial-chunk", "under-one-chunk"])
+    # 283 rows: each window starts one level before the end of the last one
+    ExperimentConfig(coupling=0.5, crossing_times=0.5, record_stride=1),
+    # 142 rows: each window starts at the last level of the one before
+    ExperimentConfig(coupling=0.5, crossing_times=0.5, record_stride=2),
+    ExperimentConfig(coupling=0.5, crossing_times=0.5, record_stride=1000),  # one row
+    # 95 rows; the leapfrog is unstable at this amplitude, and the series
+    # turn NaN after 76 rows
+    ExperimentConfig(grid_points=64, coupling=5.0, crossing_times=2.0, record_stride=3,
+                     field_modes=(Mode(10.0, 1, 0.0),)),
+], ids=[path.stem for path in SHIPPED_CONFIGS] + [
+    "partial-chunk", "under-one-chunk", "stride-1", "stride-2", "one-row", "blows-up"])
 def test_chunked_series_equal_the_per_row_loop(config):
     from multisymp.fieldlab import _SERIES_CHUNK
 
-    result = conservation_experiment(config)
-    series, times = reference_series(config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = conservation_experiment(config)
+        series, times = reference_series(config)
     assert len(times) % _SERIES_CHUNK
     assert result.times.tobytes() == times.tobytes()
     assert sorted(result.series) == sorted(series)
     for name in series:
         assert result.series[name].tobytes() == series[name].tobytes(), name
+
+
+def test_the_experiment_holds_one_window_of_levels():
+    """The shipped configs step 5,691 levels of two runs, 46.6 MB of
+    frames; the experiment holds one window of 123 levels (about 1 MB) and
+    the reductions of one chunk of rows, so its traced peak stays far
+    below the run's size."""
+    tracemalloc.start()
+    try:
+        conservation_experiment(ExperimentConfig(coupling=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_functional_series_matches_experiment_charge():
