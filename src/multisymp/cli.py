@@ -106,8 +106,9 @@ def _rationals(data, what: str, length: int) -> tuple[Fraction, ...]:
 # cost is why both are capped, at four times the default of 4 samples and
 # five times the default of 3 points: on the largest built-in chart,
 # `observable maxwell --form @volume-primitive` at 16 points and 16 samples
-# took 1.1-1.7 s end to end over eight runs (shared 2-vCPU Xeon, CPython
-# 3.11.7).
+# took 0.20-0.31 s end to end over eight cold runs (shared 2-vCPU Xeon,
+# CPython 3.11.7), since no Maxwell family is live for that form and the
+# sampler draws nothing for it (`dynamics.of_sampling_test`).
 MAX_SAMPLES = 16
 MAX_POINTS = 16
 

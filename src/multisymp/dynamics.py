@@ -19,11 +19,13 @@ the observability property quantifies over, so the sampler never
 recomputes a contraction.  Its pairings are computed on the form's
 support: only the parameters of columns the form reads enter the factors,
 and a direction that is zero on all of them is counted as a sample
-without being evaluated, since it cannot change the value.  They run over
-Python integers: the form, the kernel directions and each sample are held
-as integer numerators over one common denominator, every factor of X is
-scaled by the denominator of its parameter values, and a pairing builds
-one `Fraction` from its integer minor sum.
+without being evaluated, since it cannot change the value; after the last
+family whose kernel reaches that support, samples are counted and not
+drawn.  They run over Python integers: the form, the kernel directions
+and each sample are held as integer numerators over one common
+denominator, every factor of X is scaled by the denominator of its
+parameter values, and a pairing builds one `Fraction` from its integer
+minor sum.
 
 For solving the Hamilton equation the free coordinates are all
 non-selected directions and the polynomial system is reduced by
@@ -513,15 +515,18 @@ def of_sampling_test(
 
     Affinity of the contraction X -> X . Omega in the parameters is
     certified exactly once per family (`OmegaContraction.affine_on`, cached
-    with the kernel by `_family_step_data`); a family with a nonempty
-    kernel that is not affine raises `DegenerateSystem` before any sample
-    is drawn.  On an affine family, pairs X, X~ differing by a kernel
-    direction of its linear part have exactly equal contraction, so
-    a(X) = a(X~) is the property under test and no contraction is
-    recomputed per sample.  A reported counterexample is exact and final;
-    a pass is probabilistic over the seeded sample schedule (affine data
-    on an open set extends to the whole family, which is why sampling
-    near arbitrary base points suffices).
+    with the kernel by `_family_step_data`); the families are visited in
+    `combinations` order, and the first family with a nonempty kernel that
+    is not affine raises `DegenerateSystem` before any of its own samples
+    is drawn (earlier families have been sampled by then, and a
+    counterexample among them is returned first).  On an affine family,
+    pairs X, X~ differing by a kernel direction of its linear part have
+    exactly equal contraction, so a(X) = a(X~) is the property under test
+    and no contraction is recomputed per sample.  A reported
+    counterexample is exact and final; a pass is probabilistic over the
+    seeded sample schedule (affine data on an open set extends to the
+    whole family, which is why sampling near arbitrary base points
+    suffices).
 
     Pairings are computed on the form's support only: a(X) reads the
     columns that occur in the keys of a, so it depends only on the
@@ -529,6 +534,16 @@ def of_sampling_test(
     the factors are built from those alone.  A direction that is zero on
     every active parameter leaves a(X) exactly unchanged; it still draws
     its scale and counts as a sample, but no pairing is evaluated for it.
+
+    A family is live when some kernel vector is nonzero at an active
+    parameter; the mixed direction combines kernel vectors, so every
+    direction of a family that is not live is zero on the active ones.
+    The sampler is local to the call, so after the last live family no
+    draw can reach a pairing, a counterexample or the count: those later
+    families draw nothing, and each adds the samples it would have drawn,
+    `sample_count * (len(kernel) + (len(kernel) > 1))`, to the count.
+    Families up to the last live one draw as before, dead ones included,
+    so every counterexample and count is the one drawing them all gives.
 
     The arithmetic is over the integers.  The evaluated form is cleared of
     denominators once per call (a = a_int / a_den), the active kernel
@@ -555,15 +570,25 @@ def of_sampling_test(
     names = chart.frame.names
     samples_used = 0
 
+    families = []
+    last_live = -1
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
         family = observability_family(chart, horizontal)
-        nparams = len(family.params)
         kernel, affine = _family_step_data(chart, family, omega)
+        active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
+        if any(vec[pos] for vec in kernel for pos in active):
+            last_live = len(families)
+        families.append((horizontal, family, kernel, affine, active))
+
+    for position, (horizontal, family, kernel, affine, active) in enumerate(families):
         if not kernel:
             continue
         if not affine:
             raise DegenerateSystem("contraction is not affine on this family")
-        active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
+        if position > last_live:
+            samples_used += sample_count * (len(kernel) + (len(kernel) > 1))
+            continue
+        nparams = len(family.params)
         active_keys = [(slot, (c,)) for slot, c in (family.params[pos] for pos in active)]
         held = [h in support for h in horizontal]
         kernel_den, flat = _numerators([vec[pos] for vec in kernel for pos in active])

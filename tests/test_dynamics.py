@@ -208,9 +208,12 @@ def test_momentum_pair_with_horizontal_block_fails():
     assert not verdict.passed
 
 
-def test_omega_with_two_fiber_legs_is_not_affine():
+def test_omega_with_two_fiber_legs_is_not_affine(monkeypatch):
     """A term dp ^ dp ^ dq makes the contraction quadratic in the family
-    parameters, so a kernel move changes it and the sampler refuses."""
+    parameters, so a kernel move changes it and the sampler refuses.  The
+    volume form reads base columns only, so no family is live and the
+    refusal is reached in the stretch that draws nothing: it still comes,
+    in family order, with no draw before it."""
     from dataclasses import replace
 
     chart = lepage_dedecker_chart(2, 1)
@@ -224,8 +227,15 @@ def test_omega_with_two_fiber_legs_is_not_affine():
     point = RationalSampler(37).point(chart.dim)
     volume = form_basis(f, "q1", "q2")
     assert of_sampling_test(chart, volume, point, seed=41).passed
+    liveness = _family_liveness(bent, volume, point)
+    assert not any(live for _, _, live in liveness)
+    assert any(kernel and not affine for kernel, affine, _ in liveness)
+    draws = _count_draws(monkeypatch)
     with pytest.raises(DegenerateSystem, match="contraction is not affine on this family"):
         of_sampling_test(bent, volume, point, seed=41)
+    assert draws == [0]
+    with pytest.raises(DegenerateSystem, match="contraction is not affine on this family"):
+        _full_factor_sampler(bent, volume, point, 4, 41)
 
 
 def _observability_families(chart):
@@ -466,6 +476,119 @@ def _full_factor_sampler(chart, a, point, sample_count, seed):
                     )
                     return OFVerdict(False, samples_used, counterexample, point)
     return OFVerdict(True, samples_used)
+
+
+def _count_draws(monkeypatch):
+    """Count every `RationalSampler.rational` call (`nonzero` draws through
+    it) from now on, in a one-element list."""
+    draws = [0]
+    real = RationalSampler.rational
+
+    def counted(self):
+        draws[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(RationalSampler, "rational", counted)
+    return draws
+
+
+def _family_liveness(chart, a, point):
+    """(kernel, affine, live) per observability family in `combinations`
+    order: live when a kernel vector is nonzero on a parameter (slot, c)
+    with c in the support of the evaluated form."""
+    point = tuple(Fraction(v) for v in point)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, point))
+    support = set().union(*eval_terms(a.terms, point))
+    out = []
+    for family in _observability_families(chart):
+        kernel, affine = _family_step_data(chart, family, omega)
+        active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
+        out.append((kernel, affine, any(vec[pos] for vec in kernel for pos in active)))
+    return out
+
+
+def test_the_maxwell_volume_form_draws_nothing(monkeypatch):
+    """The volume form reads base columns only and every kernel vector
+    lives on fiber parameters, so no Maxwell family is live: the sampler
+    draws nothing, counts every sample it would have drawn, and gives the
+    full-factor loop's verdict."""
+    chart = maxwell_chart()
+    point = RationalSampler(83).point(chart.dim)
+    volume = chart.volume_form()
+    liveness = _family_liveness(chart, volume, point)
+    assert len(liveness) == 70 and not any(live for _, _, live in liveness)
+    draws = _count_draws(monkeypatch)
+    verdict = of_sampling_test(chart, volume, point, sample_count=3, seed=5)
+    assert draws == [0]
+    assert verdict.passed
+    assert verdict.samples_used == sum(3 * (len(kernel) + (len(kernel) > 1)) for kernel, _, _ in liveness) > 0
+    assert repr(verdict) == repr(_full_factor_sampler(chart, volume, point, 3, 5))
+    assert draws[0] > 0
+
+
+def test_no_draws_after_the_last_live_family(monkeypatch):
+    """A passing candidate on the gauged scalar chart has dead families
+    before its last live one, which still draw, and a dead family with a
+    kernel after it, which does not.  The draws made are exactly those of
+    the schedule replayed up to the last live family."""
+    chart = builtin_chart("scalar:2,gauged")
+    sampler = RationalSampler(1026)
+    point = sampler.point(chart.dim)
+    form = random_aof_like_candidate(chart, sampler)
+    liveness = _family_liveness(chart, form, point)
+    last_live = max(i for i, (_, _, live) in enumerate(liveness) if live)
+    assert any(kernel and not live for kernel, _, live in liveness[:last_live])
+    assert any(kernel for kernel, _, _ in liveness[last_live + 1 :])
+
+    draws = _count_draws(monkeypatch)
+    verdict = of_sampling_test(chart, form, point, sample_count=3, seed=7)
+    drawn = draws[0]
+    assert verdict.passed
+
+    draws[0] = 0
+    replay = RationalSampler(7)
+    for family, (kernel, _, _) in zip(_observability_families(chart)[: last_live + 1], liveness):
+        if not kernel:
+            continue
+        for _ in range(3):
+            for _ in family.params:
+                replay.rational()
+            if len(kernel) > 1:
+                for _ in kernel:
+                    replay.rational()
+            for _ in range(len(kernel) + (len(kernel) > 1)):
+                replay.nonzero()
+    assert drawn == draws[0]
+
+    draws[0] = 0
+    assert repr(verdict) == repr(_full_factor_sampler(chart, form, point, 3, 7))
+    assert draws[0] > drawn
+
+
+@pytest.mark.parametrize("bent", [False, True], ids=["ddw:3,2", "bent"])
+def test_an_early_counterexample_wins_over_later_families(bent):
+    """A candidate that fails on the first family of ddw:3,2, where later
+    families are live too, returns that family's counterexample; on a
+    chart whose later families are not affine it is returned before the
+    refusal those families would raise.  Both as the full-factor loop."""
+    from dataclasses import replace
+
+    plain = builtin_chart("ddw:3,2")
+    chart = plain
+    if bent:
+        legs = PolyForm.from_named(plain.frame, 4, [(["p1_1", "p2_1", "y1", "y2"], 1)])
+        chart = replace(plain, name="bent", omega=plain.omega + legs, theta=None)
+    sampler = RationalSampler(2002)
+    point = sampler.point(chart.dim)
+    form = random_aof_like_candidate(plain, sampler)
+    liveness = _family_liveness(chart, form, point)
+    assert liveness[0][2] and any(live for _, _, live in liveness[1:])
+    assert all(affine for _, affine, _ in liveness) != bent
+    verdict = of_sampling_test(chart, form, point, seed=3)
+    assert not verdict.passed
+    assert verdict.counterexample.family_horizontal == ("x1", "x2", "x3")
+    assert repr(verdict) == repr(_full_factor_sampler(chart, form, point, 4, 3))
+    assert recheck_of_counterexample(chart, form, point, verdict.counterexample)
 
 
 @pytest.mark.parametrize("label", CLI_CORPUS_CHARTS)
