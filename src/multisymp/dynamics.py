@@ -504,6 +504,14 @@ class OFVerdict:
     failed_point: tuple[Fraction, ...] | None = None
 
 
+def schedule_length(sample_count: int, kernel_size: int) -> int:
+    """The samples that `of_sampling_test` counts on one family whose
+    linear part has a kernel of `kernel_size` directions: each of its
+    `sample_count` base points is moved along every kernel direction, and
+    along one seeded mix of them when there are two or more."""
+    return sample_count * (kernel_size + (kernel_size > 1))
+
+
 def of_sampling_test(
     chart: Chart,
     a: PolyForm,
@@ -541,7 +549,7 @@ def of_sampling_test(
     The sampler is local to the call, so after the last live family no
     draw can reach a pairing, a counterexample or the count: those later
     families draw nothing, and each adds the samples it would have drawn,
-    `sample_count * (len(kernel) + (len(kernel) > 1))`, to the count.
+    `schedule_length(sample_count, len(kernel))`, to the count.
     Families up to the last live one draw as before, dead ones included,
     so every counterexample and count is the one drawing them all gives.
 
@@ -586,7 +594,7 @@ def of_sampling_test(
         if not affine:
             raise DegenerateSystem("contraction is not affine on this family")
         if position > last_live:
-            samples_used += sample_count * (len(kernel) + (len(kernel) > 1))
+            samples_used += schedule_length(sample_count, len(kernel))
             continue
         nparams = len(family.params)
         active_keys = [(slot, (c,)) for slot, c in (family.params[pos] for pos in active)]

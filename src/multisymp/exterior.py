@@ -68,6 +68,10 @@ class CoordinateFrame:
             raise ValueError("coordinate names must be unique")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
+        # the frame is immutable, so its base/fiber split is computed once
+        fiber = tuple(i for i, (_, kind) in enumerate(self.coords) if kind.is_fiber)
+        object.__setattr__(self, "_fiber", fiber)
+        object.__setattr__(self, "_base", tuple(i for i in range(len(names)) if i not in fiber))
 
     @classmethod
     def build(cls, coords: Iterable[tuple[str, str | CoordKind]]) -> CoordinateFrame:
@@ -87,10 +91,10 @@ class CoordinateFrame:
         return self.coords[self.index(name)][1]
 
     def base_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, kind) in enumerate(self.coords) if not kind.is_fiber)
+        return self._base  # type: ignore[attr-defined]
 
     def fiber_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, kind) in enumerate(self.coords) if kind.is_fiber)
+        return self._fiber  # type: ignore[attr-defined]
 
     # polynomial helpers over this frame's variables
     def poly_zero(self) -> Polynomial:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -715,3 +716,126 @@ def test_recheck_refuses_an_aof_record_without_its_witness(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"input error: check 1 of {path}: the witness lacks dF"]
+
+
+# -- the of check of a form with a Hamilton field -------------------------------
+
+# the families of lepage-dedecker:1,1 have empty kernels, those of
+# scalar:2,gauged kernels of four different sizes
+_HAMILTON_CHARTS = ["ddw:2,2", "lepage-dedecker:2,2", "lepage-dedecker:2,3", "ddw:3,2", "scalar:2", "scalar:3",
+                    "maxwell", "lepage-dedecker:1,1", "scalar:2,gauged"]
+# (--points, --samples, whether one --point is given instead)
+_COUNTS = [(1, 1, False), (3, 4, False), (5, 2, False), (1, 3, True)]
+
+
+def _aof_commands(label: str, seed: int):
+    """Seeded random AOFs on one chart (`random_aof`), one per entry of
+    `_COUNTS`: the chart, the form, the sample count and the argv."""
+    from conftest import random_aof
+    from multisymp.algebra import RationalSampler
+    from multisymp.charts import builtin_chart
+    from multisymp.exterior import dump_form
+
+    chart = builtin_chart(label)
+    sampler = RationalSampler(seed)
+    for k, (points, samples, fixed) in enumerate(_COUNTS):
+        form = random_aof(chart, sampler)
+        argv = ["--seed", str(seed + k), "observable", label, "--form", json.dumps(dump_form(form)),
+                "--samples", str(samples)]
+        if fixed:
+            argv.append("--point=" + ",".join(str(v) for v in sampler.point(chart.dim)))
+        else:
+            argv += ["--points", str(points)]
+        yield chart, form, samples, argv
+
+
+def _of_record(report: dict) -> dict:
+    return next(c for c in report["checks"] if c["check_id"] == "of")
+
+
+@pytest.mark.parametrize("label", _HAMILTON_CHARTS)
+def test_of_verdict_of_an_aof_equals_the_sampled_verdict(monkeypatch, capsys, label):
+    """The verdict that `observable` writes for a form with a Hamilton
+    field, without sampling, is the one `is_of` draws at the report's
+    points with the same seed and sample count, field for field."""
+    from multisymp import cli
+    from multisymp.dynamics import OFVerdict
+    from multisymp.observables import is_of
+
+    made = []
+
+    def verdict(**fields):
+        made.append(OFVerdict(**fields))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "OFVerdict", verdict)
+    for chart, form, samples, argv in _aof_commands(label, 3100 + _HAMILTON_CHARTS.index(label)):
+        made.clear()
+        code, report = run(capsys, *argv)
+        assert code == 0
+        record = _of_record(report)
+        points = [tuple(Fraction(v) for v in p) for p in record["witness"]["points"]]
+        sampled = is_of(chart, form, points, sample_count=samples, seed=int(argv[1]))
+        assert made == [sampled]
+        assert record["status"] == "pass" and record["witness"]["samples"] == sampled.samples_used
+
+
+@pytest.mark.parametrize("label", _HAMILTON_CHARTS)
+def test_observable_never_samples_a_form_with_a_hamilton_field(monkeypatch, capsys, label):
+    """The aof witness proves the of check, so no AOF command, shortcut
+    forms included, reaches the sampler."""
+    from multisymp import observables
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler ran for a form with a Hamilton field")
+
+    monkeypatch.setattr(observables, "of_sampling_test", refuse)
+    argvs = [argv for _, _, _, argv in _aof_commands(label, 3200 + _HAMILTON_CHARTS.index(label))]
+    argvs.append(["observable", label, "--form", "@charge" if label.startswith("scalar") else "@volume-primitive"])
+    for argv in argvs:
+        code, report = run(capsys, *argv)
+        assert code == 0
+        assert {c["check_id"]: c["status"] for c in report["checks"]}["of"] == "pass"
+
+
+_FAILING_OF_FORM = '{"degree": 1, "terms": [{"indices": ["p34"], "coeff": "p12"}]}'  # p12 dp34
+
+
+@pytest.mark.parametrize("seed, counts, witness", [
+    ("0", [], {
+        "base_params": ["3/2", "-4", "7/2", "3/2", "3", "9", "7", "0", "-2", "-1/3", "-5/2", "-2"],
+        "family": ["q1", "q2"], "form": {"degree": 2, "terms": [{"coeff": "1", "indices": ["p12", "p34"]}]},
+        "kernel_direction": ["0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0"],
+        "point": ["3/2", "-4", "7/2", "3/2", "3", "9", "7", "0", "-2", "-1/3"],
+        "scale": "1", "value": "-66", "value_perturbed": "-73"}),
+    ("3", ["--points", "16", "--samples", "16"], {
+        "base_params": ["-2/3", "8", "2/3", "2", "9", "-9/2", "-1/3", "-2", "2", "4", "1", "-5"],
+        "family": ["q1", "q2"], "form": {"degree": 2, "terms": [{"coeff": "1", "indices": ["p12", "p34"]}]},
+        "kernel_direction": ["0", "0", "0", "0", "0", "1", "0", "0", "0", "0", "0", "0"],
+        "point": ["-2/3", "8", "2/3", "2", "9", "-9/2", "-1/3", "-2", "2", "4"],
+        "scale": "-5/2", "value": "11/6", "value_perturbed": "1"}),
+], ids=["defaults", "caps"])
+def test_a_form_without_a_hamilton_field_is_still_sampled(monkeypatch, capsys, tmp_path, seed, counts, witness):
+    """p12 dp34 on lepage-dedecker:2,2 has no Hamilton field: it reaches the
+    sampler, whose counterexample is the pinned one, and recheck replays it."""
+    from multisymp import observables
+
+    calls = []
+    sample = observables.of_sampling_test
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "of_sampling_test", counted)
+    path = tmp_path / "report.json"
+    assert main(["--seed", seed, "observable", "lepage-dedecker:2,2", "--form", _FAILING_OF_FORM, *counts,
+                 "--output", str(path)]) == 1
+    report = json.loads(path.read_text())
+    assert {c["check_id"]: c["status"] for c in report["checks"]}["aof"] == "fail"
+    assert calls and [str(v) for v in calls[-1]] == witness["point"]
+    assert json.dumps(_of_record(report), sort_keys=True) == json.dumps({
+        "check_id": "of", "law": "value on the solution cone depends on the contraction only", "status": "fail",
+        "witness": witness}, sort_keys=True)
+    code, result = run(capsys, "recheck", str(path))
+    assert code == 0 and result["failed"] == 0 and result["verified"] >= 2

@@ -375,6 +375,22 @@ def test_family_kernels_from_sparse_rows_equal_the_dense_nullspace(monkeypatch, 
         assert kernel == [tuple(v) for v in nullspace(matrix)]
 
 
+@pytest.mark.parametrize("label", BUILTIN_LABELS)
+def test_observability_families_read_the_frames_fiber_split_once(label):
+    """A frame's base and fiber indices are computed once, when it is built,
+    and every observability family is the one the per-coordinate test
+    `kind.is_fiber` gives."""
+    chart = builtin_chart(label)
+    frame = chart.frame
+    fiber = tuple(i for i, (_, kind) in enumerate(frame.coords) if kind.is_fiber)
+    base = tuple(i for i, (_, kind) in enumerate(frame.coords) if not kind.is_fiber)
+    assert frame.fiber_indices() is frame.fiber_indices() and frame.fiber_indices() == fiber
+    assert frame.base_indices() is frame.base_indices() and frame.base_indices() == base
+    assert _observability_families(chart) == [
+        dynamics.VerticalFamily(horizontal, fiber) for horizontal in combinations(base, chart.n)
+    ]
+
+
 def test_family_kernels_are_shared_across_points_and_charts(monkeypatch):
     """Maxwell's Omega is constant: two charts built apart, at 16 points
     each, compute each of the 70 family kernels once, and a hit at a new
