@@ -47,7 +47,7 @@ from .exterior import (
     vector_basis,
     wedge,
 )
-from .linalg import nullspace
+from .linalg import RowBasis
 
 MAX_MOMENTUM_COORDS = 10_000
 
@@ -573,15 +573,22 @@ def nondegeneracy_check(chart: Chart, seed: int = 0) -> NondegeneracyVerdict:
 
     For constant-coefficient Omega one evaluation decides exactly; otherwise
     the kernel is required to vanish at `_NONDEGENERACY_POINTS` seeded
-    random rational points.
+    random rational points.  The rows of `contraction_matrix`, in order,
+    are fed sparsely to one `RowBasis` until the rank is full; a zero
+    Omega has none, and every direction is in its kernel.
     """
     exact = omega_is_constant(chart)
     sampler = RationalSampler(seed)
     points = [None] if exact else [sampler.point(chart.dim) for _ in range(_NONDEGENERACY_POINTS)]
     for checked, point in enumerate(points, 1):
-        kernel = nullspace(contraction_matrix(chart, point))
-        if kernel:
-            return NondegeneracyVerdict(False, True, tuple(kernel[0]), checked)
+        columns = contraction_columns(chart, point)
+        basis = RowBasis(chart.dim)
+        for key in dict.fromkeys(key for column in columns for key in column):
+            basis.add({j: column[key] for j, column in enumerate(columns) if key in column})
+            if basis.rank == chart.dim:
+                break
+        else:
+            return NondegeneracyVerdict(False, True, tuple(basis.nullspace()[0]), checked)
     return NondegeneracyVerdict(True, exact, None, len(points))
 
 

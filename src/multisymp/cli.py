@@ -104,14 +104,14 @@ def _rationals(data, what: str, length: int) -> tuple[Fraction, ...]:
 
 # `observable` draws every point before it judges anything.  A form with a
 # Hamilton field costs one walk over the observability families whatever
-# the counts, since its `of` pass is certified by the field and its sample
-# count is computed; `observable scalar:4 --form @charge` at 16 points and
-# 16 samples took about 0.14 s end to end cold (shared 2-vCPU Xeon, CPython
-# 3.11.7) against about 3 s when it was sampled.  The counts bound the work
-# on a form without one: the sampler draws every sample of every family up
-# to the last live one at each point until it finds a counterexample, so a
-# form that passes pays for both counts in full.  Both are capped, at four
-# times the default of 4 samples and five times the default of 3 points.
+# the counts, as its `of` pass is certified by the field: at 16 points and
+# 16 samples, `observable scalar:4 --form @charge` and `observable maxwell
+# --form @volume-primitive` each took about 0.14 s cold, mostly start-up
+# (median of nine, shared 2-vCPU Xeon, CPython 3.11.7).  On a form without
+# one the sampler draws every sample of every family up to the last live
+# one at each point until it finds a counterexample, so a form that passes
+# pays for both counts in full.  Both are capped, at four times the default
+# of 4 samples and five times the default of 3 points.
 MAX_SAMPLES = 16
 MAX_POINTS = 16
 
@@ -545,7 +545,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Load the subcommand's inputs, then compute.  The load step's
     ValueError, KeyError, TypeError and OverflowError, and an OSError of
     either step, are input errors; any other exception of the compute step
-    is a fault and propagates."""
+    is a fault and propagates.  A `--point` value that argparse would read
+    as an option, a negative number first, is joined to the flag."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--point" and argv[i][:1] == "-" and argv[i][1:2] in "0123456789.":
+            argv[i - 1 : i + 1] = [f"--point={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         inputs = args.load(args)

@@ -13,10 +13,10 @@ members are X = X_1 ^ ... ^ X_n with
 For observability sampling the free coordinates are the fiber
 (momentum/energy) directions.  Whether X -> X . Omega is then affine in
 the parameters is decided exactly from Omega, once per family
-(`OmegaContraction.affine_on`); on an affine family the kernel of the
-linear part generates exact pairs with equal contraction, which is what
-the observability property quantifies over, so the sampler never
-recomputes a contraction.  Its pairings are computed on the form's
+(`OmegaContraction.affine_on`, by subset tests); on an affine family the
+kernel of the linear part generates exact pairs with equal contraction,
+which is what the observability property quantifies over, so the sampler
+never recomputes a contraction.  Its pairings are computed on the form's
 support: only the parameters of columns the form reads enter the factors,
 and a direction that is zero on all of them is counted as a sample
 without being evaluated, since it cannot change the value; after the last
@@ -40,8 +40,9 @@ list of forms by `linalg.sparse_minor` under one shared memo: the
 contraction `OmegaContraction.of_factors` (the n-forms of its plan), the
 pseudofiber rows (the plan hooked by a unit factor), the sampler, the
 pseudobracket and the pseudofiber integrand check.  Only a family's
-linear part (all factors unit) is read off the plan, by a lookup.  The
-checks that must be independent of that route do not use minors:
+linear part (all factors unit) is read off the plan inverted once per
+Omega, by one lookup per parameter.  The checks that must be independent
+of that route do not use minors:
 `HamiltonianSolution.verify` hooks the factors into Omega one at a time,
 and `recheck_of_counterexample` expands the wedge in full, as do
 `plucker_check` and `brackets.dynamics_relation_check`, which takes
@@ -50,6 +51,7 @@ interior products of the expanded n-vector.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -156,7 +158,7 @@ class OmegaContraction:
     The factor entries may be `Fraction`, `int` or `Polynomial`: the
     components come back in that ring, which is how the Hamilton solver
     contracts its symbolic factors.  Whole unit n-vectors are contracted
-    by a lookup in the plan instead (`_linear_columns`).
+    by a lookup in `by_subset`, the plan inverted on first use, instead.
     """
 
     def __init__(self, omega_num: Terms):
@@ -165,6 +167,16 @@ class OmegaContraction:
             j: {rest: -c if len(rest) % 2 else c for rest, c in _hook_terms({(j,): 1}, omega_num).items()}
             for j in dict.fromkeys(j for key in omega_num for j in key)
         }
+        self._obstructions: dict[tuple[int, ...], set[frozenset[int]]] = {}
+
+    @cached_property
+    def by_subset(self) -> dict[tuple[int, ...], Terms]:
+        """The plan inverted: L -> {(j,): value}, with j in plan order."""
+        index: dict[tuple[int, ...], Terms] = {}
+        for j, entries in self.plan.items():
+            for rest, value in entries.items():
+                index.setdefault(rest, {})[(j,)] = value
+        return index
 
     def of_factors(self, factors: Sequence[Terms]) -> Terms:
         values = decomposable_pairing(factors, self.plan.values())
@@ -181,16 +193,15 @@ class OmegaContraction:
         monomials determine K - j, and K - j with j determines K, so
         distinct terms of one component never cancel.  The map is
         therefore affine exactly when no term has a leg j whose K - j has
-        two or more free legs and all its other legs horizontal.
+        two or more free legs and all its other legs horizontal: the
+        non-free legs of such a term, kept per `free` tuple, are horizontal.
         """
+        free = family.free
+        if free not in self._obstructions:
+            self._obstructions[free] = {frozenset(rest).difference(free) for entries in self.plan.values()
+                                        for rest in entries if sum(c in free for c in rest) >= 2}
         horizontal = set(family.horizontal)
-        free = set(family.free)
-        for entries in self.plan.values():
-            for rest in entries:
-                free_legs = sum(c in free for c in rest)
-                if free_legs >= 2 and all(c in free or c in horizontal for c in rest):
-                    return False
-        return True
+        return not any(legs <= horizontal for legs in self._obstructions[free])
 
 
 def decomposable_pairing(factors: Sequence[Terms], forms: Iterable[Terms]) -> list:
@@ -221,12 +232,17 @@ def _linear_columns(family: VerticalFamily, omega: OmegaContraction) -> list[Ter
     t[slot, c] from 0 to 1 adds exactly the contraction of the unit
     n-vector e_K, K the horizontal legs with the slot-th one replaced by
     c.  Its minor on L is the sign of the permutation sorting K when L is
-    sorted(K), and zero otherwise, so component j is the plan entry of j
-    on sorted(K) times that sign: a lookup, not a minor."""
+    sorted(K), and zero otherwise, so the column is the plan's entries on
+    sorted(K) times that sign: one lookup in `OmegaContraction.by_subset`,
+    not a minor.  That sign is (-1)^(slot + p) times the sign sorting the
+    other (distinct) legs, p the place of c among them."""
     columns = []
-    for slot, c in family.params:
-        rest, sign = sort_with_sign(family.horizontal[:slot] + (c,) + family.horizontal[slot + 1 :])
-        columns.append({(j,): sign * entries[rest] for j, entries in omega.plan.items() if rest in entries})
+    for slot in range(len(family.horizontal)):
+        others, sign = sort_with_sign(family.horizontal[:slot] + family.horizontal[slot + 1 :])
+        for c in family.free:
+            p = bisect_left(others, c)
+            entries = omega.by_subset.get(others[:p] + (c,) + others[p:], {})
+            columns.append(dict(entries) if sign == (-1) ** (slot + p) else {j: -v for j, v in entries.items()})
     return columns
 
 
@@ -246,6 +262,7 @@ def _family_step_data(
     (`OmegaContraction.affine_on`).  Both depend on the family and the
     evaluated Omega only, so they are cached under those across candidate
     forms, points and charts: a constant Omega computes each family once.
+    A miss reads both from indexes built once per Omega (`affine_on`, `by_subset`).
 
     The map's columns (`_linear_columns`) hold a few nonzeros each, so its
     rows are gathered sparsely, coordinate i -> {parameter: value}, and fed

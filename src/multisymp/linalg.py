@@ -88,11 +88,12 @@ class RowBasis:
     def nullspace(self) -> list[list[Fraction]]:
         """One kernel vector per free column, in column order."""
         pivots = set(self.pivots)
+        zero, one = Fraction(0), Fraction(1)  # immutable, so shared by every vector
         kernel = {}
         for f in range(self.cols):
             if f not in pivots:
-                vec = [Fraction(0)] * self.cols
-                vec[f] = Fraction(1)
+                vec = [zero] * self.cols
+                vec[f] = one
                 kernel[f] = vec
         for p, row in zip(self.pivots, self.sparse_rows):
             for f, x in row.items():

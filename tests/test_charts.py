@@ -255,6 +255,77 @@ def test_nondegeneracy_failure_witness():
         assert sum(c * w for c, w in zip(row, kernel_vec)) == 0
 
 
+def _dense_nondegeneracy(chart, seed=0):
+    """`nondegeneracy_check` on the dense matrix: the kernel of
+    `contraction_matrix` at the same points, by `nullspace`."""
+    from multisymp.charts import NondegeneracyVerdict, omega_is_constant
+    from multisymp.linalg import nullspace
+
+    exact = omega_is_constant(chart)
+    sampler = RationalSampler(seed)
+    points = [None] if exact else [sampler.point(chart.dim) for _ in range(3)]
+    for checked, point in enumerate(points, 1):
+        kernel = nullspace(contraction_matrix(chart, point))
+        if kernel:
+            return NondegeneracyVerdict(False, True, tuple(kernel[0]), checked)
+    return NondegeneracyVerdict(True, exact, None, len(points))
+
+
+def _degenerate_spec_charts():
+    """e ^ dx1 ^ dx2 on the split (2, 1) frame, constant and scaled by
+    1 + y1 (sampled), each read back from its spec."""
+    from multisymp.charts import Chart
+
+    healthy = lepage_dedecker_split_chart(2, 1)
+    f = healthy.frame
+    broken = wedge(form_basis(f, "e"), form_basis(f, "x1", "x2"))
+    return [
+        chart_from_spec(chart_to_spec(Chart(name=name, frame=f, n=2, omega=omega, horizontal=healthy.horizontal)))
+        for name, omega in [("broken", broken), ("broken-scaled", broken.scale(f.poly_const(1) + f.poly_var("y1")))]
+    ]
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["lepage-dedecker:1,1", "lepage-dedecker:2,2", "lepage-dedecker:3,3", "lepage-dedecker-split:2,1",
+     "lepage-dedecker-split:3,3", "ddw:2,1", "ddw:3,2", "maxwell", "scalar:2", "scalar:3", "scalar:2,gauged",
+     "degenerate", "scaled"],
+)
+def test_nondegeneracy_from_sparse_rows_equals_the_dense_nullspace(label):
+    """The verdict, and so the `kernel_vector` witness bytes, equal those of
+    the dense matrix's `nullspace`, exact or at the sampled points; the
+    scaled chart is lepage-dedecker:2,2 with Omega times 1 + q1."""
+    from dataclasses import replace
+
+    if label == "degenerate":
+        charts = _degenerate_spec_charts()
+    elif label == "scaled":
+        chart = builtin_chart("lepage-dedecker:2,2")
+        f = chart.frame
+        charts = [replace(chart, name="scaled", omega=chart.omega.scale(f.poly_const(1) + f.poly_var("q1")), theta=None)]
+    else:
+        charts = [builtin_chart(label)]
+    for chart in charts:
+        for seed in (0, 7):
+            assert repr(nondegeneracy_check(chart, seed)) == repr(_dense_nondegeneracy(chart, seed))
+    if label == "degenerate":
+        assert [nondegeneracy_check(chart).exact for chart in charts] == [True, True]
+        assert not any(nondegeneracy_check(chart).passed for chart in charts)
+
+
+def test_a_zero_omega_is_degenerate():
+    """With no rows every direction is in the kernel; the dense matrix of
+    a zero Omega has no rows, and `nullspace` of it is empty."""
+    from multisymp.charts import Chart
+
+    healthy = lepage_dedecker_split_chart(2, 1)
+    zero = chart_from_spec(chart_to_spec(Chart(name="zero", frame=healthy.frame, n=2,
+                                               omega=PolyForm(healthy.frame, 3, {}), horizontal=healthy.horizontal)))
+    verdict = nondegeneracy_check(zero)
+    assert not verdict.passed and verdict.kernel_witness == (1,) + (0,) * (zero.dim - 1)
+    assert "omega is degenerate" in validate_chart(zero)
+
+
 def test_chart_spec_round_trip_bit_exact():
     for chart in all_catalog_charts():
         spec = chart_to_spec(chart)

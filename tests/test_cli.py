@@ -355,6 +355,27 @@ def test_bracket_pseudo_bad_point_is_input_error(capsys, point):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error:")
 
 
+@pytest.mark.parametrize(
+    "verb, point",
+    [
+        (["observable", "lepage-dedecker:1,1", "--form", "@q1"], "-1,1/2,-3,1"),
+        (["bracket", "scalar:2", "--f", "@charge", "--g", "@charge", "--kind", "pseudo"], "-1/2,1,2,-1,1,1,-2,1,1"),
+    ],
+)
+def test_a_negative_point_after_a_space_is_read_as_the_point(verb, point):
+    """argparse reads a token that starts with "-" as an option; a spaced
+    `--point` value with a negative first entry writes the bytes that the
+    `--point=` form writes, and one of the wrong length ends in one input
+    error line."""
+    spaced = run_module(*verb, "--point", point)
+    joined = run_module(*verb, f"--point={point}")
+    assert spaced.returncode == joined.returncode == 0 and spaced.stderr == joined.stderr == ""
+    assert spaced.stdout == joined.stdout and json.loads(spaced.stdout)["checks"]
+    short = run_module(*verb, "--point", point.rsplit(",", 1)[0])
+    assert_input_error(short)
+    assert "point has length" in short.stderr
+
+
 def _failing_observable_report(tmp_path) -> dict:
     from multisymp.charts import ddw_chart
     from multisymp.exterior import dump_form, form_basis

@@ -278,32 +278,33 @@ def _second_differences_vanish(family, omega_num, sampler, trials=3):
     return True
 
 
-@pytest.mark.parametrize(
-    "label, legs, broken_by",
-    [
-        ("lepage-dedecker:2,1", ["p12", "q1", "q2"], set()),  # one fiber leg
-        ("lepage-dedecker:2,1", ["p12", "p13", "q1"], None),  # K - q1 = dp ^ dp
-        ("lepage-dedecker:2,1", ["p12", "p13", "p23"], None),
-        ("ddw:3,2", ["p1_1", "p2_1", "y1", "y2"], {"y1", "y2"}),
-        ("ddw:3,2", ["p1_1", "p2_1", "e", "x1"], None),  # K - x1 has three fiber legs
-    ],
-)
+BENT_TERMS = [
+    ("lepage-dedecker:2,1", ["p12", "q1", "q2"], set()),  # one fiber leg
+    ("lepage-dedecker:2,1", ["p12", "p13", "q1"], None),  # K - q1 = dp ^ dp
+    ("lepage-dedecker:2,1", ["p12", "p13", "p23"], None),
+    ("ddw:3,2", ["p1_1", "p2_1", "y1", "y2"], {"y1", "y2"}),
+    ("ddw:3,2", ["p1_1", "p2_1", "e", "x1"], None),  # K - x1 has three fiber legs
+]
+
+
+def _bent_chart(label, legs):
+    """The built-in chart with the unit (n+1)-form term on `legs` added to Omega."""
+    from dataclasses import replace
+
+    chart = builtin_chart(label)
+    term = PolyForm.from_named(chart.frame, chart.n + 1, [(legs, 1)])
+    return replace(chart, name="bent", omega=chart.omega + term, theta=None)
+
+
+@pytest.mark.parametrize("label, legs, broken_by", BENT_TERMS)
 def test_affinity_certificate_matches_second_differences(label, legs, broken_by):
     """The added term breaks every family (`broken_by` None) or exactly
     those whose horizontal set meets `broken_by`.  With n = 2, K - j has
     two legs, so a term breaks every family or none; with n = 3 a term
     with two fiber and two base legs breaks only the families that hold
     one of its base legs."""
-    from dataclasses import replace
-
-    chart = builtin_chart(label)
-    f = chart.frame
-    bent = replace(
-        chart,
-        name="bent",
-        omega=chart.omega + PolyForm.from_named(f, chart.n + 1, [(legs, 1)]),
-        theta=None,
-    )
+    bent = _bent_chart(label, legs)
+    f = bent.frame
     sampler = RationalSampler(59)
     omega_num = eval_terms(bent.omega.terms, sampler.point(f.dim))
     omega = OmegaContraction(omega_num)
@@ -332,6 +333,39 @@ def test_direct_columns_equal_probe_differences(label):
 BUILTIN_LABELS = CLI_CORPUS_CHARTS + [
     "lepage-dedecker:1,1", "lepage-dedecker:2,1", "lepage-dedecker:3,1", "ddw:2,1", "scalar:3",
 ]
+
+
+def _plan_scan_affine(omega, family):
+    """`OmegaContraction.affine_on` as a scan of the whole plan: some term
+    with two or more free legs and all its other legs horizontal breaks
+    affinity."""
+    horizontal, free = set(family.horizontal), set(family.free)
+    for entries in omega.plan.values():
+        for rest in entries:
+            if sum(c in free for c in rest) >= 2 and all(c in free or c in horizontal for c in rest):
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [pytest.param(label, id=label) for label in BUILTIN_LABELS]
+    + [pytest.param((label, legs), id=f"bent-{label}-{'-'.join(legs)}") for label, legs, _ in BENT_TERMS],
+)
+def test_affinity_index_is_kept_per_free_set(chart):
+    """One Omega judges families with two `free` tuples, the solver
+    family's (every coordinate off its horizontal legs) first and last and
+    the observability families' (the fiber) between, each as the plan scan
+    does.  The plan inverted by n-subset holds every plan entry once, with
+    its j in plan order."""
+    chart = builtin_chart(chart) if isinstance(chart, str) else _bent_chart(*chart)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, RationalSampler(101).point(chart.dim)))
+    families = [solver_family(chart)] + _observability_families(chart) + [solver_family(chart)]
+    assert [omega.affine_on(family) for family in families] == [_plan_scan_affine(omega, f) for f in families]
+    inverted = [(j, rest, v) for rest, entries in omega.by_subset.items() for (j,), v in entries.items()]
+    assert sorted(inverted) == sorted((j, rest, v) for j, entries in omega.plan.items() for rest, v in entries.items())
+    for rest, entries in omega.by_subset.items():
+        assert [j for (j,) in entries] == [j for j, plan_entries in omega.plan.items() if rest in plan_entries]
 
 
 def _unit_factor_columns(family, omega):
