@@ -1,4 +1,4 @@
-"""Brackets between observable forms and their dynamical relations.
+"""Brackets between observable forms.
 
 All constructions are exact.  The pseudobracket of a Hamiltonian with an
 observable (p-1)-form is computed from a pointwise decomposable solution
@@ -33,8 +33,6 @@ from .dynamics import HamiltonianSolution, decomposable_pairing, differential_at
 from .exterior import (
     PolyForm,
     PolyMultivector,
-    Terms,
-    _hook_terms,
     _pair_terms,
     _wedge_terms,
     eval_terms,
@@ -125,7 +123,10 @@ def pseudobracket_aof(
     tensor: AOFTensor,
     point: Sequence[Fraction],
 ) -> PseudobracketValue:
-    """The Hamilton-tensor route: <{H, F}, phi> = -dH(xi_F(phi))."""
+    """The Hamilton-tensor route: <{H, F}, phi> = -dH(xi_F(phi)).
+
+    Its exact agreement with `pseudobracket` is the evolution law
+    <X, dF> = -dH(xi_F), which fails on frames that solve nothing."""
     point = tuple(Fraction(v) for v in point)
     p = tensor.p
     n = chart.n
@@ -357,69 +358,3 @@ def complementary_bracket(chart: Chart, f: PolyForm, g: PolyForm) -> Polynomial:
                 f"{scalar.to_text()} at {f_names}/{g_names}"
             )
     return first
-
-
-# ---------------------------------------------------------------------------
-# the dynamical relation between observable pairs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DynamicsRelationVerdict:
-    passed: bool
-    checked: int
-    failure: tuple[Fraction, Fraction] | None = None
-
-
-def dynamics_relation_check(
-    chart: Chart,
-    f: PolyForm,
-    g: PolyForm,
-    solution: HamiltonianSolution,
-) -> DynamicsRelationVerdict:
-    """Exact check of the two-observable dynamical relation at a point:
-
-        {H, F} . dG (Y) = (-1)^{(n-p)(n-q)} {H, G} . dF (Y)
-
-    for the (p+q-n)-vectors Y that are increasing sub-wedges of the base
-    solution frame.  Both sides are linear in Y, so these decide the
-    relation on their span: no combination of them can fail where each
-    passed.
-
-    With {H, F} read as X . dF, this is an interior-product identity on
-    the solution's frame X: expanding X . dF over the factors of a
-    decomposable X gives both sides the same sum.  The check verifies that
-    identity and its sign conventions, and it passes on frames that do not
-    solve Hamilton's equation too; the dynamics are verified by
-    `HamiltonianSolution.verify`."""
-    n = chart.n
-    p = f.degree + 1
-    q = g.degree + 1
-    if p + q < n:
-        raise ValueError("relation needs n <= p + q")
-    point = solution.point
-    df_num = eval_terms(ext_d(f).terms, point)
-    dg_num = eval_terms(ext_d(g).terms, point)
-    x_terms = solution.expand()
-    vf = _hook_terms(df_num, x_terms)
-    vg = _hook_terms(dg_num, x_terms)
-    sign_f = _sign((n - p) * p)
-    sign_g = _sign((n - q) * q)
-    lhs_form = {k: sign_f * v for k, v in _hook_terms(vf, dg_num).items()}
-    total_sign = _sign((n - p) * (n - q)) * sign_g
-    rhs_form = {k: total_sign * v for k, v in _hook_terms(vg, df_num).items()}
-
-    factors = solution.factors()
-    checked = 0
-    for subset in combinations(range(n), p + q - n):
-        y: Terms = {(): Fraction(1)}
-        for idx in subset:
-            y = _wedge_terms(y, factors[idx])
-        if not y:
-            continue
-        lhs = _pair_terms(y, lhs_form) or Fraction(0)
-        rhs = _pair_terms(y, rhs_form) or Fraction(0)
-        checked += 1
-        if lhs != rhs:
-            return DynamicsRelationVerdict(passed=False, checked=checked, failure=(lhs, rhs))
-    return DynamicsRelationVerdict(passed=True, checked=checked)

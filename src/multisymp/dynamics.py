@@ -44,9 +44,8 @@ linear part (all factors unit) is read off the plan inverted once per
 Omega, by one lookup per parameter.  The checks that must be independent
 of that route do not use minors:
 `HamiltonianSolution.verify` hooks the factors into Omega one at a time,
-and `recheck_of_counterexample` expands the wedge in full, as do
-`plucker_check` and `brackets.dynamics_relation_check`, which takes
-interior products of the expanded n-vector.
+and `recheck_of_counterexample` and `plucker_check` expand the wedge in
+full.
 """
 
 from __future__ import annotations

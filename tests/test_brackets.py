@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_aof, random_form_over
+from conftest import random_aof
 from multisymp import brackets
 from multisymp.algebra import Polynomial, RationalSampler
 from multisymp.brackets import (
@@ -11,7 +11,6 @@ from multisymp.brackets import (
     NotWellDefined,
     bracket_field_identity_defect,
     complementary_bracket,
-    dynamics_relation_check,
     external_bracket,
     form_division,
     jacobi_defect,
@@ -23,6 +22,7 @@ from multisymp.brackets import (
     theta_jacobi_sum,
 )
 from multisymp.charts import (
+    builtin_chart,
     ddw_chart,
     lepage_dedecker_chart,
     lepage_dedecker_split_chart,
@@ -34,6 +34,9 @@ from multisymp.charts import (
 from multisymp.dynamics import frame_compatible_hamiltonian, hamiltonian_nvector_solve
 from multisymp.exterior import (
     PolyForm,
+    _hook_terms,
+    _pair_terms,
+    eval_terms,
     ext_d,
     form_basis,
     hook,
@@ -77,9 +80,17 @@ def test_closed_form_bracket_is_zero():
     assert pseudobracket(chart, closed, sol).scalar == 0
 
 
-def test_position_function_bracket_pairings():
-    """{H, y^i} paired against the volume contractions reproduces the
-    momentum derivatives of H: the coordinate form of the field equation."""
+def _position_function_hook(chart, y, point, solution):
+    """dF and {H, F} . vol for F = y^i at `point`, through the hook of dF
+    with the solution's expanded n-vector, as numeric terms."""
+    dy_num = eval_terms(ext_d(y).terms, point)
+    v = _hook_terms(dy_num, solution.expand())
+    vol_num = eval_terms(chart.volume_form().terms, point)
+    sign = -1 if (chart.n - 1) % 2 else 1
+    return dy_num, {k: sign * c for k, c in _hook_terms(v, vol_num).items()}
+
+
+def _position_function_setup():
     chart = ddw_chart(2, 2)
     f = chart.frame
     sampler = RationalSampler(13)
@@ -87,28 +98,56 @@ def test_position_function_bracket_pairings():
     h = f.poly_var("e") + sampler.polynomial(
         f.names, max_degree=2, n_terms=4, restrict_to=[n for n in f.names if n != "e"]
     )
-    sol = hamiltonian_nvector_solve(chart, h, point)
-    cop = algebraic_copolarization(chart)
-    from multisymp.exterior import _hook_terms, _pair_terms, eval_terms
+    return chart, sampler, point, h, hamiltonian_nvector_solve(chart, h, point)
 
+
+def test_position_function_bracket_pairings():
+    """{H, y^i} paired against the volume contractions reproduces the
+    momentum derivatives of H: the coordinate form of the field equation."""
+    chart, _, point, h, sol = _position_function_setup()
+    f = chart.frame
+    cop = algebraic_copolarization(chart)
     for i in (1, 2):
         y = PolyForm(f, 0, {(): f.poly_var(f"y{i}")})
         value = pseudobracket(chart, y, sol, cop)
         # {H, y} . vol = sum_mu dH/dp^mu_i dx^mu, tested via its pairings:
         # the generator list of degree n-1 is (vol_mu contractions are not
         # generators; dx wedges are), so check against the hook directly
-        v = _hook_terms(eval_terms(ext_d(y).terms, point), sol.expand())
-        vol_num = eval_terms(chart.volume_form().terms, point)
-        sign = -1 if (chart.n - 1) % 2 else 1
-        hooked = {k: sign * c for k, c in __import__("multisymp.exterior", fromlist=["_hook_terms"])._hook_terms(v, vol_num).items()}
+        dy_num, hooked = _position_function_hook(chart, y, point, sol)
         for mu in (1, 2):
             idx = f.index(f"x{mu}")
             expect = h.diff(f"p{mu}_{i}").eval(point)
             assert hooked.get((idx,), Fraction(0)) == expect
+        # specialization: dF(Y) = {H,F} . vol (Y) for Y = each base factor
+        for factor in sol.factors():
+            lhs = _pair_terms(factor, hooked) or Fraction(0)
+            rhs = _pair_terms(factor, dy_num) or Fraction(0)
+            assert lhs == rhs
         # and the reported pairings agree with the tensor route
         tensor = aof_tensor(chart, cop, y)
         assert not isinstance(tensor, NotAOF)
         assert pseudobracket_aof(chart, h, tensor, point) == value
+
+
+def test_position_function_hook_needs_the_solution():
+    """On a frame moved off the solution the factor pairings of the hook
+    still match dF (they hold for any decomposable frame), but the hook no
+    longer reproduces dH/dp: the momentum comparison is what carries the
+    field equation."""
+    chart, sampler, point, h, sol = _position_function_setup()
+    f = chart.frame
+    unsolved = dataclasses.replace(sol, base_assignment=tuple(sampler.rational() + 5 for _ in sol.base_assignment))
+    assert not unsolved.verify()
+    mismatches = 0
+    for i in (1, 2):
+        y = PolyForm(f, 0, {(): f.poly_var(f"y{i}")})
+        dy_num, hooked = _position_function_hook(chart, y, point, unsolved)
+        for factor in unsolved.factors():
+            assert (_pair_terms(factor, hooked) or Fraction(0)) == (_pair_terms(factor, dy_num) or Fraction(0))
+        for mu in (1, 2):
+            expect = h.diff(f"p{mu}_{i}").eval(point)
+            mismatches += hooked.get((f.index(f"x{mu}"),), Fraction(0)) != expect
+    assert mismatches
 
 
 def test_pseudobracket_not_well_defined_for_momentum_pairs():
@@ -147,6 +186,39 @@ def test_pseudobracket_routes_agree_on_random_observables():
             tensor = aof_tensor(chart, cop, observable)
             assert not isinstance(tensor, NotAOF)
             assert pseudobracket_aof(chart, h, tensor, point) == direct
+
+
+@pytest.mark.parametrize(
+    "label", ["lepage-dedecker:2,2", "ddw:2,2", "lepage-dedecker:3,1", "ddw:3,2", "lepage-dedecker:2,3"]
+)
+def test_pseudobracket_routes_carry_the_evolution_law(label):
+    """The evolution law <X, dF> = -dH(xi_F) is the agreement of the two
+    routes: `pseudobracket` pairs dF with the solution frame X and
+    `pseudobracket_aof` computes -dH(xi_F).  It holds on every solved
+    frame, and on a frame moved off the solution at least one observable
+    breaks it: unequal values, or a value that changes across the
+    family's representatives."""
+    chart = builtin_chart(label)
+    cop = algebraic_copolarization(chart)
+    for seed in range(97, 107):
+        sampler = RationalSampler(seed)
+        point = sampler.point(chart.dim)
+        h = frame_compatible_hamiltonian(chart, sampler, point)
+        sol = hamiltonian_nvector_solve(chart, h, point)
+        unsolved = dataclasses.replace(sol, base_assignment=tuple(sampler.rational() + 5 for _ in sol.base_assignment))
+        assert sol.verify() and not unsolved.verify()
+        broken = 0
+        for _ in range(3):
+            observable = random_aof(chart, sampler)
+            tensor = aof_tensor(chart, cop, observable)
+            assert not isinstance(tensor, NotAOF)
+            law = pseudobracket_aof(chart, h, tensor, point)
+            assert pseudobracket(chart, observable, sol, cop) == law
+            try:
+                broken += pseudobracket(chart, observable, unsolved, cop) != law
+            except NotWellDefined:
+                broken += 1
+        assert broken, (label, seed)
 
 
 def test_pseudobracket_function_examples():
@@ -444,9 +516,6 @@ def test_complementary_bracket_zero_pair():
     assert complementary_bracket(chart, pi, closed) == f.poly_zero()
 
 
-# -- the dynamical relation ----------------------------------------------------------
-
-
 def test_complementary_agrees_with_external_on_first_order_chart():
     """Where both constructions apply (0-form against an (n-1)-form with a
     Hamilton field), the smearing/division route and the direct
@@ -473,101 +542,3 @@ def test_theta_bracket_jacobi_on_first_order_chart():
         g_form = random_aof(chart, sampler)
         h_form = random_aof(chart, sampler)
         assert not theta_jacobi_sum(chart, f_form, g_form, h_form)
-
-
-def test_dynamics_relation_diagonal():
-    chart = ddw_chart(2, 2)
-    f = chart.frame
-    sampler = RationalSampler(53)
-    point = sampler.point(chart.dim)
-    h = f.poly_var("e") + sampler.polynomial(f.names, 2, 3, restrict_to=["p1_1", "p2_2", "y1"])
-    sol = hamiltonian_nvector_solve(chart, h, point)
-    observable = random_aof(chart, sampler)
-    verdict = dynamics_relation_check(chart, observable, observable, sol)
-    assert verdict.passed
-
-
-def test_dynamics_relation_field_equation():
-    """F = y^i against the volume primitive reproduces the coordinate field
-    equations dy^i = sum dH/dp^mu_i dx^mu along the solution."""
-    chart = ddw_chart(2, 2)
-    f = chart.frame
-    sampler = RationalSampler(59)
-    point = sampler.point(chart.dim)
-    h = f.poly_var("e") + sampler.polynomial(
-        f.names, max_degree=2, n_terms=4, restrict_to=[n for n in f.names if n != "e"]
-    )
-    sol = hamiltonian_nvector_solve(chart, h, point)
-    primitive = form_basis(f, "x2").scale(f.poly_var("x1"))
-    for i in (1, 2):
-        y = PolyForm(f, 0, {(): f.poly_var(f"y{i}")})
-        verdict = dynamics_relation_check(chart, y, primitive, sol)
-        assert verdict.passed
-        # specialization: dF(Y) = {H,F} . vol (Y) for Y = each base factor
-        from multisymp.exterior import _hook_terms, _pair_terms, eval_terms
-
-        dy_num = eval_terms(ext_d(y).terms, point)
-        vol_num = eval_terms(chart.volume_form().terms, point)
-        v = _hook_terms(dy_num, sol.expand())
-        sign = -1 if (chart.n - 1) % 2 else 1
-        lhs_form = {k: sign * c for k, c in _hook_terms(v, vol_num).items()}
-        for factor in sol.factors():
-            lhs = _pair_terms(factor, lhs_form) or Fraction(0)
-            rhs = _pair_terms(factor, dy_num) or Fraction(0)
-            assert lhs == rhs
-
-
-def test_dynamics_relation_random_pairs():
-    chart = lepage_dedecker_chart(2, 2)
-    f = chart.frame
-    sampler = RationalSampler(61)
-    point = sampler.point(chart.dim)
-    h = frame_compatible_hamiltonian(chart, sampler, point)
-    sol = hamiltonian_nvector_solve(chart, h, point)
-    base = ["q1", "q2", "q3", "q4"]
-    for trial in range(12):
-        p = sampler.integer(1, 2)
-        q = sampler.integer(max(1, chart.n - p), 2)
-        f_form = (
-            PolyForm(f, 0, {(): sampler.polynomial(f.names, 2, 2, restrict_to=base)})
-            if p == 1
-            else __import__("conftest").random_form_over(chart, p - 1, base, sampler)
-        )
-        g_form = (
-            PolyForm(f, 0, {(): sampler.polynomial(f.names, 2, 2, restrict_to=base)})
-            if q == 1
-            else __import__("conftest").random_form_over(chart, q - 1, base, sampler)
-        )
-        verdict = dynamics_relation_check(chart, f_form, g_form, sol)
-        assert verdict.passed, (p, q, trial)
-
-
-@pytest.mark.parametrize("label", ["lepage-dedecker:2,2", "ddw:2,2"])
-def test_dynamics_relation_does_not_check_the_dynamics(label):
-    """The relation check verifies an interior-product identity and its
-    sign conventions on the solution's frame, not Hamilton's equation:
-    expanding X . dF over the factors of a decomposable X gives both sides
-    the same sum, so it passes on a frame that solves nothing.  The
-    dynamics are checked by `HamiltonianSolution.verify`."""
-    chart = lepage_dedecker_chart(2, 2) if label.startswith("lepage") else ddw_chart(2, 2)
-    sampler = RationalSampler(79)
-    point = sampler.point(chart.dim)
-    sol = hamiltonian_nvector_solve(chart, frame_compatible_hamiltonian(chart, sampler, point), point)
-    unsolved = dataclasses.replace(sol, base_assignment=tuple(sampler.rational() + 5 for _ in sol.base_assignment))
-    assert sol.verify() and not unsolved.verify()
-    for p, q in [(1, 1), (1, 2), (2, 1), (2, 2)] * 2:
-        f_form, g_form = (random_form_over(chart, k - 1, chart.frame.names, sampler) for k in (p, q))
-        verdict = dynamics_relation_check(chart, f_form, g_form, unsolved)
-        assert verdict.passed and verdict.checked, (p, q)
-
-
-def test_dynamics_relation_rejects_low_degrees():
-    chart = lepage_dedecker_chart(3, 1)
-    f = chart.frame
-    sampler = RationalSampler(67)
-    point = sampler.point(chart.dim)
-    h = frame_compatible_hamiltonian(chart, sampler, point)
-    sol = hamiltonian_nvector_solve(chart, h, point)
-    zero_form = PolyForm(f, 0, {(): f.poly_var("q1")})
-    with pytest.raises(ValueError):
-        dynamics_relation_check(chart, zero_form, zero_form, sol)  # p + q = 2 < n
