@@ -12,7 +12,7 @@ from pathlib import Path
 
 from multisymp.fieldlab import conservation_experiment, load_experiment_config, write_series_csv
 
-CONFIGS = ["linear_smeared.json", "charge_conservation.json", "nonlinear_smeared.json"]
+CONFIGS = ["linear_smeared.json", "nonlinear_smeared.json"]
 
 
 def main() -> int:

@@ -143,7 +143,7 @@ def lepage_dedecker_chart(n: int, k: int) -> Chart:
     )
 
 
-def split_momentum_name(n: int, mu_tuple: Sequence[int], i_tuple: Sequence[int]) -> str:
+def split_momentum_name(mu_tuple: Sequence[int], i_tuple: Sequence[int]) -> str:
     j = len(mu_tuple)
     if j == 0:
         return "e"
@@ -168,7 +168,7 @@ def split_momentum_of(n: int, abstract_tuple: Sequence[int]) -> tuple[str, int]:
         unsorted[mu - 1] = y
     _, sign = sort_with_sign(tuple(unsorted))
     i_tuple = [y - n for y in y_part]
-    return split_momentum_name(n, mu_tuple, i_tuple), sign
+    return split_momentum_name(mu_tuple, i_tuple), sign
 
 
 def lepage_dedecker_split_chart(n: int, k: int) -> Chart:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import lcm
@@ -62,8 +62,8 @@ from typing import Iterable, Iterator, Sequence
 from .algebra import Polynomial, RationalSampler, sort_with_sign
 from .charts import Chart
 from .exterior import (
-    DecomposableNVector,
     PolyForm,
+    PolyMultivector,
     Terms,
     _hook_terms,
     _pair_terms,
@@ -317,9 +317,6 @@ class HamiltonianSolution:
 
     def factors(self, kernel_coeffs: Sequence[Fraction] = ()) -> list[Terms]:
         return self.family.factors(self.assignment(kernel_coeffs))
-
-    def expand(self, kernel_coeffs: Sequence[Fraction] = ()) -> Terms:
-        return self.family.expand(self.assignment(kernel_coeffs))
 
     def representatives(self, doubled: bool = False) -> Iterator[tuple[Fraction, ...]]:
         """Kernel coefficients of the representatives that probe the family,
@@ -706,18 +703,21 @@ class PluckerVerdict:
     failures: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
 
-def plucker_check(chart: Chart, x: DecomposableNVector, p: int) -> PluckerVerdict:
+def plucker_check(chart: Chart, factors: Sequence[PolyMultivector], p: int) -> PluckerVerdict:
     """On a first-order (x, y, e, p) chart, check the decomposability
     identity  vol(X)^{p-1} * w^{i1..ip}_{m1..mp}(X) = det(w^{ib}_{ma}(X))
-    for all index selections at the given p, where
+    for all index selections at the given p, where X is the wedge of the
+    n vector fields `factors` and
     w^{i..}_{m..} = dy^{i1} ^ ... ^ dy^{ip} ^ vol_{m1..mp}."""
     from .exterior import hook, pair, vector_basis, wedge
 
     n = chart.n
     if not 1 <= p <= n:
         raise ValueError("need 1 <= p <= n")
+    if len(factors) != n or any(f.degree != 1 for f in factors):
+        raise ValueError(f"X needs n = {n} vector fields as factors")
     frame = chart.frame
-    x_expanded = x.expand()
+    x_expanded = reduce(wedge, factors)
     vol = chart.volume_form()
     vol_value = pair(x_expanded, vol).constant_value()
     if vol_value == 0:

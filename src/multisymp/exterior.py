@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -437,35 +437,6 @@ def lie_derivative(xi: PolyMultivector, mu: PolyForm) -> PolyForm:
     if mu.degree == 0:
         return first
     return first + ext_d(hook(xi, mu))
-
-
-@dataclass(frozen=True)
-class DecomposableNVector:
-    """An n-vector given by its n degree-1 factors (kept unexpanded so the
-    tangent space of the decomposable cone can be spanned slot by slot)."""
-
-    factors: tuple[PolyMultivector, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        frame = self.factors[0].frame
-        for f in self.factors:
-            if f.degree != 1:
-                raise ValueError("factors must be degree-1 multivectors")
-            if f.frame != frame:
-                raise ValueError("coordinate frame mismatch")
-
-    @property
-    def frame(self) -> CoordinateFrame:
-        return self.factors[0].frame
-
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
-
-    def expand(self) -> PolyMultivector:
-        return reduce(wedge, self.factors)
 
 
 def all_index_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:

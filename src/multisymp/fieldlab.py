@@ -83,14 +83,6 @@ class FieldState:
         if self.dt > CFL_BOUND * self.dx:
             raise ValueError(f"time step {self.dt} violates the CFL bound {CFL_BOUND} * {self.dx}")
 
-    @property
-    def grid_points(self) -> int:
-        return self.phi.shape[-1]
-
-    @property
-    def length(self) -> float:
-        return self.dx * self.grid_points
-
 
 def acceleration(phi: np.ndarray, dx: float, mass2: float, coupling: float) -> np.ndarray:
     s = 0.5 * (phi[0] ** 2 + phi[1] ** 2)

@@ -49,9 +49,6 @@ class NotAOF:
 
     residual: PolyForm
 
-    def __bool__(self) -> bool:
-        return False
-
 
 _CACHE_LIMIT = 4096  # a full cache is cleared before the next insert
 _SOLVER_CACHE: dict[tuple, LinearSolver] = {}
@@ -111,8 +108,6 @@ def is_of(
     sample there is nothing to test, so both are rejected."""
     if not points:
         raise ValueError("is_of needs at least one point")
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     df = ext_d(observable)
     total = 0
     for i, point in enumerate(points):
@@ -136,12 +131,10 @@ def is_of(
 @dataclass(frozen=True)
 class Copolarization:
     """Finite generating sets, one list of constant-coefficient forms per
-    degree 1..n.  `algebraic` marks families whose top-degree span lies in
-    {xi . Omega} (required by the Hamilton-tensor construction)."""
+    degree 1..n."""
 
     chart: Chart
     generators: tuple[tuple[PolyForm, ...], ...]  # index p-1 -> degree-p generators
-    algebraic: bool
 
     def degree(self, p: int) -> tuple[PolyForm, ...]:
         if not 1 <= p <= self.chart.n:
@@ -183,7 +176,7 @@ def standard_copolarization(chart: Chart) -> Copolarization:
         gens.append(tuple(_base_wedge_generators(chart, base_names, p)))
     top = _base_wedge_generators(chart, base_names, chart.n) + _contraction_images(chart)
     gens.append(tuple(top))
-    return Copolarization(chart=chart, generators=tuple(gens), algebraic=False)
+    return Copolarization(chart=chart, generators=tuple(gens))
 
 
 def algebraic_copolarization(chart: Chart) -> Copolarization:
@@ -196,7 +189,7 @@ def algebraic_copolarization(chart: Chart) -> Copolarization:
     for p in range(1, chart.n):
         gens.append(tuple(_base_wedge_generators(chart, horizontal, p)))
     gens.append(tuple(_contraction_images(chart)))
-    return Copolarization(chart=chart, generators=tuple(gens), algebraic=True)
+    return Copolarization(chart=chart, generators=tuple(gens))
 
 
 def maxwell_copolarization() -> Copolarization:
@@ -223,7 +216,7 @@ def maxwell_copolarization() -> Copolarization:
     p4 += [wedge(form_basis(frame, xi), dpi) for xi in x]
     p4 += [hook(vector_basis(frame, xi), chart.omega) for xi in x]
     p4 += [wedge(da, da)]
-    return Copolarization(chart=chart, generators=(tuple(p1), tuple(p2), tuple(p3), tuple(p4)), algebraic=False)
+    return Copolarization(chart=chart, generators=(tuple(p1), tuple(p2), tuple(p3), tuple(p4)))
 
 
 def copolar_membership(copol: Copolarization, mu: PolyForm) -> tuple[bool, list[Polynomial] | None]:

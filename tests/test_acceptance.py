@@ -41,7 +41,6 @@ from multisymp.dynamics import (
 )
 from multisymp.exterior import (
     CoordinateFrame,
-    DecomposableNVector,
     PolyForm,
     PolyMultivector,
     eval_terms,
@@ -113,7 +112,7 @@ def test_criterion_1_printed_values():
         vol_num = eval_terms(chart.volume_form().terms, point)
         for i in (1, 2):
             dy_num = {(f.index(f"y{i}"),): Fraction(1)}
-            v = _hook_terms(dy_num, sol.expand())
+            v = _hook_terms(dy_num, sol.family.expand(sol.assignment()))
             sign = -1 if (chart.n - 1) % 2 else 1
             lhs_form = {k: sign * c for k, c in _hook_terms(v, vol_num).items()}
             expected = {
@@ -361,9 +360,8 @@ def test_criterion_3_dichotomy():
                 if v:
                     terms[(j,)] = f.poly_const(v)
             factors.append(PolyMultivector(f, 1, terms))
-        x = DecomposableNVector(tuple(factors))
         for p in (1, 2):
-            verdict = plucker_check(ddw, x, p)
+            verdict = plucker_check(ddw, factors, p)
             if verdict.skipped_degenerate:
                 break
             assert verdict.passed

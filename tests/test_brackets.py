@@ -84,7 +84,7 @@ def _position_function_hook(chart, y, point, solution):
     """dF and {H, F} . vol for F = y^i at `point`, through the hook of dF
     with the solution's expanded n-vector, as numeric terms."""
     dy_num = eval_terms(ext_d(y).terms, point)
-    v = _hook_terms(dy_num, solution.expand())
+    v = _hook_terms(dy_num, solution.family.expand(solution.assignment()))
     vol_num = eval_terms(chart.volume_form().terms, point)
     sign = -1 if (chart.n - 1) % 2 else 1
     return dy_num, {k: sign * c for k, c in _hook_terms(v, vol_num).items()}

@@ -247,7 +247,7 @@ def test_simulate_reports_a_failed_expectation(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["check-chart", "ddw:2,1", "--output"],
-    ["simulate", str(SCRIPTS / "charge_conservation.json"), "--output-csv"],
+    ["simulate", str(SCRIPTS / "nonlinear_smeared.json"), "--output-csv"],
 ])
 def test_unwritable_output_is_input_error(capsys, tmp_path, argv):
     assert main(argv + [str(tmp_path / "missing" / "out")]) == 2

@@ -36,7 +36,6 @@ from multisymp.dynamics import (
     solver_family,
 )
 from multisymp.exterior import (
-    DecomposableNVector,
     PolyForm,
     PolyMultivector,
     eval_terms,
@@ -146,7 +145,7 @@ def test_verify_by_iterated_hooks_agrees_with_the_expanded_contraction(label):
     sol = hamiltonian_nvector_solve(chart, h, point)
 
     def expanded_check(solution):
-        return all(contraction_form(solution.expand(c), solution.omega_num) == solution.target
+        return all(contraction_form(solution.family.expand(solution.assignment(c)), solution.omega_num) == solution.target
                    for c in list(solution.representatives())[: 1 + len(solution.kernel)])
 
     assert sol.verify() and expanded_check(sol)
@@ -729,7 +728,7 @@ def _random_decomposable(chart, sampler):
             if v:
                 terms[(j,)] = frame.poly_const(v)
         factors.append(PolyMultivector(frame, 1, terms))
-    return DecomposableNVector(tuple(factors))
+    return tuple(factors)
 
 
 def test_plucker_identity_sampled():
@@ -755,7 +754,7 @@ def test_plucker_scaling_invariance():
     chart = ddw_chart(2, 2)
     sampler = RationalSampler(43)
     x = _random_decomposable(chart, sampler)
-    scaled = DecomposableNVector((x.factors[0].scale(3), x.factors[1]))
+    scaled = (x[0].scale(3), x[1])
     for p in (1, 2):
         assert plucker_check(chart, x, p).passed == plucker_check(chart, scaled, p).passed
 
@@ -763,8 +762,21 @@ def test_plucker_scaling_invariance():
 def test_plucker_degenerate_skip():
     chart = ddw_chart(2, 2)
     f = chart.frame
-    x = DecomposableNVector((vector_basis(f, "y1"), vector_basis(f, "y2")))
+    x = (vector_basis(f, "y1"), vector_basis(f, "y2"))
     assert plucker_check(chart, x, 2).skipped_degenerate
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_plucker_check_refuses_a_wrong_factor_count(count):
+    """X is the wedge of exactly n vector fields: a wedge of any other
+    degree pairs to 0 with the volume form, which would read as degenerate."""
+    chart = ddw_chart(2, 2)
+    factors = _random_decomposable(chart, RationalSampler(47))
+    wrong = (factors + (vector_basis(chart.frame, "y1"),))[:count]
+    with pytest.raises(ValueError, match="vector fields"):
+        plucker_check(chart, wrong, 1)
+    with pytest.raises(ValueError, match="vector fields"):
+        plucker_check(chart, (factors[0], vector_basis(chart.frame, "y1", "y2")), 1)
 
 
 # -- pseudofiber directions -------------------------------------------------------
@@ -937,5 +949,5 @@ def test_base_solution_volume_normalization():
         point = sampler.point(chart.dim)
         h = frame_compatible_hamiltonian(chart, sampler, point)
         sol = hamiltonian_nvector_solve(chart, h, point)
-        value = _pair_terms(sol.expand(), eval_terms(chart.volume_form().terms, point))
+        value = _pair_terms(sol.family.expand(sol.assignment()), eval_terms(chart.volume_form().terms, point))
         assert value == 1

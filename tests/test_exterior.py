@@ -10,7 +10,6 @@ from multisymp.algebra import Polynomial, RationalSampler
 from multisymp.charts import builtin_chart
 from multisymp.exterior import (
     CoordinateFrame,
-    DecomposableNVector,
     PolyForm,
     PolyMultivector,
     all_index_tuples,
@@ -330,14 +329,7 @@ def test_lie_derivative_of_closed_is_exact_contraction():
     assert lie_derivative(xi, chart.omega) == ext_d(hook(xi, chart.omega))
 
 
-# -- decomposables and serialization -------------------------------------------
-
-
-def test_decomposable_expand():
-    x = DecomposableNVector((vector_basis(FRAME, "q1"), vector_basis(FRAME, "q2")))
-    assert x.expand() == vector_basis(FRAME, "q1", "q2")
-    repeated = DecomposableNVector((vector_basis(FRAME, "q2"), vector_basis(FRAME, "q2")))
-    assert not repeated.expand()
+# -- serialization ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("spec, field", [

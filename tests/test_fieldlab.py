@@ -1,7 +1,9 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +470,18 @@ def reference_series(config: ExperimentConfig) -> tuple[dict[str, np.ndarray], n
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "scripts").glob("*.json"))
+
+
+def test_every_shipped_config_is_a_distinct_run():
+    """Two shipped configs that differ only in what they expect run the
+    same experiment twice and write the same series twice."""
+    runs = []
+    for path in SHIPPED_CONFIGS:
+        run = json.loads(path.read_text())
+        run.pop("expectations", None)
+        runs.append(run)
+    duplicates = [(a.stem, b.stem) for (a, ra), (b, rb) in combinations(zip(SHIPPED_CONFIGS, runs), 2) if ra == rb]
+    assert len(SHIPPED_CONFIGS) >= 2 and not duplicates
 
 
 @pytest.mark.parametrize("config", [load_experiment_config(path) for path in SHIPPED_CONFIGS] + [

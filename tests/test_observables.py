@@ -242,7 +242,6 @@ def test_algebraic_copolarization_closure():
     for chart in [lepage_dedecker_chart(2, 2), ddw_chart(2, 2), scalar_field_chart(2, V_MASS)]:
         cop = algebraic_copolarization(chart)
         assert cop.wedge_closure_defect() is None
-        assert cop.algebraic
 
 
 def test_maxwell_copolarization_memberships():
