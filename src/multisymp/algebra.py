@@ -90,10 +90,13 @@ class Polynomial:
     Immutable, and callers rely on it: an operation may return one of its
     operands (`p * 1` is `p`), so no code may mutate the storage, `terms`
     or `variables` after construction.  That is also why the hash is
-    computed once, on first use, and kept.
+    computed once, on first use, and kept, and so is the sparse view that
+    `eval` reads: each term's numerator with the (variable index,
+    exponent) pairs of its nonzero exponents, since exponent tuples are
+    dense over every variable.
     """
 
-    __slots__ = ("variables", "_num", "_den", "_terms", "_hash")
+    __slots__ = ("variables", "_num", "_den", "_terms", "_hash", "_sparse")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -308,18 +311,25 @@ class Polynomial:
         """Exact evaluation at a rational point (one value per variable).
 
         Each term is an integer fraction n/d read off the point's
-        numerators and denominators; the sum is kept over the least common
-        multiple of the d seen so far, and one `Fraction` is built at the
-        end."""
+        numerators and denominators at the term's nonzero exponents (the
+        sparse view, built on first evaluation and kept); the sum is kept
+        over the least common multiple of the d seen so far, and one
+        `Fraction` is built at the end."""
         if len(point) != len(self.variables):
             raise ValueError(f"point has length {len(point)}, expected {len(self.variables)}")
+        try:
+            sparse = self._sparse
+        except AttributeError:
+            sparse = self._sparse = [
+                (c, tuple((i, e) for i, e in enumerate(expo) if e)) for expo, c in self._num.items()
+            ]
         total, total_den = 0, 1
-        for expo, c in self._num.items():
+        for c, powers in sparse:
             n, d = c, 1
-            for e, v in zip(expo, point):
-                if e:
-                    n *= v.numerator**e
-                    d *= v.denominator**e
+            for i, e in powers:
+                v = point[i]
+                n *= v.numerator**e
+                d *= v.denominator**e
             if d == total_den:
                 total += n
             else:

@@ -28,6 +28,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from hashlib import sha256
 from itertools import combinations
 from math import comb
@@ -40,6 +41,7 @@ from .exterior import (
     PolyForm,
     _wedge_terms,
     dump_form,
+    eval_terms,
     ext_d,
     form_basis,
     hook,
@@ -76,6 +78,18 @@ class Chart:
     @property
     def dim(self) -> int:
         return self.frame.dim
+
+    @cached_property
+    def omega_contraction(self):
+        """The `dynamics.OmegaContraction` of a constant Omega, built on
+        first read and kept, since it is the same at every point; None when
+        a coefficient of Omega varies over the chart.  A chart made by
+        `dataclasses.replace` builds its own."""
+        from .dynamics import OmegaContraction  # dynamics imports this module
+
+        if not omega_is_constant(self):
+            return None
+        return OmegaContraction(eval_terms(self.omega.terms, (0,) * self.dim))
 
     def volume_form(self) -> PolyForm:
         return form_basis(self.frame, *self.horizontal)

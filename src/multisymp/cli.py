@@ -45,13 +45,12 @@ from .charts import (
     maxwell_potential_form,
     nondegeneracy_check,
 )
-from .exterior import PolyForm, dump_form, eval_terms, ext_d, form_basis, hook, parse_form
+from .exterior import PolyForm, dump_form, ext_d, form_basis, hook, parse_form
 from .dynamics import (
     DegenerateSystem,
     NoSolutionInFamily,
     OFCounterexample,
     OFVerdict,
-    OmegaContraction,
     _family_step_data,
     hamiltonian_nvector_solve,
     observability_family,
@@ -217,7 +216,7 @@ def load_observable(args) -> tuple:
     # the sampler judges a family with a kernel only where the contraction is
     # affine on it, a property of the chart as Omega is constant (cached);
     # the same kernels fix the length of its schedule at every point
-    omega = OmegaContraction(eval_terms(chart.omega.terms, (0,) * chart.dim))
+    omega = chart.omega_contraction
     schedule = 0
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
         kernel, affine = _family_step_data(chart, observability_family(chart, horizontal), omega)

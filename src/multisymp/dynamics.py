@@ -21,11 +21,11 @@ support: only the parameters of columns the form reads enter the factors,
 and a direction that is zero on all of them is counted as a sample
 without being evaluated, since it cannot change the value; after the last
 family whose kernel reaches that support, samples are counted and not
-drawn.  They run over Python integers: the form, the kernel directions
-and each sample are held as integer numerators over one common
-denominator, every factor of X is scaled by the denominator of its
-parameter values, and a pairing builds one `Fraction` from its integer
-minor sum.
+drawn.  Each family whose kernel reaches the support is paired once, over
+symbolic factors: the pairing is one polynomial in a scale variable and
+the active parameters, and every sample value is an evaluation of it at
+the integer numerators the sampler holds (the form, the kernel directions
+and each sample over one common denominator), divided once.
 
 For solving the Hamilton equation the free coordinates are all
 non-selected directions and the polynomial system is reduced by
@@ -38,8 +38,10 @@ given by its factors (entries `Fraction`, `int` or `Polynomial`) goes
 through one minor sweep, `decomposable_pairing`, which pairs them with a
 list of forms by `linalg.sparse_minor` under one shared memo: the
 contraction `OmegaContraction.of_factors` (the n-forms of its plan), the
-pseudofiber rows (the plan hooked by a unit factor), the sampler, the
-pseudobracket and the pseudofiber integrand check.  Only a family's
+pseudofiber rows (the plan hooked by a unit factor), the sampler's family
+polynomials, the pseudobracket and the pseudofiber integrand check.  A
+constant Omega's `OmegaContraction` is built once per chart
+(`Chart.omega_contraction`).  Only a family's
 linear part (all factors unit) is read off the plan inverted once per
 Omega, by one lookup per parameter.  The checks that must be independent
 of that route do not use minors:
@@ -569,19 +571,28 @@ def of_sampling_test(
     The arithmetic is over the integers.  The evaluated form is cleared of
     denominators once per call (a = a_int / a_den), the active kernel
     directions once per family, and each sample's base and perturbed
-    values are held as integer numerators over one denominator D.  The
-    factors of X are then integer rows with horizontal entries D, so
-    `decomposable_pairing` on them returns a_den * D**n * a(X), and the
-    value is `Fraction(result, a_den * D**n)`: one `Fraction` per pairing.
-    Every draw, sample count, verdict and counterexample (with `Fraction`
-    values) is the one the full `Fraction` factors give.
+    values are held as integer numerators over one denominator D.  Scaled
+    by D, the factors of X are integer rows with horizontal entries D.
+    Each live family pairs a_int once, with `decomposable_pairing` over
+    symbolic factors (`_pairing_polynomial`): a ring variable u at each
+    horizontal entry the form reads (held) and t_i at the i-th active
+    parameter.
+    The result P is homogeneous of degree n, and P(D, nums) is the integer
+    pairing a_den * D**n * a(X), so each value is
+    `P.eval([D, *nums]) / (a_den * D**n)`.  A live family needs a value in
+    its first sample, so P is built when the family is reached; a dead
+    family builds none.  Every draw, sample count, verdict and
+    counterexample (with `Fraction` values) is the one the full `Fraction`
+    factors give.
     """
     if a.degree != chart.n:
         raise ValueError(f"candidate form must have degree n = {chart.n}")
     if sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     point = tuple(Fraction(v) for v in point)
-    omega = OmegaContraction(eval_terms(chart.omega.terms, point))
+    # a constant Omega's contraction is the chart's, so family cache hits
+    # compare one key object by identity
+    omega = chart.omega_contraction or OmegaContraction(eval_terms(chart.omega.terms, point))
     a_num = eval_terms(a.terms, point)
     support = set().union(*a_num)
     a_den, a_nums = _numerators(a_num.values())
@@ -597,11 +608,12 @@ def of_sampling_test(
         family = observability_family(chart, horizontal)
         kernel, affine = _family_step_data(chart, family, omega)
         active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
-        if any(vec[pos] for vec in kernel for pos in active):
+        live = any(vec[pos] for vec in kernel for pos in active)
+        if live:
             last_live = len(families)
-        families.append((horizontal, family, kernel, affine, active))
+        families.append((horizontal, family, kernel, affine, active, live))
 
-    for position, (horizontal, family, kernel, affine, active) in enumerate(families):
+    for position, (horizontal, family, kernel, affine, active, live) in enumerate(families):
         if not kernel:
             continue
         if not affine:
@@ -610,21 +622,17 @@ def of_sampling_test(
             samples_used += schedule_length(sample_count, len(kernel))
             continue
         nparams = len(family.params)
-        active_keys = [(slot, (c,)) for slot, c in (family.params[pos] for pos in active)]
-        held = [h in support for h in horizontal]
         kernel_den, flat = _numerators([vec[pos] for vec in kernel for pos in active])
         width = len(active)
         kernel_nums = [flat[i * width : (i + 1) * width] for i in range(len(kernel))]
+        # a live family evaluates in its first sample, a dead one never
+        poly = _pairing_polynomial(family, active, support, a_int) if live else None
 
         def pairing(nums: Sequence[int], den: int) -> Fraction:
-            """a(X) at the active parameter values nums / den: every
-            factor is scaled by den, so the integer pairing is
-            a_den * den**n times the value."""
-            factors = [{(h,): den} if keep else {} for h, keep in zip(horizontal, held)]
-            for (slot, key), v in zip(active_keys, nums):
-                if v:
-                    factors[slot][key] = v
-            return Fraction(decomposable_pairing(factors, [a_int])[0], a_den * den**n)
+            """a(X) at the active parameter values nums / den: P at
+            (den, nums) is the pairing of the factors scaled by den, which
+            is a_den * den**n times the value."""
+            return poly.eval([den, *nums]) / (a_den * den**n)
 
         for _ in range(sample_count):
             base_params = tuple(sampler.rational() for _ in range(nparams))
@@ -667,6 +675,22 @@ def of_sampling_test(
                         failed_point=point,
                     )
     return OFVerdict(passed=True, samples_used=samples_used)
+
+
+def _pairing_polynomial(family: VerticalFamily, active: Sequence[int], support: set[int], a_int: Terms) -> Polynomial:
+    """<X, a> for the integer form a on the family's factors scaled by a
+    common denominator, as one polynomial in the ring (u, t_0, ..., t_m):
+    each horizontal entry in the form's support is u and the i-th active
+    parameter is t_i, so every factor is linear and P is homogeneous of
+    degree n.  One `decomposable_pairing` over these symbolic factors
+    builds it."""
+    ring = ("u",) + tuple(f"t{i}" for i in range(len(active)))
+    factors = [{(h,): Polynomial.var(ring, "u")} if h in support else {} for h in family.horizontal]
+    for i, pos in enumerate(active):
+        slot, c = family.params[pos]
+        factors[slot][(c,)] = Polynomial.var(ring, ring[i + 1])
+    # the zero polynomial lifts a Fraction(0) pairing into the ring
+    return Polynomial.zero(ring) + decomposable_pairing(factors, [a_int])[0]
 
 
 def _numerators(values: Iterable[Fraction]) -> tuple[int, list[int]]:

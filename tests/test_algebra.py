@@ -166,6 +166,47 @@ def test_poly_eval_examples():
         p.eval((1,))
 
 
+def dense_eval_oracle(p, point):
+    """`Polynomial.eval` as it read the dense exponent tuples: every
+    exponent of every term, zeros included, against the point."""
+    total, total_den = 0, 1
+    for expo, c in p._num.items():
+        n, d = c, 1
+        for e, v in zip(expo, point):
+            if e:
+                n *= v.numerator**e
+                d *= v.denominator**e
+        if d == total_den:
+            total += n
+        else:
+            g = gcd(d, total_den)
+            total = total * (d // g) + n * (total_den // g)
+            total_den *= d // g
+    return Fraction(total, total_den * p._den)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_poly_eval_reads_a_kept_sparse_view(seed):
+    """Evaluation through the sparse view of nonzero exponents equals the
+    dense loop at `int` and `Fraction` points, for seeded polynomials and
+    the zero and constant ones, on a first and a repeated evaluation; an
+    evaluated polynomial keeps its terms (in order), equality and hash."""
+    sampler = RationalSampler(seed)
+    polys = [
+        sampler.polynomial(VARS, max_degree=4, n_terms=5),
+        Polynomial.zero(VARS),
+        Polynomial.const(VARS, sampler.nonzero()),
+    ]
+    for p in polys:
+        twin = Polynomial(VARS, p.terms)
+        points = [sampler.point(len(VARS)), tuple(sampler.integer(-9, 9) for _ in VARS)]
+        for point in points + points:
+            value = p.eval(point)
+            assert type(value) is Fraction and value == dense_eval_oracle(p, point)
+        assert list(p.terms.items()) == list(twin.terms.items())
+        assert p == twin and hash(p) == hash(twin)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=30)
 def test_poly_ring_round_trips(seed):

@@ -469,6 +469,82 @@ def test_family_kernels_follow_a_non_constant_omega(monkeypatch):
     assert sizes == [len(families), 2 * len(families), 2 * len(families)]
 
 
+def _record_omegas(monkeypatch, module, seen):
+    """Append the `OmegaContraction` of every `_family_step_data` call made
+    through `module` to `seen`."""
+    real = module._family_step_data
+
+    def recording(chart, family, omega):
+        seen.append(omega)
+        return real(chart, family, omega)
+
+    monkeypatch.setattr(module, "_family_step_data", recording)
+
+
+def test_a_constant_omega_is_contracted_once_per_chart(monkeypatch, tmp_path):
+    """A chart with constant Omega keeps one `OmegaContraction`: the same
+    object at every point, and the one that `load_observable` walks the
+    families with and the sampler reads at each point of `observable`
+    (y1 dy2 on ddw:2,2 has no Hamilton field and passes, so both of its
+    points are sampled).  A chart built apart builds its own."""
+    from multisymp import cli, observables
+
+    chart = builtin_chart("ddw:2,2")
+    sampler = RationalSampler(107)
+    form = hook(random_constant_vector(chart.frame, sampler), chart.omega)
+    loaded, sampled, points = [], [], []
+    _record_omegas(monkeypatch, dynamics, sampled)
+    for _ in range(2):
+        assert of_sampling_test(chart, form, sampler.point(chart.dim), sample_count=1, seed=1).passed
+    assert sampled and all(omega is chart.omega_contraction for omega in sampled)
+    other = builtin_chart("ddw:2,2").omega_contraction
+    assert other is not chart.omega_contraction and other.key == chart.omega_contraction.key
+
+    sampled.clear()
+    _record_omegas(monkeypatch, cli, loaded)
+    real_test = observables.of_sampling_test
+
+    def recording_points(chart, a, point, **kwargs):
+        points.append(tuple(point))
+        return real_test(chart, a, point, **kwargs)
+
+    monkeypatch.setattr(observables, "of_sampling_test", recording_points)
+    form = '{"degree": 1, "terms": [{"indices": ["y2"], "coeff": "y1"}]}'
+    argv = ["observable", "ddw:2,2", "--form", form, "--points", "2", "--samples", "2",
+            "--output", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 1  # the aof check fails, the of check passes
+    assert len(set(points)) == 2 and loaded and sampled
+    assert all(seen is loaded[0] for seen in loaded + sampled)
+
+
+def test_a_non_constant_omega_is_evaluated_at_each_point(monkeypatch):
+    """Omega scaled by 1 + q1 is kept by no chart: each sampler call
+    evaluates it at its own point, and the verdicts stay the full-factor
+    loop's."""
+    from dataclasses import replace
+
+    chart = builtin_chart("lepage-dedecker:2,2")
+    f = chart.frame
+    scaled = replace(chart, name="scaled", omega=chart.omega.scale(f.poly_const(1) + f.poly_var("q1")), theta=None)
+    assert scaled.omega_contraction is None
+    sampler = RationalSampler(109)
+    seen = []
+    _record_omegas(monkeypatch, dynamics, seen)
+    omegas, outcomes = [], set()
+    for trial in range(4):
+        point = sampler.point(f.dim)
+        form = random_aof_like_candidate(chart, sampler, trial)
+        seen.clear()
+        verdict = of_sampling_test(scaled, form, point, sample_count=2, seed=trial)
+        assert all(omega is seen[0] for omega in seen)
+        assert seen[0].key == frozenset(eval_terms(scaled.omega.terms, point).items())
+        omegas.append(seen[0])
+        outcomes.add(verdict.passed)
+        assert repr(verdict) == repr(_full_factor_sampler(scaled, form, point, 2, trial))
+    assert len({id(omega) for omega in omegas}) == len({omega.key for omega in omegas}) == 4
+    assert outcomes == {True, False}
+
+
 def test_a_full_family_cache_is_cleared_before_the_next_insert(monkeypatch):
     """Every miss grows the cache or resets it to one entry, so a miss never
     leaves its length unchanged."""
@@ -669,11 +745,12 @@ def test_support_restricted_sampler_matches_full_factors(label):
 
 def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatch):
     """No seeded candidate fails first on the mixed kernel direction, so an
-    observable form is made to fail there: the sampler's pairing on that
-    direction is negated.  The integer factors it pairs are those of
-    base + scale * mix scaled by one denominator, and the counterexample
-    carries sum_i c_i kernel_i in `Fraction`s and the values the full
-    `Fraction` factors give, at the base and (negated) at the perturbation."""
+    observable form is made to fail there: the sampler's evaluation of the
+    family's pairing polynomial on that direction is negated.  The point it
+    evaluates at is base + scale * mix scaled by one denominator, and the
+    counterexample carries sum_i c_i kernel_i in `Fraction`s and the values
+    the full `Fraction` factors give, at the base and (negated) at the
+    perturbation."""
     chart = builtin_chart("lepage-dedecker:2,2")
     sampler = RationalSampler(300)
     point = tuple(sampler.point(chart.dim))
@@ -696,23 +773,123 @@ def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatc
     assert len(kernel) > 1 and all(any(vec) for vec in kernel) and any(mix)
     assert decomposable_pairing(family.factors(perturbed), [a_num])[0] == value != 0
 
-    real = dynamics.decomposable_pairing
+    real = dynamics._pairing_polynomial
     calls = []
 
-    def negate_the_mixed_pairing(factors, forms):
-        calls.append(factors)
-        result = real(factors, forms)
-        return [-value for value in result] if len(calls) == len(kernel) + 2 else result
+    class NegateTheMixedValue:
+        def __init__(self, *args):
+            self.poly = real(*args)
 
-    monkeypatch.setattr(dynamics, "decomposable_pairing", negate_the_mixed_pairing)
+        def eval(self, at):
+            calls.append(at)
+            result = self.poly.eval(at)
+            return -result if len(calls) == len(kernel) + 2 else result
+
+    monkeypatch.setattr(dynamics, "_pairing_polynomial", NegateTheMixedValue)
     verdict = of_sampling_test(chart, form, point, sample_count=1, seed=0)
     assert len(calls) == len(kernel) + 2
-    unscaled = [{key: Fraction(v, factor[(h,)]) for key, v in factor.items()} for h, factor in zip(horizontal, calls[-1])]
-    assert unscaled == family.factors(perturbed)
+    den, *nums = calls[-1]
+    assert [Fraction(v, den) for v in nums] == perturbed
     names = tuple(chart.frame.names[i] for i in horizontal)
     expected = OFVerdict(False, len(kernel) + 1, OFCounterexample(names, base_params, mix, scale, value, -value), point)
     assert repr(verdict) == repr(expected)
     assert all(type(v) is Fraction for v in verdict.counterexample.kernel_direction)
+
+
+def _half_chart():
+    """lepage-dedecker:1,1 with Omega cut to dp1 ^ dq1.  On a nondegenerate
+    n = 1 chart the linear part of every family is injective, so no family
+    has a kernel; this degenerate one has the direction along p2 in both."""
+    from dataclasses import replace
+
+    chart = builtin_chart("lepage-dedecker:1,1")
+    return replace(chart, name="half", omega=PolyForm.from_named(chart.frame, 2, [(["p1", "q1"], 1)]), theta=None)
+
+
+def _pairing_case(name):
+    """(chart, form, point, sample_count, seed, passed, live families
+    visited) of one pairing-polynomial case."""
+    if name == "maxwell-passes" or name == "maxwell-fails":
+        chart = maxwell_chart()
+        sampler = RationalSampler(501)
+        point = sampler.point(chart.dim)
+        passing = random_aof_like_candidate(chart, sampler, 0)
+        failing = random_aof_like_candidate(chart, sampler, 3)
+        if name == "maxwell-passes":
+            return chart, passing, point, 2, 1, True, 70
+        return chart, failing, point, 2, 1, False, 3
+    if name.startswith("n1"):
+        chart = _half_chart()
+        f = chart.frame
+        point = RationalSampler(7).point(f.dim)
+        if name == "n1-fails":
+            return chart, form_basis(f, "p2"), point, 3, 2, False, 1
+        return chart, form_basis(f, "p1") + form_basis(f, "q2").scale(f.poly_var("p2")), point, 3, 2, True, 0
+    chart = builtin_chart("lepage-dedecker:2,2")
+    f = chart.frame
+    point = RationalSampler(300).point(f.dim)
+    if name == "base-draw-zero":  # seed 63 draws 0 for both p13 parameters of (q1, q2) first
+        return chart, form_basis(f, "q1", "p13"), point, 2, 63, False, 1
+    if name == "horizontal-not-held":
+        return chart, form_basis(f, "p12", "p34"), point, 2, 0, False, 1
+    if name == "zero-polynomial":  # (q1, q2) is live, but its factors have no q3 entry
+        return chart, form_basis(f, "q3", "p34"), point, 2, 1, False, 2
+    assert name == "zero-at-point"
+    vanishing = f.poly_var("q1") - point[f.index("q1")]
+    return chart, form_basis(f, "p12", "p34").scale(vanishing), point, 2, 0, True, 0
+
+
+@pytest.mark.parametrize("name", [
+    "base-draw-zero", "horizontal-not-held", "zero-polynomial", "zero-at-point",
+    "n1-fails", "n1-passes", "maxwell-passes", "maxwell-fails",
+])
+def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monkeypatch, name):
+    """The sampler makes one `decomposable_pairing` call per live family it
+    visits, the one that builds the family's pairing polynomial P, which is
+    homogeneous of degree n; every value is then an evaluation of P.  The
+    verdict is the full-factor loop's, byte for byte, on a base draw of 0
+    at every active parameter, on families whose horizontal columns the
+    form does not read, on a live family whose P is zero, on a form that
+    vanishes at the point, on an n = 1 chart and on Maxwell (n = 4)."""
+    chart, form, point, sample_count, seed, passed, visited = _pairing_case(name)
+    liveness = _family_liveness(chart, form, point)
+    calls = [0]
+    real_pairing = dynamics.decomposable_pairing
+
+    def counted(factors, forms):
+        calls[0] += 1
+        return real_pairing(factors, forms)
+
+    polynomials = []
+    real_polynomial = dynamics._pairing_polynomial
+
+    def kept(*args):
+        polynomials.append(real_polynomial(*args))
+        return polynomials[-1]
+
+    monkeypatch.setattr(dynamics, "decomposable_pairing", counted)
+    monkeypatch.setattr(dynamics, "_pairing_polynomial", kept)
+    verdict = of_sampling_test(chart, form, point, sample_count=sample_count, seed=seed)
+    monkeypatch.undo()
+
+    live = [live for _, _, live in liveness]
+    if verdict.counterexample is not None:
+        horizontal = tuple(chart.frame.index(h) for h in verdict.counterexample.family_horizontal)
+        live = live[: list(combinations(chart.frame.base_indices(), chart.n)).index(horizontal) + 1]
+    assert (verdict.passed, calls[0]) == (passed, visited) == (passed, sum(live))
+    assert len(polynomials) == visited
+    assert all(sum(expo) == chart.n for poly in polynomials for expo in poly.terms)
+    assert repr(verdict) == repr(_full_factor_sampler(chart, form, point, sample_count, seed))
+    if name == "base-draw-zero":
+        support = set().union(*eval_terms(form.terms, point))
+        family = observability_family(chart, (0, 1))
+        assert verdict.counterexample.family_horizontal == ("q1", "q2") and verdict.counterexample.value == 0
+        active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
+        assert [verdict.counterexample.base_params[pos] for pos in active] == [0, 0]
+    if name == "zero-polynomial":
+        assert not polynomials[0] and polynomials[1]
+    if name.startswith("maxwell"):
+        assert max(poly.total_degree() for poly in polynomials) == 4
 
 
 # -- decomposability identities ---------------------------------------------------
