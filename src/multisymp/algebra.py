@@ -91,9 +91,9 @@ class Polynomial:
     operands (`p * 1` is `p`), so no code may mutate the storage, `terms`
     or `variables` after construction.  That is also why the hash is
     computed once, on first use, and kept, and so is the sparse view that
-    `eval` reads: each term's numerator with the (variable index,
-    exponent) pairs of its nonzero exponents, since exponent tuples are
-    dense over every variable.
+    `eval` and `eval_numerator` read: each term's numerator with the
+    (variable index, exponent) pairs of its nonzero exponents, since
+    exponent tuples are dense over every variable.
     """
 
     __slots__ = ("variables", "_num", "_den", "_terms", "_hash", "_sparse")
@@ -315,16 +315,8 @@ class Polynomial:
         sparse view, built on first evaluation and kept); the sum is kept
         over the least common multiple of the d seen so far, and one
         `Fraction` is built at the end."""
-        if len(point) != len(self.variables):
-            raise ValueError(f"point has length {len(point)}, expected {len(self.variables)}")
-        try:
-            sparse = self._sparse
-        except AttributeError:
-            sparse = self._sparse = [
-                (c, tuple((i, e) for i, e in enumerate(expo) if e)) for expo, c in self._num.items()
-            ]
         total, total_den = 0, 1
-        for c, powers in sparse:
+        for c, powers in self._sparse_view(point):
             n, d = c, 1
             for i, e in powers:
                 v = point[i]
@@ -337,6 +329,29 @@ class Polynomial:
                 total = total * (d // g) + n * (total_den // g)
                 total_den *= d // g
         return Fraction(total, total_den * self._den)
+
+    def eval_numerator(self, point: Sequence[int]) -> int:
+        """The integer N with `self.eval(point) == Fraction(N, self._den)`,
+        for a point of `int`s: the numerators summed over the sparse view,
+        with no `Fraction` built and no denominator multiplied in."""
+        total = 0
+        for c, powers in self._sparse_view(point):
+            for i, e in powers:
+                c *= point[i] ** e
+            total += c
+        return total
+
+    def _sparse_view(self, point: Sequence) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """Each term's numerator with the (variable index, exponent) pairs
+        of its nonzero exponents, built on first evaluation and kept; the
+        point's length is checked against the variables first."""
+        if len(point) != len(self.variables):
+            raise ValueError(f"point has length {len(point)}, expected {len(self.variables)}")
+        try:
+            return self._sparse
+        except AttributeError:
+            self._sparse = [(c, tuple((i, e) for i, e in enumerate(expo) if e)) for expo, c in self._num.items()]
+            return self._sparse
 
     def subs(self, assignment: Mapping[str, "Polynomial | Fraction | int"]) -> Polynomial:
         """Substitute polynomials (over the same variable tuple) for variables."""

@@ -23,9 +23,11 @@ without being evaluated, since it cannot change the value; after the last
 family whose kernel reaches that support, samples are counted and not
 drawn.  Each family whose kernel reaches the support is paired once, over
 symbolic factors: the pairing is one polynomial in a scale variable and
-the active parameters, and every sample value is an evaluation of it at
-the integer numerators the sampler holds (the form, the kernel directions
-and each sample over one common denominator), divided once.
+the active parameters, and every sample value is its integer evaluation
+at the integer numerators the sampler holds (the form, the kernel
+directions and each sample over one common denominator).  The polynomial
+is homogeneous, so two values are compared as integers by
+cross-multiplication, and a `Fraction` is built only for a counterexample.
 
 For solving the Hamilton equation the free coordinates are all
 non-selected directions and the polynomial system is reduced by
@@ -41,7 +43,9 @@ contraction `OmegaContraction.of_factors` (the n-forms of its plan), the
 pseudofiber rows (the plan hooked by a unit factor), the sampler's family
 polynomials, the pseudobracket and the pseudofiber integrand check.  A
 constant Omega's `OmegaContraction` is built once per chart
-(`Chart.omega_contraction`).  Only a family's
+(`Chart.omega_contraction`) and read by the sampler, the Hamilton solver,
+`frame_compatible_hamiltonian` and `pseudofiber_directions`; a solution
+keeps its evaluated Omega, which `verify` hooks.  Only a family's
 linear part (all factors unit) is read off the plan inverted once per
 Omega, by one lookup per parameter.  The checks that must be independent
 of that route do not use minors:
@@ -384,7 +388,7 @@ def hamiltonian_nvector_solve(chart: Chart, hamiltonian: Polynomial, point: Sequ
     # symbolic factors over the parameter polynomial ring
     factors = family.factors([Polynomial.var(pvars, v) for v in pvars])
     omega_num = eval_terms(chart.omega.terms, point)
-    contraction = OmegaContraction(omega_num).of_factors(factors)
+    contraction = (chart.omega_contraction or OmegaContraction(omega_num)).of_factors(factors)
     sign = -1 if chart.n % 2 else 1
     target = differential_at(hamiltonian, chart, point)
 
@@ -469,7 +473,8 @@ def frame_compatible_hamiltonian(
             values.append(Fraction(0))
         else:
             values.append(sampler.rational())
-    contraction = OmegaContraction(eval_terms(chart.omega.terms, point)).of_factors(family.factors(values))
+    omega = chart.omega_contraction or OmegaContraction(eval_terms(chart.omega.terms, point))
+    contraction = omega.of_factors(family.factors(values))
     sign = -1 if chart.n % 2 else 1
     h = Polynomial.zero(names)
     for (j,), coeff in contraction.items():
@@ -578,9 +583,14 @@ def of_sampling_test(
     horizontal entry the form reads (held) and t_i at the i-th active
     parameter.
     The result P is homogeneous of degree n, and P(D, nums) is the integer
-    pairing a_den * D**n * a(X), so each value is
-    `P.eval([D, *nums]) / (a_den * D**n)`.  A live family needs a value in
-    its first sample, so P is built when the family is reached; a dead
+    pairing a_den * D**n * a(X), so a value is held as the integer
+    N = `P.eval_numerator([D, *nums])`, which is P._den * a_den * D**n
+    times a(X).  The perturbed point is the base scaled by b_factor plus a
+    multiple of the direction, over D * b_factor, so its value equals the
+    base's exactly when N_perturbed == N_base * b_factor**n; no `Fraction`
+    is built unless the two differ, and then the counterexample's values
+    are N / (P._den * a_den * D**n) for each.  A live family needs a value
+    in its first sample, so P is built when the family is reached; a dead
     family builds none.  Every draw, sample count, verdict and
     counterexample (with `Fraction` values) is the one the full `Fraction`
     factors give.
@@ -628,12 +638,6 @@ def of_sampling_test(
         # a live family evaluates in its first sample, a dead one never
         poly = _pairing_polynomial(family, active, support, a_int) if live else None
 
-        def pairing(nums: Sequence[int], den: int) -> Fraction:
-            """a(X) at the active parameter values nums / den: P at
-            (den, nums) is the pairing of the factors scaled by den, which
-            is a_den * den**n times the value."""
-            return poly.eval([den, *nums]) / (a_den * den**n)
-
         for _ in range(sample_count):
             base_params = tuple(sampler.rational() for _ in range(nparams))
             base_den, base_nums = _numerators([base_params[pos] for pos in active])
@@ -650,13 +654,16 @@ def of_sampling_test(
                 if not any(direction):
                     continue
                 if value is None:
-                    value = pairing(base_nums, base_den)
+                    value = poly.eval_numerator([base_den, *base_nums])
                 # base + scale * direction over base_den * scale.denominator * den
                 b_factor = scale.denominator * den
                 d_factor = scale.numerator * base_den
                 perturbed = [b * b_factor + d * d_factor for b, d in zip(base_nums, direction)]
-                value_perturbed = pairing(perturbed, base_den * b_factor)
-                if value_perturbed != value:
+                perturbed_den = base_den * b_factor
+                value_perturbed = poly.eval_numerator([perturbed_den, *perturbed])
+                # P is homogeneous of degree n, so equal values are equal
+                # numerators once the base is scaled by b_factor
+                if value_perturbed != value * b_factor**n:
                     if index < len(kernel):
                         full = kernel[index]
                     else:
@@ -669,8 +676,8 @@ def of_sampling_test(
                             base_params=base_params,
                             kernel_direction=full,
                             scale=scale,
-                            value=value,
-                            value_perturbed=value_perturbed,
+                            value=Fraction(value, poly._den * a_den * base_den**n),
+                            value_perturbed=Fraction(value_perturbed, poly._den * a_den * perturbed_den**n),
                         ),
                         failed_point=point,
                     )
@@ -791,7 +798,7 @@ def pseudofiber_directions(
     is skipped, and so is a row that was already added: neither can change
     the basis."""
     dim = chart.dim
-    plan = OmegaContraction(solution.omega_num).plan
+    plan = (chart.omega_contraction or OmegaContraction(solution.omega_num)).plan
     hooked = {(c, j): _hook_terms({(c,): 1}, entries) for j, entries in plan.items() for c in set().union(*entries)}
     basis = RowBasis(dim)
     added: set[tuple] = set()

@@ -207,6 +207,32 @@ def test_poly_eval_reads_a_kept_sparse_view(seed):
         assert p == twin and hash(p) == hash(twin)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_poly_eval_numerator_over_the_denominator_is_eval(seed):
+    """At a point of `int`s the integer evaluation is an `int` N with
+    `eval(point) == Fraction(N, _den)`, for a seeded polynomial whose
+    denominator is not 1 and for the zero and a constant polynomial, at
+    points with negative and zero entries."""
+    sampler = RationalSampler(seed)
+    polys = [
+        sampler.polynomial(VARS, max_degree=4, n_terms=5),
+        Polynomial.zero(VARS),
+        Polynomial.const(VARS, sampler.nonzero()),
+    ]
+    assert polys[0]._den != 1
+    points = [
+        tuple(sampler.integer(-9, 9) for _ in VARS),
+        tuple(-sampler.integer(1, 9) if i % 2 else 0 for i in range(len(VARS))),
+        (0,) * len(VARS),
+    ]
+    for p in polys:
+        for point in points + points:
+            numerator = p.eval_numerator(point)
+            assert type(numerator) is int and Fraction(numerator, p._den) == p.eval(point)
+        with pytest.raises(ValueError):
+            p.eval_numerator(points[0][1:])
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=30)
 def test_poly_ring_round_trips(seed):

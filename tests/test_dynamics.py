@@ -745,8 +745,8 @@ def test_support_restricted_sampler_matches_full_factors(label):
 
 def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatch):
     """No seeded candidate fails first on the mixed kernel direction, so an
-    observable form is made to fail there: the sampler's evaluation of the
-    family's pairing polynomial on that direction is negated.  The point it
+    observable form is made to fail there: the sampler's integer evaluation
+    of the family's pairing polynomial on that direction is negated.  The point it
     evaluates at is base + scale * mix scaled by one denominator, and the
     counterexample carries sum_i c_i kernel_i in `Fraction`s and the values
     the full `Fraction` factors give, at the base and (negated) at the
@@ -779,10 +779,11 @@ def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatc
     class NegateTheMixedValue:
         def __init__(self, *args):
             self.poly = real(*args)
+            self._den = self.poly._den
 
-        def eval(self, at):
+        def eval_numerator(self, at):
             calls.append(at)
-            result = self.poly.eval(at)
+            result = self.poly.eval_numerator(at)
             return -result if len(calls) == len(kernel) + 2 else result
 
     monkeypatch.setattr(dynamics, "_pairing_polynomial", NegateTheMixedValue)
@@ -839,6 +840,14 @@ def _pairing_case(name):
     return chart, form_basis(f, "p12", "p34").scale(vanishing), point, 2, 0, True, 0
 
 
+class _NoFractionEval(Polynomial):
+    """A pairing polynomial that refuses `eval`, so a sampler that builds a
+    `Fraction` per value fails."""
+
+    def eval(self, point):
+        raise AssertionError("the sampler evaluated a pairing polynomial to a Fraction")
+
+
 @pytest.mark.parametrize("name", [
     "base-draw-zero", "horizontal-not-held", "zero-polynomial", "zero-at-point",
     "n1-fails", "n1-passes", "maxwell-passes", "maxwell-fails",
@@ -846,11 +855,12 @@ def _pairing_case(name):
 def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monkeypatch, name):
     """The sampler makes one `decomposable_pairing` call per live family it
     visits, the one that builds the family's pairing polynomial P, which is
-    homogeneous of degree n; every value is then an evaluation of P.  The
-    verdict is the full-factor loop's, byte for byte, on a base draw of 0
-    at every active parameter, on families whose horizontal columns the
-    form does not read, on a live family whose P is zero, on a form that
-    vanishes at the point, on an n = 1 chart and on Maxwell (n = 4)."""
+    homogeneous of degree n; every value is then an integer evaluation of
+    P, never `eval` (P refuses it here), compared by cross-multiplication.
+    The verdict is the full-factor loop's, byte for byte, on a base draw
+    of 0 at every active parameter, on families whose horizontal columns
+    the form does not read, on a live family whose P is zero, on a form
+    that vanishes at the point, on an n = 1 chart and on Maxwell (n = 4)."""
     chart, form, point, sample_count, seed, passed, visited = _pairing_case(name)
     liveness = _family_liveness(chart, form, point)
     calls = [0]
@@ -864,7 +874,8 @@ def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monk
     real_polynomial = dynamics._pairing_polynomial
 
     def kept(*args):
-        polynomials.append(real_polynomial(*args))
+        poly = real_polynomial(*args)
+        polynomials.append(_NoFractionEval._raw(poly.variables, dict(poly._num), poly._den))
         return polynomials[-1]
 
     monkeypatch.setattr(dynamics, "decomposable_pairing", counted)
