@@ -7,13 +7,16 @@ it is a contraction image xi . Omega.  The sampling test can only err in
 one direction -- a reported counterexample is exact, a pass is
 probabilistic -- so this audit hammers the pass direction: it draws many
 candidate forms, compares the sampled verdict against exact solvability,
-and reports any disagreement with its seed.
+and reports any disagreement with its seed.  It also prints one sha256
+over the `repr` of every verdict in order, counterexamples included, so
+two versions of the sampler can be compared byte for byte.
 
 Usage:  python scripts/audit_observability.py [n_candidates] [base_seed]
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -33,6 +36,7 @@ def main() -> int:
     base_seed = int(sys.argv[2]) if len(sys.argv) > 2 else 12345
     charts = [lepage_dedecker_chart(2, 2), lepage_dedecker_chart(2, 3)]
     disagreements = []
+    digest = hashlib.sha256()
     start = time.time()
     for chart in charts:
         sampler = RationalSampler(base_seed + chart.dim)
@@ -48,6 +52,7 @@ def main() -> int:
             verdict = of_sampling_test(
                 chart, candidate, point, sample_count=5, seed=base_seed ^ trial
             )
+            digest.update(repr(verdict).encode())
             if verdict.passed != solvable:
                 disagreements.append((chart.name, trial, solvable, verdict.passed))
         print(
@@ -55,6 +60,7 @@ def main() -> int:
             f"({solvable_count} solvable), disagreements so far: {len(disagreements)}"
         )
     elapsed = time.time() - start
+    print(f"verdict digest: {digest.hexdigest()}")
     if disagreements:
         for chart_name, trial, solvable, observed in disagreements:
             print(f"DISAGREEMENT {chart_name} trial {trial}: solvable={solvable} sampled={observed}")

@@ -541,15 +541,21 @@ class RationalSampler:
     draw.  This is how CPython's `randint(-9, 9)` and `choice((1, 2, 3))`
     draw, so the values and the generator state after every draw are
     theirs (a test pins this).
+
+    Every draw is a multiple of 1/6, so `sixths` reads the same loops
+    into a second table of the 57 integers 6 * n / d: it returns
+    6 * `rational()`, draw for draw, for a caller that keeps its values as
+    integers over the denominator 6.
     """
 
     _RATIONALS = tuple(tuple(Fraction(n, d) for d in (1, 2, 3)) for n in range(-9, 10))
+    _SIXTHS = tuple(tuple(6 * n // d for d in (1, 2, 3)) for n in range(-9, 10))
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
         self._bits = self._rng.getrandbits
 
-    def rational(self) -> Fraction:
+    def _draw(self, table: tuple) -> Fraction | int:
         bits = self._bits
         n = bits(5)
         while n >= 19:
@@ -557,7 +563,13 @@ class RationalSampler:
         d = bits(2)
         while d == 3:
             d = bits(2)
-        return self._RATIONALS[n][d]
+        return table[n][d]
+
+    def rational(self) -> Fraction:
+        return self._draw(self._RATIONALS)
+
+    def sixths(self) -> int:
+        return self._draw(self._SIXTHS)
 
     def nonzero(self) -> Fraction:
         while True:

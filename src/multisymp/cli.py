@@ -219,11 +219,11 @@ def load_observable(args) -> tuple:
     omega = chart.omega_contraction
     schedule = 0
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
-        kernel, affine = _family_step_data(chart, observability_family(chart, horizontal), omega)
-        if kernel and not affine:
+        step = _family_step_data(chart, observability_family(chart, horizontal), omega)
+        if step.kernel and not step.affine:
             names = ", ".join(chart.frame.names[i] for i in horizontal)
             raise ValueError(f"the contraction into Omega is not affine on the observability family {names}")
-        schedule += schedule_length(args.samples, len(kernel))
+        schedule += schedule_length(args.samples, len(step.kernel))
     form = load_form_argument(chart, args.form)
     if form.degree != chart.n - 1:
         raise ValueError(f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}")

@@ -24,10 +24,12 @@ family whose kernel reaches that support, samples are counted and not
 drawn.  Each family whose kernel reaches the support is paired once, over
 symbolic factors: the pairing is one polynomial in a scale variable and
 the active parameters, and every sample value is its integer evaluation
-at the integer numerators the sampler holds (the form, the kernel
-directions and each sample over one common denominator).  The polynomial
-is homogeneous, so two values are compared as integers by
-cross-multiplication, and a `Fraction` is built only for a counterexample.
+at the integer numerators the sampler holds: the form over one
+denominator per call, each family's kernel over one denominator kept in
+the family cache, and the draws as integers over 6
+(`RationalSampler.sixths`).  The polynomial is homogeneous, so two values
+are compared as integers by cross-multiplication, and a `Fraction` is
+built only for a counterexample.
 
 For solving the Hamilton equation the free coordinates are all
 non-selected directions and the polynomial system is reduced by
@@ -251,23 +253,42 @@ def _linear_columns(family: VerticalFamily, omega: OmegaContraction) -> list[Ter
     return columns
 
 
+@dataclass(frozen=True)
+class FamilyStep:
+    """What the observability walk reads of one family at an evaluated
+    Omega: the kernel directions of the linear part of its contraction map
+    and the exact certificate that the map is affine
+    (`OmegaContraction.affine_on`)."""
+
+    kernel: list[tuple[Fraction, ...]]
+    affine: bool
+
+    @cached_property
+    def integer_kernel(self) -> tuple[int, list[tuple[int, ...]]]:
+        """The kernel as integer numerators over one family-wide
+        denominator: (den, one tuple per direction).  Built on first use,
+        by the first sample drawn on the family, so a walk that draws
+        nothing (a dead family, or a cold chart whose families are only
+        checked for affinity) pays nothing for it."""
+        den, flat = _numerators(chain.from_iterable(self.kernel))
+        numerators = iter(flat)
+        return den, [tuple(islice(numerators, len(vec))) for vec in self.kernel]
+
+
 # Bounded without eviction order: a full cache is cleared before the next
 # insert, so every miss still grows or resets its length.
 _CACHE_LIMIT = 4096
-_FAMILY_CACHE: dict[tuple, tuple[list[tuple[Fraction, ...]], bool]] = {}
+_FAMILY_CACHE: dict[tuple, FamilyStep] = {}
 
 
-def _family_step_data(
-    chart: Chart,
-    family: VerticalFamily,
-    omega: OmegaContraction,
-) -> tuple[list[tuple[Fraction, ...]], bool]:
-    """Kernel directions of the linear part of the family's contraction
-    map, and the exact certificate that the map is affine
-    (`OmegaContraction.affine_on`).  Both depend on the family and the
-    evaluated Omega only, so they are cached under those across candidate
-    forms, points and charts: a constant Omega computes each family once.
-    A miss reads both from indexes built once per Omega (`affine_on`, `by_subset`).
+def _family_step_data(chart: Chart, family: VerticalFamily, omega: OmegaContraction) -> FamilyStep:
+    """The family's `FamilyStep`: its kernel directions and affinity
+    certificate, and, once the sampler has drawn on the family, its integer
+    kernel.  All depend on the family and the evaluated Omega only, so the
+    step is cached under those across candidate forms, points and charts: a
+    constant Omega computes each family once.  A miss reads the kernel and
+    the certificate from indexes built once per Omega (`affine_on`,
+    `by_subset`).
 
     The map's columns (`_linear_columns`) hold a few nonzeros each, so its
     rows are gathered sparsely, coordinate i -> {parameter: value}, and fed
@@ -288,11 +309,11 @@ def _family_step_data(
         if basis.rank == len(columns):
             break
         basis.add(rows[i])
-    data = [tuple(v) for v in basis.nullspace()], omega.affine_on(family)
+    step = FamilyStep([tuple(v) for v in basis.nullspace()], omega.affine_on(family))
     if len(_FAMILY_CACHE) >= _CACHE_LIMIT:
         _FAMILY_CACHE.clear()
-    _FAMILY_CACHE[key] = data
-    return data
+    _FAMILY_CACHE[key] = step
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +564,9 @@ def of_sampling_test(
 
     Affinity of the contraction X -> X . Omega in the parameters is
     certified exactly once per family (`OmegaContraction.affine_on`, cached
-    with the kernel by `_family_step_data`); the families are visited in
-    `combinations` order, and the first family with a nonempty kernel that
-    is not affine raises `DegenerateSystem` before any of its own samples
+    with the kernel in the family's `FamilyStep`); the families are visited
+    in `combinations` order, and the first family with a nonempty kernel
+    that is not affine raises `DegenerateSystem` before any of its own samples
     is drawn (earlier families have been sampled by then, and a
     counterexample among them is returned first).  On an affine family,
     pairs X, X~ differing by a kernel direction of its linear part have
@@ -573,11 +594,17 @@ def of_sampling_test(
     Families up to the last live one draw as before, dead ones included,
     so every counterexample and count is the one drawing them all gives.
 
-    The arithmetic is over the integers.  The evaluated form is cleared of
-    denominators once per call (a = a_int / a_den), the active kernel
-    directions once per family, and each sample's base and perturbed
-    values are held as integer numerators over one denominator D.  Scaled
-    by D, the factors of X are integer rows with horizontal entries D.
+    The arithmetic is over the integers from the draw on.  The evaluated
+    form is cleared of denominators once per call (a = a_int / a_den);
+    each family's kernel is kept in its cached `FamilyStep` as integer
+    numerators over one denominator k (built by the first sample drawn on
+    the family), of which a visit picks the active positions;
+    and the sampler draws `RationalSampler.sixths`, so every base
+    parameter, mixing coefficient and scale is an integer over 6.  A base
+    point is then integer numerators over D = 6, and its move along a
+    direction over d (k for a kernel vector, 6 * k for the mix) is integer
+    numerators over D = 6 * d.  Scaled by D, the factors of X are integer
+    rows with horizontal entries D.
     Each live family pairs a_int once, with `decomposable_pairing` over
     symbolic factors (`_pairing_polynomial`): a ring variable u at each
     horizontal entry the form reads (held) and t_i at the i-th active
@@ -585,13 +612,14 @@ def of_sampling_test(
     The result P is homogeneous of degree n, and P(D, nums) is the integer
     pairing a_den * D**n * a(X), so a value is held as the integer
     N = `P.eval_numerator([D, *nums])`, which is P._den * a_den * D**n
-    times a(X).  The perturbed point is the base scaled by b_factor plus a
-    multiple of the direction, over D * b_factor, so its value equals the
-    base's exactly when N_perturbed == N_base * b_factor**n; no `Fraction`
-    is built unless the two differ, and then the counterexample's values
-    are N / (P._den * a_den * D**n) for each.  A live family needs a value
-    in its first sample, so P is built when the family is reached; a dead
-    family builds none.  Every draw, sample count, verdict and
+    times a(X).  The perturbed point is the base scaled by d plus scale
+    times the direction, over 6 * d, so its value equals the base's
+    exactly when N_perturbed == N_base * d**n.  No `Fraction` is built
+    unless the two differ; then the counterexample's values are
+    N / (P._den * a_den * D**n) for each, and its parameters, direction
+    and scale are built from the integers (v / 6 for a draw).  A live
+    family needs a value in its first sample, so P is built when the
+    family is reached; a dead family builds none.  Every draw, sample count, verdict and
     counterexample (with `Fraction` values) is the one the full `Fraction`
     factors give.
     """
@@ -608,7 +636,7 @@ def of_sampling_test(
     a_den, a_nums = _numerators(a_num.values())
     a_int = dict(zip(a_num, a_nums))
     n = chart.n
-    sampler = RationalSampler(seed)
+    draw = RationalSampler(seed).sixths
     names = chart.frame.names
     samples_used = 0
 
@@ -616,68 +644,68 @@ def of_sampling_test(
     last_live = -1
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
         family = observability_family(chart, horizontal)
-        kernel, affine = _family_step_data(chart, family, omega)
+        step = _family_step_data(chart, family, omega)
         active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
-        live = any(vec[pos] for vec in kernel for pos in active)
+        live = any(vec[pos] for vec in step.kernel for pos in active)
         if live:
             last_live = len(families)
-        families.append((horizontal, family, kernel, affine, active, live))
+        families.append((horizontal, family, step, active, live))
 
-    for position, (horizontal, family, kernel, affine, active, live) in enumerate(families):
+    for position, (horizontal, family, step, active, live) in enumerate(families):
+        kernel = step.kernel
         if not kernel:
             continue
-        if not affine:
+        if not step.affine:
             raise DegenerateSystem("contraction is not affine on this family")
         if position > last_live:
             samples_used += schedule_length(sample_count, len(kernel))
             continue
         nparams = len(family.params)
-        kernel_den, flat = _numerators([vec[pos] for vec in kernel for pos in active])
-        width = len(active)
-        kernel_nums = [flat[i * width : (i + 1) * width] for i in range(len(kernel))]
+        kernel_den, kernel_ints = step.integer_kernel
+        kernel_nums = [[vec[pos] for pos in active] for vec in kernel_ints]
         # a live family evaluates in its first sample, a dead one never
         poly = _pairing_polynomial(family, active, support, a_int) if live else None
 
         for _ in range(sample_count):
-            base_params = tuple(sampler.rational() for _ in range(nparams))
-            base_den, base_nums = _numerators([base_params[pos] for pos in active])
+            # draws in sixths: every parameter is over the denominator 6
+            base_ints = [draw() for _ in range(nparams)]
+            base_nums = [base_ints[pos] for pos in active]
             value = None
             directions = [(kernel_den, nums) for nums in kernel_nums]
             if len(kernel) > 1:
-                coeffs = [sampler.rational() for _ in kernel]
-                coeff_den, coeff_nums = _numerators(coeffs)
-                mix = [sum(map(mul, coeff_nums, column)) for column in zip(*kernel_nums)]
-                directions.append((coeff_den * kernel_den, mix))
+                coeffs = [draw() for _ in kernel]
+                mix = [sum(map(mul, coeffs, column)) for column in zip(*kernel_nums)]
+                directions.append((6 * kernel_den, mix))
             for index, (den, direction) in enumerate(directions):
-                scale = sampler.nonzero()
+                scale = draw()
+                while not scale:
+                    scale = draw()
                 samples_used += 1
                 if not any(direction):
                     continue
                 if value is None:
-                    value = poly.eval_numerator([base_den, *base_nums])
-                # base + scale * direction over base_den * scale.denominator * den
-                b_factor = scale.denominator * den
-                d_factor = scale.numerator * base_den
-                perturbed = [b * b_factor + d * d_factor for b, d in zip(base_nums, direction)]
-                perturbed_den = base_den * b_factor
-                value_perturbed = poly.eval_numerator([perturbed_den, *perturbed])
+                    value = poly.eval_numerator([6, *base_nums])
+                # base + scale * direction is
+                # (base_nums * den + scale * direction) / (6 * den)
+                perturbed = [b * den + d * scale for b, d in zip(base_nums, direction)]
+                value_perturbed = poly.eval_numerator([6 * den, *perturbed])
                 # P is homogeneous of degree n, so equal values are equal
-                # numerators once the base is scaled by b_factor
-                if value_perturbed != value * b_factor**n:
+                # numerators once the base is scaled by den
+                if value_perturbed != value * den**n:
                     if index < len(kernel):
                         full = kernel[index]
                     else:
-                        full = tuple(sum(map(mul, coeffs, column), Fraction(0)) for column in zip(*kernel))
+                        full = tuple(Fraction(sum(map(mul, coeffs, column)), den) for column in zip(*kernel_ints))
                     return OFVerdict(
                         passed=False,
                         samples_used=samples_used,
                         counterexample=OFCounterexample(
                             family_horizontal=tuple(names[i] for i in horizontal),
-                            base_params=base_params,
+                            base_params=tuple(Fraction(v, 6) for v in base_ints),
                             kernel_direction=full,
-                            scale=scale,
-                            value=Fraction(value, poly._den * a_den * base_den**n),
-                            value_perturbed=Fraction(value_perturbed, poly._den * a_den * perturbed_den**n),
+                            scale=Fraction(scale, 6),
+                            value=Fraction(value, poly._den * a_den * 6**n),
+                            value_perturbed=Fraction(value_perturbed, poly._den * a_den * (6 * den) ** n),
                         ),
                         failed_point=point,
                     )

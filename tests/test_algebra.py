@@ -300,10 +300,11 @@ def test_sampler_is_deterministic():
 
 
 def test_sampler_draws_are_those_of_randint_and_choice():
-    """`rational`, `nonzero` and `point` read `getrandbits` directly; the
-    values and the generator state after them are those of CPython's
-    `randint(-9, 9)` and `choice((1, 2, 3))`, with the other draws of the
-    same generator interleaved."""
+    """`rational`, `nonzero`, `point` and `sixths` read `getrandbits`
+    directly; the values and the generator state after them are those of
+    CPython's `randint(-9, 9)` and `choice((1, 2, 3))`, with the other draws
+    of the same generator interleaved.  `sixths` is 6 * `rational()`, an
+    `int`, draw for draw."""
     for seed in range(200):
         sampler = RationalSampler(seed)
         reference = random.Random(seed)
@@ -322,6 +323,10 @@ def test_sampler_draws_are_those_of_randint_and_choice():
             assert [sampler.nonzero() for _ in range(10)] == [nonzero() for _ in range(10)]
             assert sampler.point(7) == tuple(rational() for _ in range(7))
             assert sampler.integer(0, 5) == reference.randint(0, 5)
+            sixths = [sampler.sixths() for _ in range(20)]
+            assert sixths == [6 * rational() for _ in range(20)]
+            assert all(type(v) is int for v in sixths)
+            assert sampler.choice("abc") == reference.choice("abc")
         assert sampler._rng.getstate() == reference.getstate()
 
 

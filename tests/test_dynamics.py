@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -397,15 +398,22 @@ def test_columns_read_off_omega_equal_the_unit_factor_contractions(label):
 def test_family_kernels_from_sparse_rows_equal_the_dense_nullspace(monkeypatch, label):
     """The kernel fed to the sampler from the sparse rows of each family's
     linear part is exactly the `nullspace` of its dense dim x params matrix.
-    On lepage-dedecker:1,1 the rank is full before the last row."""
+    On lepage-dedecker:1,1 the rank is full before the last row.  The
+    integer kernel kept with it is the same vectors as numerators over
+    their least common denominator."""
     monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
     chart = builtin_chart(label)
     omega = OmegaContraction(eval_terms(chart.omega.terms, RationalSampler(71).point(chart.dim)))
     for family in _observability_families(chart):
         columns = _linear_columns(family, omega)
         matrix = [[col.get((i,), 0) for col in columns] for i in range(chart.dim)]
-        kernel, _ = _family_step_data(chart, family, omega)
+        step = _family_step_data(chart, family, omega)
+        kernel = step.kernel
         assert kernel == [tuple(v) for v in nullspace(matrix)]
+        den, numerators = step.integer_kernel
+        assert [tuple(Fraction(v, den) for v in vec) for vec in numerators] == kernel
+        assert all(type(v) is int for vec in numerators for v in vec)
+        assert den == lcm(*(v.denominator for vec in kernel for v in vec))
 
 
 @pytest.mark.parametrize("label", BUILTIN_LABELS)
@@ -439,7 +447,8 @@ def test_family_kernels_are_shared_across_points_and_charts(monkeypatch):
     assert len(families) == len(dynamics._FAMILY_CACHE) == 70
     omega = OmegaContraction(eval_terms(chart.omega.terms, sampler.point(chart.dim)))
     for family in families:
-        assert _family_step_data(chart, family, omega) == (_fresh_kernel(chart, family, omega), omega.affine_on(family))
+        step = _family_step_data(chart, family, omega)
+        assert (step.kernel, step.affine) == (_fresh_kernel(chart, family, omega), omega.affine_on(family))
     assert len(dynamics._FAMILY_CACHE) == 70
 
 
@@ -462,9 +471,8 @@ def test_family_kernels_follow_a_non_constant_omega(monkeypatch):
     for point in (base, moved, same_q1):
         omega = OmegaContraction(eval_terms(scaled.omega.terms, point))
         for family in families:
-            assert _family_step_data(scaled, family, omega) == (
-                _fresh_kernel(scaled, family, omega), omega.affine_on(family)
-            )
+            step = _family_step_data(scaled, family, omega)
+            assert (step.kernel, step.affine) == (_fresh_kernel(scaled, family, omega), omega.affine_on(family))
         sizes.append(len(dynamics._FAMILY_CACHE))
     assert sizes == [len(families), 2 * len(families), 2 * len(families)]
 
@@ -574,7 +582,8 @@ def _full_factor_sampler(chart, a, point, sample_count, seed):
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
         family = observability_family(chart, horizontal)
         nparams = len(family.params)
-        kernel, affine = _family_step_data(chart, family, omega)
+        step = _family_step_data(chart, family, omega)
+        kernel, affine = step.kernel, step.affine
         if not kernel:
             continue
         if not affine:
@@ -604,16 +613,21 @@ def _full_factor_sampler(chart, a, point, sample_count, seed):
 
 
 def _count_draws(monkeypatch):
-    """Count every `RationalSampler.rational` call (`nonzero` draws through
-    it) from now on, in a one-element list."""
+    """Count every `RationalSampler.rational` and `RationalSampler.sixths`
+    call (`nonzero` draws through `rational`) from now on, in a
+    one-element list: the sampler draws sixths, the full-factor loop and
+    the replays rationals."""
     draws = [0]
-    real = RationalSampler.rational
 
-    def counted(self):
-        draws[0] += 1
-        return real(self)
+    def counting(real):
+        def counted(self):
+            draws[0] += 1
+            return real(self)
 
-    monkeypatch.setattr(RationalSampler, "rational", counted)
+        return counted
+
+    monkeypatch.setattr(RationalSampler, "rational", counting(RationalSampler.rational))
+    monkeypatch.setattr(RationalSampler, "sixths", counting(RationalSampler.sixths))
     return draws
 
 
@@ -626,7 +640,8 @@ def _family_liveness(chart, a, point):
     support = set().union(*eval_terms(a.terms, point))
     out = []
     for family in _observability_families(chart):
-        kernel, affine = _family_step_data(chart, family, omega)
+        step = _family_step_data(chart, family, omega)
+        kernel, affine = step.kernel, step.affine
         active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
         out.append((kernel, affine, any(vec[pos] for vec in kernel for pos in active)))
     return out
@@ -635,8 +650,9 @@ def _family_liveness(chart, a, point):
 def test_the_maxwell_volume_form_draws_nothing(monkeypatch):
     """The volume form reads base columns only and every kernel vector
     lives on fiber parameters, so no Maxwell family is live: the sampler
-    draws nothing, counts every sample it would have drawn, and gives the
-    full-factor loop's verdict."""
+    draws nothing, builds no integer kernel, counts every sample it would
+    have drawn, and gives the full-factor loop's verdict."""
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
     chart = maxwell_chart()
     point = RationalSampler(83).point(chart.dim)
     volume = chart.volume_form()
@@ -645,6 +661,8 @@ def test_the_maxwell_volume_form_draws_nothing(monkeypatch):
     draws = _count_draws(monkeypatch)
     verdict = of_sampling_test(chart, volume, point, sample_count=3, seed=5)
     assert draws == [0]
+    assert len(dynamics._FAMILY_CACHE) == 70
+    assert not any("integer_kernel" in vars(step) for step in dynamics._FAMILY_CACHE.values())
     assert verdict.passed
     assert verdict.samples_used == sum(3 * (len(kernel) + (len(kernel) > 1)) for kernel, _, _ in liveness) > 0
     assert repr(verdict) == repr(_full_factor_sampler(chart, volume, point, 3, 5))
@@ -758,7 +776,7 @@ def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatc
     a_num = eval_terms(form.terms, point)
     horizontal = next(combinations(chart.frame.base_indices(), chart.n))
     family = observability_family(chart, horizontal)
-    kernel, _ = _family_step_data(chart, family, OmegaContraction(eval_terms(chart.omega.terms, point)))
+    kernel = _family_step_data(chart, family, OmegaContraction(eval_terms(chart.omega.terms, point))).kernel
     # the draws of the first sample, in the sampler's order
     draws = RationalSampler(0)
     base_params = tuple(draws.rational() for _ in family.params)
@@ -857,12 +875,19 @@ def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monk
     visits, the one that builds the family's pairing polynomial P, which is
     homogeneous of degree n; every value is then an integer evaluation of
     P, never `eval` (P refuses it here), compared by cross-multiplication.
-    The verdict is the full-factor loop's, byte for byte, on a base draw
+    The values are integers from the draw on: on a second call, the sampler
+    draws through `RationalSampler.sixths` alone (`rational` and `nonzero`
+    raise during the call), reads the integer kernels that the first call
+    left in the family cache, and calls `_numerators` once, for the form.
+    The verdict is the full-factor loop's, field for field, on a base draw
     of 0 at every active parameter, on families whose horizontal columns
     the form does not read, on a live family whose P is zero, on a form
     that vanishes at the point, on an n = 1 chart and on Maxwell (n = 4)."""
     chart, form, point, sample_count, seed, passed, visited = _pairing_case(name)
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
     liveness = _family_liveness(chart, form, point)
+    # a first call builds the integer kernels of the families it draws on
+    first = of_sampling_test(chart, form, point, sample_count=sample_count, seed=seed)
     calls = [0]
     real_pairing = dynamics.decomposable_pairing
 
@@ -878,19 +903,34 @@ def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monk
         polynomials.append(_NoFractionEval._raw(poly.variables, dict(poly._num), poly._den))
         return polynomials[-1]
 
-    monkeypatch.setattr(dynamics, "decomposable_pairing", counted)
-    monkeypatch.setattr(dynamics, "_pairing_polynomial", kept)
-    verdict = of_sampling_test(chart, form, point, sample_count=sample_count, seed=seed)
-    monkeypatch.undo()
+    numerators = [0]
+    real_numerators = dynamics._numerators
+
+    def counted_numerators(values):
+        numerators[0] += 1
+        return real_numerators(values)
+
+    def refuse(self):
+        raise AssertionError("the sampler drew a Fraction")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(dynamics, "decomposable_pairing", counted)
+        patched.setattr(dynamics, "_pairing_polynomial", kept)
+        patched.setattr(dynamics, "_numerators", counted_numerators)
+        patched.setattr(RationalSampler, "rational", refuse)
+        patched.setattr(RationalSampler, "nonzero", refuse)
+        verdict = of_sampling_test(chart, form, point, sample_count=sample_count, seed=seed)
 
     live = [live for _, _, live in liveness]
     if verdict.counterexample is not None:
         horizontal = tuple(chart.frame.index(h) for h in verdict.counterexample.family_horizontal)
         live = live[: list(combinations(chart.frame.base_indices(), chart.n)).index(horizontal) + 1]
     assert (verdict.passed, calls[0]) == (passed, visited) == (passed, sum(live))
+    assert numerators == [1]
     assert len(polynomials) == visited
     assert all(sum(expo) == chart.n for poly in polynomials for expo in poly.terms)
-    assert repr(verdict) == repr(_full_factor_sampler(chart, form, point, sample_count, seed))
+    expected = _full_factor_sampler(chart, form, point, sample_count, seed)
+    assert verdict == first == expected and repr(verdict) == repr(expected)
     if name == "base-draw-zero":
         support = set().union(*eval_terms(form.terms, point))
         family = observability_family(chart, (0, 1))
