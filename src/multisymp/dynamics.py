@@ -23,8 +23,10 @@ without being evaluated, since it cannot change the value; after the last
 family whose kernel reaches that support, samples are counted and not
 drawn.  Each family whose kernel reaches the support is paired once, over
 symbolic factors: the pairing is one polynomial in a scale variable and
-the active parameters, and every sample value is its integer evaluation
-at the integer numerators the sampler holds: the form over one
+the active parameters, summed from the minors of the form's keys that the
+family keeps in a table in the family cache, and every sample value is
+its integer evaluation at the integer numerators the sampler holds: the
+form over one
 denominator per call, each family's kernel over one denominator kept in
 the family cache, and the draws as integers over 6
 (`RationalSampler.sixths`).  The polynomial is homogeneous, so two values
@@ -42,9 +44,9 @@ given by its factors (entries `Fraction`, `int` or `Polynomial`) goes
 through one minor sweep, `decomposable_pairing`, which pairs them with a
 list of forms by `linalg.sparse_minor` under one shared memo: the
 contraction `OmegaContraction.of_factors` (the n-forms of its plan), the
-pseudofiber rows (the plan hooked by a unit factor), the sampler's family
-polynomials, the pseudobracket and the pseudofiber integrand check.  A
-constant Omega's `OmegaContraction` is built once per chart
+pseudofiber rows (the plan hooked by a unit factor), the minors of the
+sampler's family tables, the pseudobracket and the pseudofiber integrand
+check.  A constant Omega's `OmegaContraction` is built once per chart
 (`Chart.omega_contraction`) and read by the sampler, the Hamilton solver,
 `frame_compatible_hamiltonian` and `pseudofiber_directions`; a solution
 keeps its evaluated Omega, which `verify` hooks.  Only a family's
@@ -258,7 +260,8 @@ class FamilyStep:
     """What the observability walk reads of one family at an evaluated
     Omega: the kernel directions of the linear part of its contraction map
     and the exact certificate that the map is affine
-    (`OmegaContraction.affine_on`)."""
+    (`OmegaContraction.affine_on`), and, filled as the sampler draws on
+    the family, its integer kernel and its minor table."""
 
     kernel: list[tuple[Fraction, ...]]
     affine: bool
@@ -274,6 +277,18 @@ class FamilyStep:
         numerators = iter(flat)
         return den, [tuple(islice(numerators, len(vec))) for vec in self.kernel]
 
+    @cached_property
+    def minors(self) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+        """The family's minor table: key K -> the integer numerators of the
+        minor on K of its symbolic factors, in the ring (u, t_0, ...) with
+        u at every horizontal entry and t_p at the p-th parameter.  Filled
+        by `_pairing_polynomial` with the keys that candidate forms read,
+        and never emptied.  It depends on the family's columns only, which the cache
+        key holds; a key with a column outside them has a zero minor and
+        is never stored, so the table holds at most C(n + |free|, n)
+        keys."""
+        return {}
+
 
 # Bounded without eviction order: a full cache is cleared before the next
 # insert, so every miss still grows or resets its length.
@@ -284,7 +299,8 @@ _FAMILY_CACHE: dict[tuple, FamilyStep] = {}
 def _family_step_data(chart: Chart, family: VerticalFamily, omega: OmegaContraction) -> FamilyStep:
     """The family's `FamilyStep`: its kernel directions and affinity
     certificate, and, once the sampler has drawn on the family, its integer
-    kernel.  All depend on the family and the evaluated Omega only, so the
+    kernel and its minor table.  All depend on the family and the evaluated
+    Omega only (the minor table on the family alone), so the
     step is cached under those across candidate forms, points and charts: a
     constant Omega computes each family once.  A miss reads the kernel and
     the certificate from indexes built once per Omega (`affine_on`,
@@ -605,23 +621,27 @@ def of_sampling_test(
     direction over d (k for a kernel vector, 6 * k for the mix) is integer
     numerators over D = 6 * d.  Scaled by D, the factors of X are integer
     rows with horizontal entries D.
-    Each live family pairs a_int once, with `decomposable_pairing` over
-    symbolic factors (`_pairing_polynomial`): a ring variable u at each
-    horizontal entry the form reads (held) and t_i at the i-th active
-    parameter.
-    The result P is homogeneous of degree n, and P(D, nums) is the integer
-    pairing a_den * D**n * a(X), so a value is held as the integer
-    N = `P.eval_numerator([D, *nums])`, which is P._den * a_den * D**n
-    times a(X).  The perturbed point is the base scaled by d plus scale
-    times the direction, over 6 * d, so its value equals the base's
-    exactly when N_perturbed == N_base * d**n.  No `Fraction` is built
-    unless the two differ; then the counterexample's values are
-    N / (P._den * a_den * D**n) for each, and its parameters, direction
-    and scale are built from the integers (v / 6 for a draw).  A live
-    family needs a value in its first sample, so P is built when the
-    family is reached; a dead family builds none.  Every draw, sample count, verdict and
-    counterexample (with `Fraction` values) is the one the full `Fraction`
-    factors give.
+    Each live family pairs a_int once over symbolic factors
+    (`_pairing_polynomial`): a ring variable u at each horizontal entry
+    and t_i at the i-th active parameter.  P is linear in a_int, so it is
+    summed on integers from the minors of a_int's keys, which the family
+    keeps in its cached `FamilyStep.minors` table: a visit computes, by one
+    `decomposable_pairing`, only the minors of keys no earlier form read,
+    and none once the table holds them.  The table stores only keys
+    inside the family's columns, at most C(n + |free|, n) of them, and is
+    dropped with its step when the family cache is cleared.
+    The result P is homogeneous of degree n, with integer coefficients,
+    and P(D, nums) is the integer pairing a_den * D**n * a(X), so a value
+    is held as the integer N = `P.eval_numerator([D, *nums])`.  The
+    perturbed point is the base scaled by d plus scale times the
+    direction, over 6 * d, so its value equals the base's exactly when
+    N_perturbed == N_base * d**n.  No `Fraction` is built unless the two
+    differ; then the counterexample's values are N / (a_den * D**n) for
+    each, and its parameters, direction and scale are built from the
+    integers (v / 6 for a draw).  A live family needs a value in its
+    first sample, so P is built when the family is reached; a dead family
+    builds none.  Every draw, sample count, verdict and counterexample
+    (with `Fraction` values) is the one the full `Fraction` factors give.
     """
     if a.degree != chart.n:
         raise ValueError(f"candidate form must have degree n = {chart.n}")
@@ -664,7 +684,7 @@ def of_sampling_test(
         kernel_den, kernel_ints = step.integer_kernel
         kernel_nums = [[vec[pos] for pos in active] for vec in kernel_ints]
         # a live family evaluates in its first sample, a dead one never
-        poly = _pairing_polynomial(family, active, support, a_int) if live else None
+        poly = _pairing_polynomial(family, step, active, a_int) if live else None
 
         for _ in range(sample_count):
             # draws in sixths: every parameter is over the denominator 6
@@ -704,28 +724,47 @@ def of_sampling_test(
                             base_params=tuple(Fraction(v, 6) for v in base_ints),
                             kernel_direction=full,
                             scale=Fraction(scale, 6),
-                            value=Fraction(value, poly._den * a_den * 6**n),
-                            value_perturbed=Fraction(value_perturbed, poly._den * a_den * (6 * den) ** n),
+                            value=Fraction(value, a_den * 6**n),
+                            value_perturbed=Fraction(value_perturbed, a_den * (6 * den) ** n),
                         ),
                         failed_point=point,
                     )
     return OFVerdict(passed=True, samples_used=samples_used)
 
 
-def _pairing_polynomial(family: VerticalFamily, active: Sequence[int], support: set[int], a_int: Terms) -> Polynomial:
+def _pairing_polynomial(family: VerticalFamily, step: FamilyStep, active: Sequence[int], a_int: Terms) -> Polynomial:
     """<X, a> for the integer form a on the family's factors scaled by a
     common denominator, as one polynomial in the ring (u, t_0, ..., t_m):
-    each horizontal entry in the form's support is u and the i-th active
-    parameter is t_i, so every factor is linear and P is homogeneous of
-    degree n.  One `decomposable_pairing` over these symbolic factors
-    builds it."""
-    ring = ("u",) + tuple(f"t{i}" for i in range(len(active)))
-    factors = [{(h,): Polynomial.var(ring, "u")} if h in support else {} for h in family.horizontal]
-    for i, pos in enumerate(active):
-        slot, c = family.params[pos]
-        factors[slot][(c,)] = Polynomial.var(ring, ring[i + 1])
-    # the zero polynomial lifts a Fraction(0) pairing into the ring
-    return Polynomial.zero(ring) + decomposable_pairing(factors, [a_int])[0]
+    every horizontal entry is u and the i-th active parameter is t_i, so
+    every factor is linear and P is homogeneous of degree n.
+
+    P is linear in a: it is the sum of a[K] times the minor on K, read off
+    the family's minor table (`FamilyStep.minors`), summed on integer
+    numerators and re-indexed once from the table's ring onto this one.
+    Every key of a lies in its support, so its minor reads active
+    parameters only.  The keys the table lacks are filled first, by one
+    `decomposable_pairing` of their unit forms over the family's symbolic
+    factors; a key with a column outside the family's is zero and skipped,
+    and when the table holds every other key no minor is computed."""
+    minors = step.minors
+    columns = set(family.horizontal).union(family.free)
+    missing = [key for key in a_int if key not in minors and columns.issuperset(key)]
+    if missing:
+        ring = ("u",) + tuple(f"t{p}" for p in range(len(family.params)))
+        u = Polynomial.var(ring, "u")
+        factors = [{(h,): u} for h in family.horizontal]
+        for p, (slot, c) in enumerate(family.params):
+            factors[slot][(c,)] = Polynomial.var(ring, ring[p + 1])
+        for key, minor in zip(missing, decomposable_pairing(factors, [{key: 1} for key in missing])):
+            minors[key] = minor._num if minor else {}
+    total: dict[tuple[int, ...], int] = {}
+    for key, coeff in a_int.items():
+        for expo, c in minors.get(key, {}).items():
+            total[expo] = total.get(expo, 0) + coeff * c
+    # the table's ring has u at 0 and the p-th parameter at p + 1
+    places = (0, *(p + 1 for p in active))
+    num = {tuple(expo[i] for i in places): c for expo, c in total.items() if c}
+    return Polynomial._raw(("u",) + tuple(f"t{i}" for i in range(len(active))), num, 1)
 
 
 def _numerators(values: Iterable[Fraction]) -> tuple[int, list[int]]:

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -871,10 +871,13 @@ class _NoFractionEval(Polynomial):
     "n1-fails", "n1-passes", "maxwell-passes", "maxwell-fails",
 ])
 def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monkeypatch, name):
-    """The sampler makes one `decomposable_pairing` call per live family it
-    visits, the one that builds the family's pairing polynomial P, which is
-    homogeneous of degree n; every value is then an integer evaluation of
-    P, never `eval` (P refuses it here), compared by cross-multiplication.
+    """The sampler builds one pairing polynomial P per live family it
+    visits, homogeneous of degree n; on a cleared cache it makes at most
+    one `decomposable_pairing` call per such family, the one that fills
+    the family's minor table with the keys P needs, and a second call with
+    the same form finds them all there and makes none.  Every value is an
+    integer evaluation of P, never `eval` (P refuses it here), compared by
+    cross-multiplication.
     The values are integers from the draw on: on a second call, the sampler
     draws through `RationalSampler.sixths` alone (`rational` and `nonzero`
     raise during the call), reads the integer kernels that the first call
@@ -886,14 +889,19 @@ def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monk
     chart, form, point, sample_count, seed, passed, visited = _pairing_case(name)
     monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
     liveness = _family_liveness(chart, form, point)
-    # a first call builds the integer kernels of the families it draws on
-    first = of_sampling_test(chart, form, point, sample_count=sample_count, seed=seed)
     calls = [0]
     real_pairing = dynamics.decomposable_pairing
 
     def counted(factors, forms):
         calls[0] += 1
         return real_pairing(factors, forms)
+
+    # a first call builds the integer kernels and the minor tables of the
+    # families it draws on
+    with monkeypatch.context() as patched:
+        patched.setattr(dynamics, "decomposable_pairing", counted)
+        first = of_sampling_test(chart, form, point, sample_count=sample_count, seed=seed)
+    first_calls, calls[0] = calls[0], 0
 
     polynomials = []
     real_polynomial = dynamics._pairing_polynomial
@@ -925,9 +933,9 @@ def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monk
     if verdict.counterexample is not None:
         horizontal = tuple(chart.frame.index(h) for h in verdict.counterexample.family_horizontal)
         live = live[: list(combinations(chart.frame.base_indices(), chart.n)).index(horizontal) + 1]
-    assert (verdict.passed, calls[0]) == (passed, visited) == (passed, sum(live))
+    assert (verdict.passed, len(polynomials)) == (passed, visited) == (passed, sum(live))
+    assert first_calls <= visited and calls == [0]
     assert numerators == [1]
-    assert len(polynomials) == visited
     assert all(sum(expo) == chart.n for poly in polynomials for expo in poly.terms)
     expected = _full_factor_sampler(chart, form, point, sample_count, seed)
     assert verdict == first == expected and repr(verdict) == repr(expected)
@@ -941,6 +949,99 @@ def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monk
         assert not polynomials[0] and polynomials[1]
     if name.startswith("maxwell"):
         assert max(poly.total_degree() for poly in polynomials) == 4
+
+
+def _reference_pairing_polynomial(family, active, support, a_int):
+    """The family's pairing polynomial as one `decomposable_pairing` over
+    symbolic factors restricted to the form's support, built anew for
+    every form: u at each horizontal entry in the support and t_i at the
+    i-th active parameter."""
+    ring = ("u",) + tuple(f"t{i}" for i in range(len(active)))
+    factors = [{(h,): Polynomial.var(ring, "u")} if h in support else {} for h in family.horizontal]
+    for i, pos in enumerate(active):
+        slot, c = family.params[pos]
+        factors[slot][(c,)] = Polynomial.var(ring, ring[i + 1])
+    return Polynomial.zero(ring) + decomposable_pairing(factors, [a_int])[0]
+
+
+@pytest.mark.parametrize("label", ["lepage-dedecker:2,2", "lepage-dedecker:2,3", "ddw:3,2", "maxwell", "half"])
+def test_pairing_polynomials_from_the_minor_table_equal_a_fresh_minor_sweep(monkeypatch, label):
+    """On every observability family, the pairing polynomial summed from
+    the family's minor table equals the one a fresh `decomposable_pairing`
+    over the support's symbolic factors gives: same variables, `_den` and
+    `_num`.  The forms are seeded candidates of all four kinds, one that
+    vanishes at the point, and one with a key off the first family's
+    columns; the tables fill across them.  No stored key has a column
+    outside the family's, and no table exceeds C(n + |free|, n) keys."""
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+    chart = _half_chart() if label == "half" else builtin_chart(label)
+    f = chart.frame
+    sampler = RationalSampler(613)
+    point = sampler.point(f.dim)
+    families = _observability_families(chart)
+    off = (f.base_indices()[-1],) + f.fiber_indices()[: chart.n - 1]
+    on = families[0].horizontal
+    vanishing = (f.poly_var(f.names[on[0]]) - point[on[0]]) * f.poly_var(f.names[off[-1]])
+    forms = [random_aof_like_candidate(chart, sampler, kind) for kind in range(4)] + [
+        form_basis(f, *(f.names[i] for i in on)).scale(vanishing),
+        form_basis(f, *(f.names[i] for i in off)) + form_basis(f, *(f.names[i] for i in on)).scale(f.poly_const(3)),
+    ]
+    assert not set(off) <= set(on).union(families[0].free)
+    omega = OmegaContraction(eval_terms(chart.omega.terms, point))
+    for form in forms:
+        a_num = eval_terms(form.terms, point)
+        support = set().union(*a_num)
+        _, a_nums = dynamics._numerators(a_num.values())
+        a_int = dict(zip(a_num, a_nums))
+        for family in families:
+            step = _family_step_data(chart, family, omega)
+            active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
+            got = dynamics._pairing_polynomial(family, step, active, a_int)
+            expected = _reference_pairing_polynomial(family, active, support, a_int)
+            assert (got.variables, got._den, got._num) == (expected.variables, expected._den, expected._num)
+            assert got._den == 1
+    assert not eval_terms(forms[-2].terms, point)
+    stored = 0
+    for family in families:
+        minors = _family_step_data(chart, family, omega).minors
+        columns = set(family.horizontal).union(family.free)
+        assert all(columns.issuperset(key) for key in minors)
+        assert len(minors) <= comb(chart.n + len(family.free), chart.n)
+        stored += len(minors)
+    assert stored > 0
+
+
+def test_a_verdict_does_not_depend_on_the_family_cache_history(monkeypatch):
+    """Each candidate's verdict, counterexample values included, has the
+    same `repr` on a cold family cache, after 20 other forms on the same
+    chart have filled its minor tables, and with a cache limit of 3, which
+    clears the cache during the walk and drops the tables with it."""
+    chart = builtin_chart("lepage-dedecker:2,3")
+    sampler = RationalSampler(811)
+    point = sampler.point(chart.dim)
+    others = [random_aof_like_candidate(chart, sampler) for _ in range(20)]
+    targets = [random_aof_like_candidate(chart, sampler, kind) for kind in list(range(4)) * 2]
+
+    def verdict(trial, form):
+        return of_sampling_test(chart, form, point, sample_count=3, seed=trial)
+
+    cold = []
+    for trial, form in enumerate(targets):
+        monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+        cold.append(repr(verdict(trial, form)))
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+    for trial, form in enumerate(others):
+        verdict(100 + trial, form)
+    assert any(step.minors for step in dynamics._FAMILY_CACHE.values())
+    warm = [repr(verdict(trial, form)) for trial, form in enumerate(targets)]
+    monkeypatch.setattr(dynamics, "_CACHE_LIMIT", 3)
+    small = []
+    for trial, form in enumerate(targets):
+        monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+        small.append(repr(verdict(trial, form)))
+        assert len(dynamics._FAMILY_CACHE) <= 3
+    assert cold == warm == small
+    assert any("passed=True" in v for v in cold) and any("passed=False" in v for v in cold)
 
 
 # -- decomposability identities ---------------------------------------------------
