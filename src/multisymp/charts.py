@@ -602,7 +602,8 @@ def nondegeneracy_check(chart: Chart, seed: int = 0) -> NondegeneracyVerdict:
             if basis.rank == chart.dim:
                 break
         else:
-            return NondegeneracyVerdict(False, True, tuple(basis.nullspace()[0]), checked)
+            witness = basis.nullspace()[0]
+            return NondegeneracyVerdict(False, True, tuple(witness.get(j, Fraction(0)) for j in range(chart.dim)), checked)
     return NondegeneracyVerdict(True, exact, None, len(points))
 
 

@@ -210,12 +210,20 @@ def cmd_check_chart(args, chart: Chart) -> int:
 
 def load_observable(args) -> tuple:
     chart = load_chart_argument(args.chart)
+    form = load_form_argument(chart, args.form)
+    if form.degree != chart.n - 1:
+        raise ValueError(f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}")
+    point = _rationals(args.point.split(","), "point", chart.dim) if args.point else None
+    for flag, count, limit in (("--points", args.points, MAX_POINTS), ("--samples", args.samples, MAX_SAMPLES)):
+        if not 1 <= count <= limit:
+            raise ValueError(f"{flag} must be between 1 and {limit}, got {count}")
     # the aof verdict solves xi . Omega = -dF, which needs a constant,
     # nondegenerate Omega; the solver refuses any other (and is cached)
     contraction_solver(chart)
     # the sampler judges a family with a kernel only where the contraction is
     # affine on it, a property of the chart as Omega is constant (cached);
-    # the same kernels fix the length of its schedule at every point
+    # the same kernels fix the length of its schedule at every point.  The
+    # walk visits C(base, n) families, so it runs last
     omega = chart.omega_contraction
     schedule = 0
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
@@ -224,13 +232,6 @@ def load_observable(args) -> tuple:
             names = ", ".join(chart.frame.names[i] for i in horizontal)
             raise ValueError(f"the contraction into Omega is not affine on the observability family {names}")
         schedule += schedule_length(args.samples, len(step.kernel))
-    form = load_form_argument(chart, args.form)
-    if form.degree != chart.n - 1:
-        raise ValueError(f"observable verdicts need an (n-1)-form; got degree {form.degree} on n = {chart.n}")
-    point = _rationals(args.point.split(","), "point", chart.dim) if args.point else None
-    for flag, count, limit in (("--points", args.points, MAX_POINTS), ("--samples", args.samples, MAX_SAMPLES)):
-        if not 1 <= count <= limit:
-            raise ValueError(f"{flag} must be between 1 and {limit}, got {count}")
     return chart, form, point, schedule
 
 

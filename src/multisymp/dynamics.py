@@ -26,9 +26,9 @@ symbolic factors: the pairing is one polynomial in a scale variable and
 the active parameters, summed from the minors of the form's keys that the
 family keeps in a table in the family cache, and every sample value is
 its integer evaluation at the integer numerators the sampler holds: the
-form over one
-denominator per call, each family's kernel over one denominator kept in
-the family cache, and the draws as integers over 6
+form over one denominator per call, each family's kernel as it is kept
+in the family cache (the nonzero entries of each vector, over one
+denominator per family), and the draws as integers over 6
 (`RationalSampler.sixths`).  The polynomial is homogeneous, so two values
 are compared as integers by cross-multiplication, and a `Fraction` is
 built only for a counterexample.
@@ -258,24 +258,13 @@ def _linear_columns(family: VerticalFamily, omega: OmegaContraction) -> list[Ter
 @dataclass(frozen=True)
 class FamilyStep:
     """What the observability walk reads of one family at an evaluated
-    Omega: the kernel directions of the linear part of its contraction map
-    and the exact certificate that the map is affine
-    (`OmegaContraction.affine_on`), and, filled as the sampler draws on
-    the family, its integer kernel and its minor table."""
+    Omega: the kernel of its linear part, each vector's nonzero entries
+    {parameter: numerator} over one `den`, the certificate that the map is
+    affine (`affine_on`), and, filled as the sampler draws, its minor table."""
 
-    kernel: list[tuple[Fraction, ...]]
+    kernel: list[dict[int, int]]
+    den: int
     affine: bool
-
-    @cached_property
-    def integer_kernel(self) -> tuple[int, list[tuple[int, ...]]]:
-        """The kernel as integer numerators over one family-wide
-        denominator: (den, one tuple per direction).  Built on first use,
-        by the first sample drawn on the family, so a walk that draws
-        nothing (a dead family, or a cold chart whose families are only
-        checked for affinity) pays nothing for it."""
-        den, flat = _numerators(chain.from_iterable(self.kernel))
-        numerators = iter(flat)
-        return den, [tuple(islice(numerators, len(vec))) for vec in self.kernel]
 
     @cached_property
     def minors(self) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
@@ -297,11 +286,9 @@ _FAMILY_CACHE: dict[tuple, FamilyStep] = {}
 
 
 def _family_step_data(chart: Chart, family: VerticalFamily, omega: OmegaContraction) -> FamilyStep:
-    """The family's `FamilyStep`: its kernel directions and affinity
-    certificate, and, once the sampler has drawn on the family, its integer
-    kernel and its minor table.  All depend on the family and the evaluated
-    Omega only (the minor table on the family alone), so the
-    step is cached under those across candidate forms, points and charts: a
+    """The family's `FamilyStep`.  It depends on the family and the
+    evaluated Omega only (the minor table on the family alone), so it is
+    cached under those across candidate forms, points and charts: a
     constant Omega computes each family once.  A miss reads the kernel and
     the certificate from indexes built once per Omega (`affine_on`,
     `by_subset`).
@@ -310,7 +297,8 @@ def _family_step_data(chart: Chart, family: VerticalFamily, omega: OmegaContract
     rows are gathered sparsely, coordinate i -> {parameter: value}, and fed
     to one `RowBasis` in increasing i until the rank is full.  The kernel
     is read off the RREF, which the span fixes, so it is the one the dense
-    matrix gives."""
+    matrix gives.  Its entries, 1 and the negated entries of the rows, are
+    brought over the rows' least common denominator in one step each."""
     key = (chart.dim, family.horizontal, family.free, omega.key)
     hit = _FAMILY_CACHE.get(key)
     if hit is not None:
@@ -325,7 +313,12 @@ def _family_step_data(chart: Chart, family: VerticalFamily, omega: OmegaContract
         if basis.rank == len(columns):
             break
         basis.add(rows[i])
-    step = FamilyStep([tuple(v) for v in basis.nullspace()], omega.affine_on(family))
+    den = lcm(*(x.denominator for row in basis.sparse_rows for x in row.values()))
+    kernel = basis.nullspace()
+    for vec in kernel:
+        for p, x in vec.items():
+            vec[p] = x.numerator * (den // x.denominator)
+    step = FamilyStep(kernel, den, omega.affine_on(family))
     if len(_FAMILY_CACHE) >= _CACHE_LIMIT:
         _FAMILY_CACHE.clear()
     _FAMILY_CACHE[key] = step
@@ -612,9 +605,9 @@ def of_sampling_test(
 
     The arithmetic is over the integers from the draw on.  The evaluated
     form is cleared of denominators once per call (a = a_int / a_den);
-    each family's kernel is kept in its cached `FamilyStep` as integer
-    numerators over one denominator k (built by the first sample drawn on
-    the family), of which a visit picks the active positions;
+    each family's kernel is kept in its cached `FamilyStep` as the nonzero
+    integer numerators of each vector over one denominator k, of which a
+    visit reads the active positions (0 where absent);
     and the sampler draws `RationalSampler.sixths`, so every base
     parameter, mixing coefficient and scale is an integer over 6.  A base
     point is then integer numerators over D = 6, and its move along a
@@ -638,10 +631,11 @@ def of_sampling_test(
     N_perturbed == N_base * d**n.  No `Fraction` is built unless the two
     differ; then the counterexample's values are N / (a_den * D**n) for
     each, and its parameters, direction and scale are built from the
-    integers (v / 6 for a draw).  A live family needs a value in its
-    first sample, so P is built when the family is reached; a dead family
-    builds none.  Every draw, sample count, verdict and counterexample
-    (with `Fraction` values) is the one the full `Fraction` factors give.
+    integers (v / 6 for a draw, the direction densified over d).  A live
+    family needs a value in its first sample, so P is built when the
+    family is reached; a dead family builds none.  Every draw, sample
+    count, verdict and counterexample (with `Fraction` values) is the one
+    the full `Fraction` factors give.
     """
     if a.degree != chart.n:
         raise ValueError(f"candidate form must have degree n = {chart.n}")
@@ -666,7 +660,7 @@ def of_sampling_test(
         family = observability_family(chart, horizontal)
         step = _family_step_data(chart, family, omega)
         active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
-        live = any(vec[pos] for vec in step.kernel for pos in active)
+        live = any(pos in vec for vec in step.kernel for pos in active)
         if live:
             last_live = len(families)
         families.append((horizontal, family, step, active, live))
@@ -681,8 +675,7 @@ def of_sampling_test(
             samples_used += schedule_length(sample_count, len(kernel))
             continue
         nparams = len(family.params)
-        kernel_den, kernel_ints = step.integer_kernel
-        kernel_nums = [[vec[pos] for pos in active] for vec in kernel_ints]
+        kernel_nums = [[vec.get(pos, 0) for pos in active] for vec in kernel]
         # a live family evaluates in its first sample, a dead one never
         poly = _pairing_polynomial(family, step, active, a_int) if live else None
 
@@ -691,11 +684,11 @@ def of_sampling_test(
             base_ints = [draw() for _ in range(nparams)]
             base_nums = [base_ints[pos] for pos in active]
             value = None
-            directions = [(kernel_den, nums) for nums in kernel_nums]
+            directions = [(step.den, nums) for nums in kernel_nums]
             if len(kernel) > 1:
                 coeffs = [draw() for _ in kernel]
                 mix = [sum(map(mul, coeffs, column)) for column in zip(*kernel_nums)]
-                directions.append((6 * kernel_den, mix))
+                directions.append((6 * step.den, mix))
             for index, (den, direction) in enumerate(directions):
                 scale = draw()
                 while not scale:
@@ -712,10 +705,13 @@ def of_sampling_test(
                 # P is homogeneous of degree n, so equal values are equal
                 # numerators once the base is scaled by den
                 if value_perturbed != value * den**n:
-                    if index < len(kernel):
-                        full = kernel[index]
-                    else:
-                        full = tuple(Fraction(sum(map(mul, coeffs, column)), den) for column in zip(*kernel_ints))
+                    # the direction on every parameter over den: a kernel vector or the mix
+                    nums: dict[int, int] = {}
+                    for w, vec in zip(coeffs, kernel) if index == len(kernel) else [(1, kernel[index])]:
+                        for p, x in vec.items():
+                            nums[p] = nums.get(p, 0) + w * x
+                    zero = Fraction(0)
+                    full = tuple(Fraction(nums[p], den) if p in nums else zero for p in range(nparams))
                     return OFVerdict(
                         passed=False,
                         samples_used=samples_used,
@@ -888,7 +884,8 @@ def pseudofiber_directions(
                     basis.add(row)
                     if basis.rank == dim:
                         return []
-    return [tuple(v) for v in basis.nullspace()]
+    zero = Fraction(0)
+    return [tuple(vec.get(j, zero) for j in range(dim)) for vec in basis.nullspace()]
 
 
 def annihilator_span(directions: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

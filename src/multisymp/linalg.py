@@ -5,9 +5,10 @@ Fraction entries into an incrementally maintained reduced row echelon
 basis (no pivot-size heuristics are needed since arithmetic is exact).
 It keeps each basis row sparse, as its nonzero entries, takes rows dense
 or as column -> value mappings, and eliminates over the stored nonzeros
-only; its `rows` are a dense view.  `nullspace`, `rref` and
-`column_space_rref` read kernels, the transform E with E A = RREF(A), and
-canonical span bases off it.  `LinearSolver` solves in the span of fixed
+only; its `rows` are a dense view, and its `nullspace` gives each kernel
+vector as its nonzero entries.  `nullspace`, `rref` and
+`column_space_rref` read dense kernels, the transform E with E A = RREF(A),
+and canonical span bases off it.  `LinearSolver` solves in the span of fixed
 sparse rational columns for many targets whose entries may be Fractions
 *or* Polynomials (anything a Fraction can multiply), which is how the
 constant-coefficient contraction, copolarization and division systems
@@ -35,8 +36,9 @@ class RowBasis:
     (small) column count: rows are fed one at a time, dependent rows are
     dropped immediately, and the kernel can be read off at any point.
     Each basis row is stored as its nonzero entries (column -> Fraction),
-    and elimination touches those only.  `rows` is a dense copy of the
-    basis, in pivot order.
+    and elimination touches those only; `nullspace` gives each kernel
+    vector the same way.  `rows` is a dense copy of the basis, in pivot
+    order.
     """
 
     def __init__(self, cols: int):
@@ -85,16 +87,13 @@ class RowBasis:
         self.sparse_rows.insert(position, r)
         return True
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """One kernel vector per free column, in column order."""
+    def nullspace(self) -> list[dict[int, Fraction]]:
+        """One kernel vector per free column, in column order, as its
+        nonzero entries: the free column f maps to 1, and the pivot of each
+        row with an entry x in column f to -x."""
         pivots = set(self.pivots)
-        zero, one = Fraction(0), Fraction(1)  # immutable, so shared by every vector
-        kernel = {}
-        for f in range(self.cols):
-            if f not in pivots:
-                vec = [zero] * self.cols
-                vec[f] = one
-                kernel[f] = vec
+        one = Fraction(1)  # immutable, so shared by every vector
+        kernel = {f: {f: one} for f in range(self.cols) if f not in pivots}
         for p, row in zip(self.pivots, self.sparse_rows):
             for f, x in row.items():
                 if f != p:
@@ -111,7 +110,7 @@ def nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
         basis.add(row)
         if basis.rank == cols:
             return []
-    return basis.nullspace()
+    return [[vec.get(j, Fraction(0)) for j in range(cols)] for vec in basis.nullspace()]
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list, list, list[int]]:

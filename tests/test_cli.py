@@ -324,6 +324,28 @@ def test_observable_rejects_oversized_counts():
         assert f"between 1 and {limit}, got {count}" in done.stderr
 
 
+def test_observable_refuses_bad_input_before_the_family_walk(monkeypatch, capsys):
+    """`load_observable` walks all C(12, 6) = 924 observability families of
+    ddw:6,6 only once every other input is accepted: a count out of range,
+    a point of the wrong length and a form of the wrong degree are refused
+    without a `_family_step_data` call."""
+    from multisymp import cli
+
+    calls = []
+    real = cli._family_step_data
+    monkeypatch.setattr(cli, "_family_step_data", lambda *args: calls.append(args) or real(*args))
+    names = ["x1", "x2", "x3", "x4", "x5", "x6", "y1", "y2", "y3"]
+    degree_nine = json.dumps({"degree": 9, "terms": [{"indices": names, "coeff": "1"}]})
+    for flags in (["--form", "@volume-primitive", "--points", "0"],
+                  ["--form", "@volume-primitive", "--samples", "17"],
+                  ["--form", "@volume-primitive", "--point", "1,2"],
+                  ["--form", degree_nine]):
+        assert main(["observable", "ddw:6,6", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
+    assert calls == []
+
+
 def test_observable_accepts_the_largest_counts(capsys):
     from multisymp.cli import MAX_POINTS, MAX_SAMPLES
 

@@ -385,6 +385,11 @@ def _fresh_kernel(chart, family, omega):
     return [tuple(v) for v in nullspace(matrix)]
 
 
+def _densified(step, family):
+    """The step's kernel as dense `Fraction` tuples, its numerators over `den`."""
+    return [tuple(Fraction(vec.get(p, 0), step.den) for p in range(len(family.params))) for vec in step.kernel]
+
+
 @pytest.mark.parametrize("label", BUILTIN_LABELS)
 def test_columns_read_off_omega_equal_the_unit_factor_contractions(label):
     """Equal values of equal types, in the same key order (the reprs)."""
@@ -394,26 +399,24 @@ def test_columns_read_off_omega_equal_the_unit_factor_contractions(label):
         assert repr(_linear_columns(family, omega)) == repr(_unit_factor_columns(family, omega))
 
 
-@pytest.mark.parametrize("label", ["maxwell", "ddw:3,2", "lepage-dedecker:2,3", "lepage-dedecker:1,1"])
+@pytest.mark.parametrize("label", BUILTIN_LABELS)
 def test_family_kernels_from_sparse_rows_equal_the_dense_nullspace(monkeypatch, label):
     """The kernel fed to the sampler from the sparse rows of each family's
-    linear part is exactly the `nullspace` of its dense dim x params matrix.
-    On lepage-dedecker:1,1 the rank is full before the last row.  The
-    integer kernel kept with it is the same vectors as numerators over
-    their least common denominator."""
+    linear part holds only nonzero `int` numerators, and over its `den`,
+    the least common denominator of the dense kernel's entries, it is
+    exactly the `nullspace` of the dense dim x params matrix.  On
+    lepage-dedecker:1,1 the rank is full before the last row."""
     monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
     chart = builtin_chart(label)
     omega = OmegaContraction(eval_terms(chart.omega.terms, RationalSampler(71).point(chart.dim)))
     for family in _observability_families(chart):
         columns = _linear_columns(family, omega)
         matrix = [[col.get((i,), 0) for col in columns] for i in range(chart.dim)]
+        dense = [tuple(v) for v in nullspace(matrix)]
         step = _family_step_data(chart, family, omega)
-        kernel = step.kernel
-        assert kernel == [tuple(v) for v in nullspace(matrix)]
-        den, numerators = step.integer_kernel
-        assert [tuple(Fraction(v, den) for v in vec) for vec in numerators] == kernel
-        assert all(type(v) is int for vec in numerators for v in vec)
-        assert den == lcm(*(v.denominator for vec in kernel for v in vec))
+        assert all(type(v) is int and v for vec in step.kernel for v in vec.values())
+        assert _densified(step, family) == dense
+        assert step.den == lcm(*(v.denominator for vec in dense for v in vec))
 
 
 @pytest.mark.parametrize("label", BUILTIN_LABELS)
@@ -448,7 +451,8 @@ def test_family_kernels_are_shared_across_points_and_charts(monkeypatch):
     omega = OmegaContraction(eval_terms(chart.omega.terms, sampler.point(chart.dim)))
     for family in families:
         step = _family_step_data(chart, family, omega)
-        assert (step.kernel, step.affine) == (_fresh_kernel(chart, family, omega), omega.affine_on(family))
+        assert _densified(step, family) == _fresh_kernel(chart, family, omega)
+        assert step.affine == omega.affine_on(family)
     assert len(dynamics._FAMILY_CACHE) == 70
 
 
@@ -472,7 +476,8 @@ def test_family_kernels_follow_a_non_constant_omega(monkeypatch):
         omega = OmegaContraction(eval_terms(scaled.omega.terms, point))
         for family in families:
             step = _family_step_data(scaled, family, omega)
-            assert (step.kernel, step.affine) == (_fresh_kernel(scaled, family, omega), omega.affine_on(family))
+            assert _densified(step, family) == _fresh_kernel(scaled, family, omega)
+            assert step.affine == omega.affine_on(family)
         sizes.append(len(dynamics._FAMILY_CACHE))
     assert sizes == [len(families), 2 * len(families), 2 * len(families)]
 
@@ -582,11 +587,10 @@ def _full_factor_sampler(chart, a, point, sample_count, seed):
     for horizontal in combinations(chart.frame.base_indices(), chart.n):
         family = observability_family(chart, horizontal)
         nparams = len(family.params)
-        step = _family_step_data(chart, family, omega)
-        kernel, affine = step.kernel, step.affine
+        kernel = _fresh_kernel(chart, family, omega)
         if not kernel:
             continue
-        if not affine:
+        if not omega.affine_on(family):
             raise DegenerateSystem("contraction is not affine on this family")
         for _ in range(sample_count):
             base_params = tuple(sampler.rational() for _ in range(nparams))
@@ -640,18 +644,17 @@ def _family_liveness(chart, a, point):
     support = set().union(*eval_terms(a.terms, point))
     out = []
     for family in _observability_families(chart):
-        step = _family_step_data(chart, family, omega)
-        kernel, affine = step.kernel, step.affine
+        kernel = _fresh_kernel(chart, family, omega)
         active = [pos for pos, (_, c) in enumerate(family.params) if c in support]
-        out.append((kernel, affine, any(vec[pos] for vec in kernel for pos in active)))
+        out.append((kernel, omega.affine_on(family), any(vec[pos] for vec in kernel for pos in active)))
     return out
 
 
 def test_the_maxwell_volume_form_draws_nothing(monkeypatch):
     """The volume form reads base columns only and every kernel vector
     lives on fiber parameters, so no Maxwell family is live: the sampler
-    draws nothing, builds no integer kernel, counts every sample it would
-    have drawn, and gives the full-factor loop's verdict."""
+    draws nothing, counts every sample it would have drawn, and gives the
+    full-factor loop's verdict."""
     monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
     chart = maxwell_chart()
     point = RationalSampler(83).point(chart.dim)
@@ -662,7 +665,6 @@ def test_the_maxwell_volume_form_draws_nothing(monkeypatch):
     verdict = of_sampling_test(chart, volume, point, sample_count=3, seed=5)
     assert draws == [0]
     assert len(dynamics._FAMILY_CACHE) == 70
-    assert not any("integer_kernel" in vars(step) for step in dynamics._FAMILY_CACHE.values())
     assert verdict.passed
     assert verdict.samples_used == sum(3 * (len(kernel) + (len(kernel) > 1)) for kernel, _, _ in liveness) > 0
     assert repr(verdict) == repr(_full_factor_sampler(chart, volume, point, 3, 5))
@@ -761,6 +763,43 @@ def test_support_restricted_sampler_matches_full_factors(label):
     assert outcomes == {True, False}
 
 
+def _weighted_chart():
+    """lepage-dedecker:2,2 with its six Omega terms weighted 1, 2, 1, 3, 1,
+    2, so that its family kernels have fractional entries, over
+    denominators up to 6; the kernels of every built-in chart are integral."""
+    from dataclasses import replace
+
+    chart = builtin_chart("lepage-dedecker:2,2")
+    entries = [([chart.frame.names[i] for i in key], w) for key, w in zip(chart.omega.terms, (1, 2, 1, 3, 1, 2))]
+    return replace(chart, name="weighted", omega=PolyForm.from_named(chart.frame, 3, entries), theta=None)
+
+
+def test_fractional_kernels_match_the_full_factor_sampler(monkeypatch):
+    """Over its `den`, each stored kernel is the dense `nullspace` of the
+    linear part, and every verdict, counterexample directions included, is
+    the full-factor loop's; some counterexample direction is not integral."""
+    monkeypatch.setattr(dynamics, "_FAMILY_CACHE", {})
+    chart = _weighted_chart()
+    omega = chart.omega_contraction
+    dens = []
+    for family in _observability_families(chart):
+        step = _family_step_data(chart, family, omega)
+        assert _densified(step, family) == _fresh_kernel(chart, family, omega)
+        dens.append(step.den)
+    assert max(dens) == 6
+    fractional = 0
+    for trial in range(12):
+        sampler = RationalSampler(71 + trial)
+        point = sampler.point(chart.dim)
+        form = random_aof_like_candidate(chart, sampler, trial % 4)
+        verdict = of_sampling_test(chart, form, point, sample_count=3, seed=trial)
+        assert repr(verdict) == repr(_full_factor_sampler(chart, form, point, 3, trial))
+        if not verdict.passed:
+            assert recheck_of_counterexample(chart, form, point, verdict.counterexample)
+            fractional += any(v.denominator > 1 for v in verdict.counterexample.kernel_direction)
+    assert fractional
+
+
 def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatch):
     """No seeded candidate fails first on the mixed kernel direction, so an
     observable form is made to fail there: the sampler's integer evaluation
@@ -776,7 +815,7 @@ def test_a_counterexample_on_the_mixed_direction_carries_the_full_mix(monkeypatc
     a_num = eval_terms(form.terms, point)
     horizontal = next(combinations(chart.frame.base_indices(), chart.n))
     family = observability_family(chart, horizontal)
-    kernel = _family_step_data(chart, family, OmegaContraction(eval_terms(chart.omega.terms, point))).kernel
+    kernel = _fresh_kernel(chart, family, OmegaContraction(eval_terms(chart.omega.terms, point)))
     # the draws of the first sample, in the sampler's order
     draws = RationalSampler(0)
     base_params = tuple(draws.rational() for _ in family.params)
@@ -896,8 +935,8 @@ def test_one_pairing_polynomial_per_live_family_and_the_full_factor_verdict(monk
         calls[0] += 1
         return real_pairing(factors, forms)
 
-    # a first call builds the integer kernels and the minor tables of the
-    # families it draws on
+    # a first call builds every family's integer kernel, and the minor
+    # tables of the families it draws on
     with monkeypatch.context() as patched:
         patched.setattr(dynamics, "decomposable_pairing", counted)
         first = of_sampling_test(chart, form, point, sample_count=sample_count, seed=seed)
@@ -1164,7 +1203,7 @@ def reference_pseudofiber_directions(chart, solution, doubled):
     delta = e_c ^ (other factors) has entries <delta, e_j . Omega>.  The
     RREF kernel does not depend on the row order."""
     columns = [_hook_terms({(j,): Fraction(1)}, solution.omega_num) for j in range(chart.dim)]
-    basis = RowBasis(chart.dim)
+    rows = []
     for coeffs in expected_representatives(len(solution.kernel), doubled):
         factors = solution.factors(coeffs)
         for slot in range(chart.n):
@@ -1174,8 +1213,8 @@ def reference_pseudofiber_directions(chart, solution, doubled):
                     delta = _wedge_terms(delta, other)
                 row = [_pair_terms(delta, col) or Fraction(0) for col in columns]
                 if any(row):
-                    basis.add(row)
-    return [tuple(v) for v in basis.nullspace()]
+                    rows.append(row)
+    return [tuple(v) for v in nullspace(rows)]
 
 
 @pytest.mark.parametrize("label", ["lepage-dedecker:2,2", "scalar:2"])

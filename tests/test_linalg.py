@@ -373,7 +373,9 @@ def test_row_basis_takes_dense_and_sparse_rows_alike(matrix, integral):
     (absent zeros, and explicit ones at odd columns) to another, integral
     entries as `int` when `integral`, stopping once the rank is full: the
     same pivots, `Fraction` rows and kernel, equal to the dense reference.
-    The example has zero rows, and a row left over at full rank."""
+    The kernel is sparse: no stored entry is zero, each free column carries
+    1, and densified it is the reference kernel.  The example has zero
+    rows, and a row left over at full rank."""
     if integral:
         matrix = [[int(x) if x.denominator == 1 else x for x in row] for row in matrix]
     cols = len(matrix[0]) if matrix else 0
@@ -395,7 +397,11 @@ def test_row_basis_takes_dense_and_sparse_rows_alike(matrix, integral):
         for row, p in zip(ref_r, ref_pivots):
             vec[p] = -row[f]
         kernel.append(vec)
-    assert dense.nullspace() == kernel
+    free = [c for c in range(cols) if c not in ref_pivots]
+    sparse_kernel = dense.nullspace()
+    assert all(v for vec in sparse_kernel for v in vec.values())
+    assert [vec[f] for f, vec in zip(free, sparse_kernel, strict=True)] == [1] * len(free)
+    assert [[vec.get(c, Fraction(0)) for c in range(cols)] for vec in sparse_kernel] == kernel
 
 
 # -- the callers against the dense reference on the built-in charts ---------------
